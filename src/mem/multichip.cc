@@ -4,7 +4,7 @@ namespace tstream
 {
 
 MultiChipSystem::MultiChipSystem(const MultiChipConfig &cfg)
-    : cfg_(cfg), tracker_(cfg.nodes)
+    : cfg_(cfg)
 {
     panicIf(cfg.nodes == 0 || cfg.nodes > 32,
             "MultiChipSystem: node count must be in [1, 32]");
@@ -17,11 +17,11 @@ MultiChipSystem::MultiChipSystem(const MultiChipConfig &cfg)
     offChip_.numCpus = cfg.nodes;
 }
 
-const MultiChipSystem::DirEntry *
+const MultiChipSystem::BlockState *
 MultiChipSystem::dirEntry(BlockId blk) const
 {
-    auto it = dir_.find(blk);
-    return it == dir_.end() ? nullptr : &it->second;
+    const BlockState *b = blocks_.find(blk);
+    return b && (b->sharers != 0 || b->owner >= 0) ? b : nullptr;
 }
 
 std::optional<CohState>
@@ -51,13 +51,10 @@ MultiChipSystem::fillL2(unsigned node, BlockId blk, CohState st)
         // Maintain L1 subset of L2 within a node: back-invalidate.
         l1_[node].invalidate(evicted->block);
         // Update the directory: the node no longer caches the victim.
-        auto it = dir_.find(evicted->block);
-        if (it != dir_.end()) {
-            it->second.sharers &= ~(1u << node);
-            if (it->second.owner == static_cast<int>(node))
-                it->second.owner = -1; // implicit writeback to memory
-            if (it->second.sharers == 0 && it->second.owner < 0)
-                dir_.erase(it);
+        if (BlockState *b = blocks_.find(evicted->block)) {
+            b->sharers &= ~(1u << node);
+            if (b->owner == static_cast<int>(node))
+                b->owner = -1; // implicit writeback to memory
         }
     }
 }
@@ -74,10 +71,10 @@ MultiChipSystem::accessBlock(const Access &acc)
         handleWrite(acc, blk);
         break;
       case AccessType::DmaWrite:
-        handleIoWrite(acc, blk, kWriterDma);
+        handleIoWrite(blk, kWriterDma);
         break;
       case AccessType::NonAllocWrite:
-        handleIoWrite(acc, blk, kWriterCopyout);
+        handleIoWrite(blk, kWriterCopyout);
         break;
     }
 }
@@ -109,20 +106,20 @@ MultiChipSystem::handleRead(const Access &acc, BlockId blk)
 
     // Off-chip read miss: classify, trace (unless an in-the-loop
     // prefetch covers it), and fetch.
-    const MissClass cls = tracker_.classifyRead(blk, node);
+    BlockState &b = blocks_.findOrInsert(blk);
+    const MissClass cls = b.classifyRead(node);
     recordOffChipMiss(blk, static_cast<CpuId>(node),
                       static_cast<std::uint8_t>(cls), acc.fn);
 
-    DirEntry &de = dir_[blk];
-    if (de.owner >= 0 && de.owner != static_cast<int>(node)) {
+    if (b.owner >= 0 && b.owner != static_cast<int>(node)) {
         // Remote owner supplies and downgrades to Shared (writeback).
-        const unsigned o = static_cast<unsigned>(de.owner);
+        const unsigned o = static_cast<unsigned>(b.owner);
         l2_[o].setState(blk, CohState::Shared);
         l1_[o].setState(blk, CohState::Shared);
-        de.sharers |= 1u << o;
-        de.owner = -1;
+        b.sharers |= 1u << o;
+        b.owner = -1;
     }
-    de.sharers |= 1u << node;
+    b.sharers |= 1u << node;
 
     fillL2(node, blk, CohState::Shared);
     l1_[node].insert(blk, CohState::Shared);
@@ -132,7 +129,8 @@ void
 MultiChipSystem::handleWrite(const Access &acc, BlockId blk)
 {
     const unsigned node = acc.cpu;
-    tracker_.recordWrite(blk, static_cast<int>(node));
+    BlockState &b = blocks_.findOrInsert(blk);
+    b.recordWrite(static_cast<int>(node));
 
     // Write hit in Modified: done.
     if (auto st = l2_[node].probe(blk); st && *st == CohState::Modified) {
@@ -142,35 +140,31 @@ MultiChipSystem::handleWrite(const Access &acc, BlockId blk)
     }
 
     // Upgrade or write miss: invalidate all other copies.
-    DirEntry &de = dir_[blk];
     for (unsigned n = 0; n < cfg_.nodes; ++n) {
         if (n == node)
             continue;
-        if ((de.sharers & (1u << n)) || de.owner == static_cast<int>(n))
+        if ((b.sharers & (1u << n)) || b.owner == static_cast<int>(n))
             invalidateNode(n, blk);
     }
-    de.sharers = 1u << node;
-    de.owner = static_cast<int>(node);
+    b.sharers = 1u << node;
+    b.owner = static_cast<std::int8_t>(node);
 
     fillL2(node, blk, CohState::Modified);
     l1_[node].insert(blk, CohState::Modified);
 }
 
 void
-MultiChipSystem::handleIoWrite(const Access &acc, BlockId blk, int writer)
+MultiChipSystem::handleIoWrite(BlockId blk, int writer)
 {
-    (void)acc;
-    tracker_.recordWrite(blk, writer);
+    BlockState &b = blocks_.findOrInsert(blk);
+    b.recordWrite(writer);
 
     // I/O writes invalidate every cached copy and do not allocate.
-    auto it = dir_.find(blk);
-    if (it != dir_.end()) {
-        for (unsigned n = 0; n < cfg_.nodes; ++n)
-            if ((it->second.sharers & (1u << n)) ||
-                it->second.owner == static_cast<int>(n))
-                invalidateNode(n, blk);
-        dir_.erase(it);
-    }
+    for (unsigned n = 0; n < cfg_.nodes; ++n)
+        if ((b.sharers & (1u << n)) || b.owner == static_cast<int>(n))
+            invalidateNode(n, blk);
+    b.sharers = 0;
+    b.owner = -1;
 }
 
 } // namespace tstream

@@ -13,9 +13,9 @@
 #define TSTREAM_MEM_MULTICHIP_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
+#include "mem/block_table.hh"
 #include "mem/cache.hh"
 #include "mem/memory_system.hh"
 #include "mem/writer_tracker.hh"
@@ -42,15 +42,26 @@ class MultiChipSystem : public MemorySystem
 
     unsigned numCpus() const override { return cfg_.nodes; }
 
-    /** Directory entry state, exposed for tests. */
-    struct DirEntry
+    /**
+     * Everything the DSM keeps per block: the per-node reader history
+     * and the directory entry. 16 bytes (the directory fields fill the
+     * history's tail padding), so a table slot with its key is 24.
+     */
+    struct BlockState : ReaderHistory<std::uint32_t>
     {
+        std::int8_t owner = -1;    ///< node holding Modified, or -1
         std::uint32_t sharers = 0; ///< bitmask over nodes
-        int owner = -1;            ///< node holding Modified, or -1
     };
 
-    /** Probe the directory (tests / debugging). */
-    const DirEntry *dirEntry(BlockId blk) const;
+    /**
+     * Probe the directory (tests / debugging). Entries are never
+     * erased: one with no sharers and no owner reads as absent
+     * (nullptr), exactly as if it had been erased.
+     */
+    const BlockState *dirEntry(BlockId blk) const;
+
+    std::size_t blockStateBytes() const override { return blocks_.bytes(); }
+    std::size_t blockStateEntries() const override { return blocks_.size(); }
 
     /** Probe a node's caches (tests / debugging). */
     std::optional<CohState> probeL1(unsigned node, BlockId blk) const;
@@ -59,9 +70,9 @@ class MultiChipSystem : public MemorySystem
   private:
     void handleRead(const Access &acc, BlockId blk);
     void handleWrite(const Access &acc, BlockId blk);
-    void handleIoWrite(const Access &acc, BlockId blk, int writer);
+    void handleIoWrite(BlockId blk, int writer);
 
-    /** Remove @p node from sharers/owner and invalidate its caches. */
+    /** Invalidate @p node's cached copies of @p blk. */
     void invalidateNode(unsigned node, BlockId blk);
 
     /** Handle an L2 insertion's possible eviction at @p node. */
@@ -70,8 +81,7 @@ class MultiChipSystem : public MemorySystem
     MultiChipConfig cfg_;
     std::vector<Cache> l1_;
     std::vector<Cache> l2_;
-    std::unordered_map<BlockId, DirEntry> dir_;
-    WriterTracker tracker_;
+    BlockTable<BlockState> blocks_;
 };
 
 } // namespace tstream

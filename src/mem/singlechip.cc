@@ -4,7 +4,7 @@ namespace tstream
 {
 
 SingleChipSystem::SingleChipSystem(const SingleChipConfig &cfg)
-    : cfg_(cfg), l2_(cfg.l2), intraTracker_(cfg.cores), chipTracker_(1)
+    : cfg_(cfg), l2_(cfg.l2)
 {
     panicIf(cfg.cores == 0 || cfg.cores > 32,
             "SingleChipSystem: core count must be in [1, 32]");
@@ -40,9 +40,10 @@ SingleChipSystem::fillL1(unsigned core, BlockId blk, CohState st)
 }
 
 void
-SingleChipSystem::offChipFill(const Access &acc, BlockId blk)
+SingleChipSystem::offChipFill(const Access &acc, BlockId blk,
+                              BlockState &b)
 {
-    const MissClass cls = chipTracker_.classifyRead(blk, 0);
+    const MissClass cls = b.chip.classifyRead(0);
     recordOffChipMiss(blk, acc.cpu, static_cast<std::uint8_t>(cls),
                       acc.fn);
     l2_.insert(blk, CohState::Shared);
@@ -60,10 +61,10 @@ SingleChipSystem::accessBlock(const Access &acc)
         handleWrite(acc, blk);
         break;
       case AccessType::DmaWrite:
-        handleIoWrite(acc, blk, kWriterDma);
+        handleIoWrite(blk, kWriterDma);
         break;
       case AccessType::NonAllocWrite:
-        handleIoWrite(acc, blk, kWriterCopyout);
+        handleIoWrite(blk, kWriterCopyout);
         break;
     }
 }
@@ -87,8 +88,9 @@ SingleChipSystem::handleRead(const Access &acc, BlockId blk)
         return;
 
     // L1 read miss: determine cause before updating history.
-    const bool cohCause = intraTracker_.coherenceCaused(blk, core);
-    (void)intraTracker_.classifyRead(blk, core);
+    BlockState &b = blocks_.findOrInsert(blk);
+    const bool cohCause = b.core.coherenceCaused(core);
+    (void)b.core.classifyRead(core);
 
     // Find an on-chip supplier: a peer L1 with an owned/modified (or,
     // because the hierarchy is non-inclusive, even shared) copy, or the
@@ -127,7 +129,7 @@ SingleChipSystem::handleRead(const Access &acc, BlockId blk)
         fillL1(core, blk, CohState::Shared);
     } else {
         icls = IntraClass::OffChip;
-        offChipFill(acc, blk);
+        offChipFill(acc, blk, b);
         fillL1(core, blk, CohState::Shared);
     }
 
@@ -142,8 +144,9 @@ void
 SingleChipSystem::handleWrite(const Access &acc, BlockId blk)
 {
     const unsigned core = acc.cpu;
-    intraTracker_.recordWrite(blk, static_cast<int>(core));
-    chipTracker_.recordWrite(blk, 0);
+    BlockState &b = blocks_.findOrInsert(blk);
+    b.core.recordWrite(static_cast<int>(core));
+    b.chip.recordWrite(0);
 
     // Write hit in Modified: done.
     if (auto st = l1_[core].probe(blk); st && *st == CohState::Modified) {
@@ -162,17 +165,17 @@ SingleChipSystem::handleWrite(const Access &acc, BlockId blk)
     // A store to a block absent from the chip allocates silently (store
     // misses are not part of the paper's read-miss traces).
     if (!l2_.probe(blk) && !l1_[core].probe(blk))
-        chipTracker_.recordTouch(blk);
+        b.chip.touched = true;
 
     fillL1(core, blk, CohState::Modified);
 }
 
 void
-SingleChipSystem::handleIoWrite(const Access &acc, BlockId blk, int writer)
+SingleChipSystem::handleIoWrite(BlockId blk, int writer)
 {
-    (void)acc;
-    intraTracker_.recordWrite(blk, writer);
-    chipTracker_.recordWrite(blk, writer);
+    BlockState &b = blocks_.findOrInsert(blk);
+    b.core.recordWrite(writer);
+    b.chip.recordWrite(writer);
     for (unsigned p = 0; p < cfg_.cores; ++p)
         l1_[p].invalidate(blk);
     l2_.invalidate(blk);

@@ -19,6 +19,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "mem/block_table.hh"
 #include "mem/cache.hh"
 #include "mem/memory_system.hh"
 #include "mem/writer_tracker.hh"
@@ -45,14 +46,28 @@ class SingleChipSystem : public MemorySystem
 
     unsigned numCpus() const override { return cfg_.cores; }
 
+    std::size_t blockStateBytes() const override { return blocks_.bytes(); }
+    std::size_t blockStateEntries() const override { return blocks_.size(); }
+
     /** Probe caches (tests / debugging). */
     std::optional<CohState> probeL1(unsigned core, BlockId blk) const;
     std::optional<CohState> probeL2(BlockId blk) const;
 
   private:
+    /**
+     * Per-block history at both viewpoints: per core (intra-chip
+     * cause split) and the whole chip as one reader (off-chip
+     * classification). 16 bytes, so a table slot with its key is 24.
+     */
+    struct BlockState
+    {
+        ReaderHistory<std::uint32_t> core;
+        ReaderHistory<std::uint8_t> chip;
+    };
+
     void handleRead(const Access &acc, BlockId blk);
     void handleWrite(const Access &acc, BlockId blk);
-    void handleIoWrite(const Access &acc, BlockId blk, int writer);
+    void handleIoWrite(BlockId blk, int writer);
 
     /** Evicting L1 fill, writing dirty victims back into the L2. */
     void fillL1(unsigned core, BlockId blk, CohState st);
@@ -61,13 +76,12 @@ class SingleChipSystem : public MemorySystem
      * Fetch a block into the L2 from memory (off-chip); classifies and
      * traces the off-chip miss.
      */
-    void offChipFill(const Access &acc, BlockId blk);
+    void offChipFill(const Access &acc, BlockId blk, BlockState &b);
 
     SingleChipConfig cfg_;
     std::vector<Cache> l1_;
     Cache l2_;
-    WriterTracker intraTracker_; ///< per-core viewpoint
-    WriterTracker chipTracker_;  ///< whole-chip viewpoint (off-chip)
+    BlockTable<BlockState> blocks_;
 };
 
 } // namespace tstream

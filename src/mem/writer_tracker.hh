@@ -8,21 +8,20 @@
  * another processor (Coherence), a DMA transfer or non-allocating bulk
  * copy (I/O Coherence), or nobody relevant (Replacement).
  *
- * A WriterTracker is instantiated per *classification viewpoint*: the
- * multi-chip system classifies per node; the single-chip off-chip view
- * treats the whole chip as one reader (so processor-to-processor
- * communication never appears as off-chip coherence, matching the
- * paper); the intra-chip view classifies per core.
+ * The history is kept per *classification viewpoint*: the multi-chip
+ * system classifies per node; the single-chip off-chip view treats the
+ * whole chip as one reader (so processor-to-processor communication
+ * never appears as off-chip coherence, matching the paper); the
+ * intra-chip view classifies per core. The memory models embed one
+ * ReaderHistory per viewpoint in their per-block record.
  */
 
 #ifndef TSTREAM_MEM_WRITER_TRACKER_HH
 #define TSTREAM_MEM_WRITER_TRACKER_HH
 
 #include <cstdint>
-#include <unordered_map>
-#include <vector>
 
-#include "mem/address.hh"
+#include "mem/block_table.hh"
 #include "trace/record.hh"
 
 namespace tstream
@@ -32,31 +31,31 @@ namespace tstream
 constexpr int kWriterDma = -1;
 constexpr int kWriterCopyout = -2;
 
-/** Tracks per-block write history and per-reader read versions. */
-class WriterTracker
+/**
+ * One block's history at one viewpoint, for up to 8 * sizeof(Mask)
+ * readers. A write sets `stale = everRead`; a read by reader r sets
+ * bit r of `everRead` and clears it in `stale`. So bit r of `stale` is
+ * set exactly when the block was written since r's last read, and a
+ * clear bit r of `everRead` means r never read the block.
+ */
+template <typename Mask>
+struct ReaderHistory
 {
-  public:
-    /** @param readers Number of reader entities (nodes/cores/chips). */
-    explicit WriterTracker(unsigned readers)
-        : lastRead_(readers)
-    {
-    }
+    Mask everRead = 0;      ///< readers that ever read the block
+    Mask stale = 0;         ///< readers written since their last read
+    std::int8_t writer = 0; ///< last writer: reader id or kWriter*
+    bool touched = false;   ///< ever read (or store-allocated)
 
-    /**
-     * Record a write to @p blk by @p writer (a reader-entity id, or
-     * kWriterDma / kWriterCopyout).
-     */
+    /** A write by @p w (a reader id, or kWriterDma / kWriterCopyout). */
     void
-    recordWrite(BlockId blk, int writer)
+    recordWrite(int w)
     {
-        Info &bi = info_[blk];
-        bi.version++;
-        bi.writer = writer;
+        stale = everRead;
+        writer = static_cast<std::int8_t>(w);
     }
 
     /**
-     * Classify a read miss on @p blk by reader @p reader and update
-     * history (ever-touched and the reader's last-read version).
+     * Classify a read miss by @p reader and record the read.
      *
      * Following the paper's definitions strictly, Coherence and I/O
      * Coherence require a *prior read at this reader*: a block this
@@ -65,76 +64,77 @@ class WriterTracker
      * or Replacement (cold at this cache only).
      */
     MissClass
-    classifyRead(BlockId blk, unsigned reader)
+    classifyRead(unsigned reader)
     {
-        auto [it, fresh] = info_.try_emplace(blk);
-        Info &bi = it->second;
-
-        MissClass cls;
-        auto rit = lastRead_[reader].find(blk);
-        if (fresh || !bi.touched) {
+        const Mask bit = static_cast<Mask>(Mask{1} << reader);
+        MissClass cls = MissClass::Replacement;
+        if (!touched)
             cls = MissClass::Compulsory;
-        } else if (rit == lastRead_[reader].end()) {
-            cls = MissClass::Replacement; // cold at this reader
-        } else if (bi.version > rit->second) {
-            if (bi.writer == kWriterDma || bi.writer == kWriterCopyout)
+        else if (stale & bit) {
+            if (writer == kWriterDma || writer == kWriterCopyout)
                 cls = MissClass::IoCoherence;
-            else if (bi.writer != static_cast<int>(reader))
+            else if (writer != static_cast<int>(reader))
                 cls = MissClass::Coherence;
-            else
-                cls = MissClass::Replacement;
-        } else {
-            cls = MissClass::Replacement;
         }
-
-        bi.touched = true;
-        if (rit == lastRead_[reader].end())
-            lastRead_[reader].emplace(blk, bi.version);
-        else
-            rit->second = bi.version;
+        touched = true;
+        everRead |= bit;
+        stale &= static_cast<Mask>(~bit);
         return cls;
     }
 
     /**
-     * True if a read by @p reader would be coherence-caused, i.e. the
-     * block was written (by anyone but the reader, or by I/O) since the
-     * reader's last read. Does not update history; use for the
-     * intra-chip cause split before classifyRead().
+     * True if a read by @p reader would be coherence-caused: written
+     * by anyone but the reader, or by I/O, since the reader's last read.
      */
+    bool
+    coherenceCaused(unsigned reader) const
+    {
+        return touched && ((stale >> reader) & 1u) &&
+               writer != static_cast<int>(reader);
+    }
+};
+
+/** A standalone viewpoint: per-block histories for up to 32 readers. */
+class WriterTracker
+{
+  public:
+    explicit WriterTracker(unsigned readers) ///< nodes, cores or chips
+    {
+        panicIf(readers == 0 || readers > 32, "WriterTracker: 1-32 readers");
+    }
+
+    void
+    recordWrite(BlockId blk, int writer)
+    {
+        blocks_.findOrInsert(blk).recordWrite(writer);
+    }
+
+    MissClass
+    classifyRead(BlockId blk, unsigned reader)
+    {
+        return blocks_.findOrInsert(blk).classifyRead(reader);
+    }
+
+    /** Does not update history; see ReaderHistory::coherenceCaused. */
     bool
     coherenceCaused(BlockId blk, unsigned reader) const
     {
-        auto it = info_.find(blk);
-        if (it == info_.end() || !it->second.touched)
-            return false;
-        const Info &bi = it->second;
-        auto rit = lastRead_[reader].find(blk);
-        if (rit == lastRead_[reader].end())
-            return false; // never read here: cannot be an invalidation
-        return bi.version > rit->second &&
-               bi.writer != static_cast<int>(reader);
+        const auto *h = blocks_.find(blk);
+        return h && h->coherenceCaused(reader);
     }
 
     /** Mark a block touched without classifying (e.g. store misses). */
     void
     recordTouch(BlockId blk)
     {
-        info_[blk].touched = true;
+        blocks_.findOrInsert(blk).touched = true;
     }
 
     /** Number of distinct blocks ever seen. */
-    std::size_t distinctBlocks() const { return info_.size(); }
+    std::size_t distinctBlocks() const { return blocks_.size(); }
 
   private:
-    struct Info
-    {
-        std::uint32_t version = 0;
-        int writer = 0;
-        bool touched = false;
-    };
-
-    std::unordered_map<BlockId, Info> info_;
-    std::vector<std::unordered_map<BlockId, std::uint32_t>> lastRead_;
+    BlockTable<ReaderHistory<std::uint32_t>> blocks_;
 };
 
 } // namespace tstream

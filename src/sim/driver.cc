@@ -114,6 +114,8 @@ runCell(const Cell &cell, const DriverOptions &opts)
         if (sim.active())
             sim.arg("id", cell.id);
         res = runExperiment(cell.cfg);
+        telemetry::count("mem.block_state_bytes", res.blockStateBytes);
+        telemetry::count("mem.block_state_entries", res.blockStateEntries);
         traceCacheStore(cell.cfg, res);
     }
     out.instructions = res.instructions;

@@ -174,6 +174,8 @@ runExperiment(const ExperimentConfig &cfg)
     res.intraChip = std::move(eng.memory().intraChipTrace());
     res.registry = eng.registry();
     res.instructions = eng.totalInstructions();
+    res.blockStateBytes = eng.memory().blockStateBytes();
+    res.blockStateEntries = eng.memory().blockStateEntries();
     if (loop) {
         res.prefetchEnabled = true;
         res.prefetch = loop->stats();

@@ -125,6 +125,11 @@ struct ExperimentResult
     FunctionRegistry registry;
     std::uint64_t instructions = 0;
 
+    /** Footprint of the model's per-block state table at the end of
+     *  the run (MemorySystem::blockStateBytes / blockStateEntries). */
+    std::uint64_t blockStateBytes = 0;
+    std::uint64_t blockStateEntries = 0;
+
     /** In-the-loop prefetcher diagnostics (prefetchLoop.enabled runs
      *  only): stats over every observed miss, warm-up included. */
     bool prefetchEnabled = false;

@@ -240,12 +240,15 @@ using FilePtr = std::unique_ptr<std::FILE, int (*)(std::FILE *)>;
 bool
 writeAll(std::FILE *f, const unsigned char *p, std::size_t n)
 {
-    return std::fwrite(p, 1, n, f) == n;
+    // An empty vector's data() may be null, which fwrite must not see.
+    return n == 0 || std::fwrite(p, 1, n, f) == n;
 }
 
 bool
 readAt(std::FILE *f, std::uint64_t off, unsigned char *p, std::size_t n)
 {
+    if (n == 0)
+        return true;
     if (std::fseek(f, static_cast<long>(off), SEEK_SET) != 0)
         return false;
     return std::fread(p, 1, n, f) == n;

@@ -142,6 +142,21 @@ TEST(MultiChip, DmaWriteInvalidatesAllAndCausesIoCoherence)
     EXPECT_EQ(static_cast<MissClass>(m.cls), MissClass::IoCoherence);
 }
 
+TEST(MultiChip, DmaWriteClearsDirectoryEntryAndReadRecreatesIt)
+{
+    MultiChipSystem sys;
+    sys.access(read(0, kA));
+    sys.access(write(3, kA));
+    ASSERT_NE(sys.dirEntry(blockOf(kA)), nullptr);
+    sys.access(dma(kA));
+    EXPECT_EQ(sys.dirEntry(blockOf(kA)), nullptr);
+    sys.access(read(1, kA));
+    const auto *de = sys.dirEntry(blockOf(kA));
+    ASSERT_NE(de, nullptr);
+    EXPECT_EQ(de->sharers, 1u << 1);
+    EXPECT_EQ(de->owner, -1);
+}
+
 TEST(MultiChip, NonAllocWriteBehavesLikeIo)
 {
     MultiChipSystem sys;
