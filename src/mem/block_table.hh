@@ -1,22 +1,31 @@
 /**
  * @file
- * Flat per-block state: an open-addressing table keyed by BlockId.
+ * Dense per-block state: keyless records in pages of consecutive
+ * blocks.
  *
  * Each memory model keeps exactly one record per block it has seen
  * (reader history for the miss taxonomy, plus the directory entry in
- * the DSM), found with one linear-probe sequence. Records are never
- * erased, so there are no tombstones; the table doubles at 3/4 load,
- * the same rule as the SEQUITUR digram table.
+ * the DSM). The simulated address space is a few bump-allocated
+ * segments (mem/sim_alloc.hh), so the blocks a workload touches are
+ * dense within each segment. Records therefore live in fixed pages of
+ * kPageBlocks consecutive blocks, indexed by the block's offset in its
+ * page, with no per-record key; a small open-addressing directory maps
+ * a page id to its page. A per-page presence bitmap says which records
+ * were inserted, so a never-inserted block reads as absent and size()
+ * counts distinct blocks. Records are never erased and pages never
+ * move, so a record's reference stays valid for the table's lifetime.
  */
 
 #ifndef TSTREAM_MEM_BLOCK_TABLE_HH
 #define TSTREAM_MEM_BLOCK_TABLE_HH
 
 #include <cstddef>
+#include <cstdint>
+#include <memory>
+#include <utility>
 #include <vector>
 
 #include "mem/address.hh"
-#include "util/logging.hh"
 
 namespace tstream
 {
@@ -26,107 +35,136 @@ template <typename Record>
 class BlockTable
 {
   public:
-    /** Marks an empty slot. Never a real block: addresses are < 2^48. */
-    static constexpr BlockId kEmptyKey = ~BlockId{0};
+    /** log2 of the blocks per page. */
+    static constexpr unsigned kPageBits = 9;
+    /** Consecutive blocks sharing one page. */
+    static constexpr std::size_t kPageBlocks = std::size_t{1} << kPageBits;
 
-    BlockTable() : slots_(kInitialSlots) {}
+    BlockTable() : dir_(kInitialDirSlots) {}
 
     /** Record of @p blk, or nullptr if it was never inserted. */
     const Record *
     find(BlockId blk) const
     {
-        const Slot &s = slots_[probe(blk)];
-        return s.key == kEmptyKey ? nullptr : &s.rec;
+        const Page *p = dir_[dirProbe(blk >> kPageBits)].page;
+        const std::size_t off = blk & (kPageBlocks - 1);
+        return p && p->has(off) ? &p->recs[off] : nullptr;
     }
 
     Record *
     find(BlockId blk)
     {
-        Slot &s = slots_[probe(blk)];
-        return s.key == kEmptyKey ? nullptr : &s.rec;
+        return const_cast<Record *>(std::as_const(*this).find(blk));
     }
 
     /**
      * Record of @p blk, default-constructed on first use. The reference
-     * stays valid until the next insertion of a new block.
+     * stays valid for the lifetime of the table.
      */
     Record &
     findOrInsert(BlockId blk)
     {
-        const std::size_t i = probe(blk);
-        return slots_[i].key == kEmptyKey ? insert(i, blk) : slots_[i].rec;
+        const std::uint64_t id = blk >> kPageBits;
+        Slot &slot = dir_[dirProbe(id)];
+        Page *p = slot.page ? slot.page : addPage(slot, id);
+        const std::size_t off = blk & (kPageBlocks - 1);
+        if (!p->has(off)) {
+            p->present[off / 64] |= std::uint64_t{1} << (off % 64);
+            ++used_;
+        }
+        return p->recs[off];
     }
 
     /** Number of distinct blocks inserted. */
     std::size_t size() const { return used_; }
 
-    /** Bytes held by the slot array (capacity x slot size). */
-    std::size_t bytes() const { return slots_.size() * sizeof(Slot); }
+    /** Number of pages allocated. */
+    std::size_t pages() const { return pages_.size(); }
 
-  private:
-    struct Slot
+    /** Bytes of one page: its records plus its presence bitmap. */
+    static constexpr std::size_t kPageBytes = sizeof(Record) * kPageBlocks +
+                                              kPageBlocks / 8;
+
+    /** Bytes held by the page directory. */
+    std::size_t directoryBytes() const { return dir_.size() * sizeof(Slot); }
+
+    /** Bytes held by the table: its pages plus the directory. */
+    std::size_t
+    bytes() const
     {
-        BlockId key = kEmptyKey;
-        Record rec{};
-    };
-
-    static constexpr std::size_t kInitialSlots = 1024;
-
-    /** log2 of the runs of consecutive blocks given adjacent slots. */
-    static constexpr unsigned kRunBits = 3;
-
-    static std::size_t
-    hashKey(BlockId blk)
-    {
-        // Fibonacci hashing of the block's 8-block run, folded so the
-        // masked low bits see the high-entropy product bits; the offset
-        // in the run picks the slot. Workloads scan and DMA whole
-        // regions, so a run's records then share cache lines and pages
-        // of the table instead of costing one memory miss each.
-        const BlockId h = (blk >> kRunBits) * 0x9e3779b97f4a7c15ull;
-        const BlockId offset = blk & ((BlockId{1} << kRunBits) - 1);
-        return static_cast<std::size_t>(((h ^ (h >> 32)) << kRunBits) |
-                                        offset);
+        return pages_.size() * kPageBytes + directoryBytes();
     }
 
-    /** Slot holding @p blk, or the empty slot that ends its probe. */
-    std::size_t
-    probe(BlockId blk) const
+  private:
+    struct Page
     {
-        const std::size_t mask = slots_.size() - 1;
-        std::size_t i = hashKey(blk) & mask;
-        while (slots_[i].key != kEmptyKey && slots_[i].key != blk)
+        std::uint64_t present[kPageBlocks / 64] = {};
+        Record recs[kPageBlocks] = {};
+
+        bool
+        has(std::size_t off) const
+        {
+            return (present[off / 64] >> (off % 64)) & 1u;
+        }
+    };
+    static_assert(sizeof(Page) == kPageBytes,
+                  "a page is its records plus its bitmap, unpadded");
+
+    /** Directory slot: a page id and its page (nullptr when empty). */
+    struct Slot
+    {
+        std::uint64_t id = 0;
+        Page *page = nullptr;
+    };
+
+    static constexpr std::size_t kInitialDirSlots = 64;
+
+    /** Slot holding page @p id, or the empty slot ending its probe. */
+    std::size_t
+    dirProbe(std::uint64_t id) const
+    {
+        const std::size_t mask = dir_.size() - 1;
+        // Fibonacci hashing, folded so the masked low bits see the
+        // high-entropy product bits.
+        const std::uint64_t h = id * 0x9e3779b97f4a7c15ull;
+        std::size_t i = static_cast<std::size_t>(h ^ (h >> 32)) & mask;
+        while (dir_[i].page && dir_[i].id != id)
             i = (i + 1) & mask;
         return i;
     }
 
-    /** Claim empty slot @p i (the end of @p blk's probe) for @p blk. */
-    Record &
-    insert(std::size_t i, BlockId blk)
+    /**
+     * Allocate page @p id into @p slot, the empty slot ending its
+     * probe; if the directory would then be over half full, double it
+     * and enter the page there instead.
+     */
+    Page *
+    addPage(Slot &slot, std::uint64_t id)
     {
-        panicIf(blk == kEmptyKey, "BlockTable: the empty-slot key is "
-                                  "not a block");
-        if ((used_ + 1) * 4 > slots_.size() * 3) {
-            grow();
-            i = probe(blk);
+        pages_.push_back(std::make_unique<Page>());
+        Page *p = pages_.back().get();
+        if (pages_.size() * 2 > dir_.size()) {
+            growDirectory();
+            dir_[dirProbe(id)] = Slot{id, p};
+        } else {
+            slot = Slot{id, p};
         }
-        Slot &s = slots_[i];
-        s.key = blk;
-        ++used_;
-        return s.rec;
+        return p;
     }
 
+    /** Double the directory (kept at most half full). */
     void
-    grow()
+    growDirectory()
     {
-        std::vector<Slot> old(slots_.size() * 2);
-        old.swap(slots_);
+        std::vector<Slot> old(dir_.size() * 2);
+        old.swap(dir_);
         for (const Slot &s : old)
-            if (s.key != kEmptyKey)
-                slots_[probe(s.key)] = s;
+            if (s.page)
+                dir_[dirProbe(s.id)] = s;
     }
 
-    std::vector<Slot> slots_;
+    std::vector<Slot> dir_;
+    std::vector<std::unique_ptr<Page>> pages_;
     std::size_t used_ = 0;
 };
 

@@ -1,7 +1,5 @@
 #include "mem/cache.hh"
 
-#include <bit>
-
 namespace tstream
 {
 
@@ -13,115 +11,51 @@ Cache::Cache(const CacheConfig &cfg)
             "Cache: set count must be a nonzero power of two");
     panicIf(ways_ == 0, "Cache: zero ways");
     setMask_ = sets - 1;
-    lines_.resize(sets * ways_);
-}
-
-int
-Cache::findWay(std::uint64_t set, BlockId blk) const
-{
-    const std::size_t base = set * ways_;
-    for (unsigned w = 0; w < ways_; ++w) {
-        const Way &way = lines_[base + w];
-        if (way.state != CohState::Invalid && way.tag == blk)
-            return static_cast<int>(w);
-    }
-    return -1;
-}
-
-std::optional<CohState>
-Cache::lookup(BlockId blk)
-{
-    const std::uint64_t set = setIndex(blk);
-    const int w = findWay(set, blk);
-    if (w < 0)
-        return std::nullopt;
-    Way &way = lines_[set * ways_ + w];
-    way.lru = ++tick_;
-    return way.state;
-}
-
-std::optional<CohState>
-Cache::probe(BlockId blk) const
-{
-    const std::uint64_t set = setIndex(blk);
-    const int w = findWay(set, blk);
-    if (w < 0)
-        return std::nullopt;
-    return lines_[set * ways_ + w].state;
+    tags_.resize(sets * ways_);
+    lru_.resize(sets * ways_);
 }
 
 std::optional<Cache::Line>
 Cache::insert(BlockId blk, CohState st)
 {
     panicIf(st == CohState::Invalid, "Cache::insert of Invalid state");
-    const std::uint64_t set = setIndex(blk);
-    const std::size_t base = set * ways_;
+    panicIf(blk >= kBlockLimit, "Cache::insert of a block at or above 2^62");
 
     // Re-insertion of a resident block just updates state and LRU.
-    const int hit = findWay(set, blk);
-    if (hit >= 0) {
-        Way &way = lines_[base + hit];
-        way.state = st;
-        way.lru = ++tick_;
+    const std::size_t hit = findWay(blk);
+    if (hit != kNoWay) {
+        tags_[hit] = tagWord(blk, st);
+        lru_[hit] = ++tick_;
         return std::nullopt;
     }
 
-    // Prefer an invalid way; otherwise evict the LRU way.
-    int victim = -1;
-    std::uint64_t oldest = UINT64_MAX;
-    for (unsigned w = 0; w < ways_; ++w) {
-        Way &way = lines_[base + w];
-        if (way.state == CohState::Invalid) {
-            victim = static_cast<int>(w);
-            oldest = 0;
-            break;
-        }
-        if (way.lru < oldest) {
-            oldest = way.lru;
-            victim = static_cast<int>(w);
-        }
-    }
-
-    Way &way = lines_[base + victim];
+    // Prefer the lowest-index invalid way; otherwise evict the LRU way
+    // (stamps are unique, so there are no ties).
+    const std::size_t base = setBase(blk);
+    std::size_t victim = kNoWay;
+    for (unsigned w = 0; w < ways_ && victim == kNoWay; ++w)
+        if (stateOf(tags_[base + w]) == CohState::Invalid)
+            victim = base + w;
     std::optional<Line> evicted;
-    if (way.state != CohState::Invalid)
-        evicted = Line{way.tag, way.state};
-    way.tag = blk;
-    way.state = st;
-    way.lru = ++tick_;
+    if (victim == kNoWay) {
+        victim = base;
+        for (unsigned w = 1; w < ways_; ++w)
+            if (lru_[base + w] < lru_[victim])
+                victim = base + w;
+        evicted = Line{tags_[victim] >> 2, stateOf(tags_[victim])};
+    }
+
+    tags_[victim] = tagWord(blk, st);
+    lru_[victim] = ++tick_;
     return evicted;
-}
-
-bool
-Cache::setState(BlockId blk, CohState st)
-{
-    const std::uint64_t set = setIndex(blk);
-    const int w = findWay(set, blk);
-    if (w < 0)
-        return false;
-    lines_[set * ways_ + w].state = st;
-    return true;
-}
-
-std::optional<CohState>
-Cache::invalidate(BlockId blk)
-{
-    const std::uint64_t set = setIndex(blk);
-    const int w = findWay(set, blk);
-    if (w < 0)
-        return std::nullopt;
-    Way &way = lines_[set * ways_ + w];
-    const CohState prior = way.state;
-    way.state = CohState::Invalid;
-    return prior;
 }
 
 std::size_t
 Cache::residentCount() const
 {
     std::size_t n = 0;
-    for (const Way &w : lines_)
-        if (w.state != CohState::Invalid)
+    for (const std::uint64_t word : tags_)
+        if (stateOf(word) != CohState::Invalid)
             ++n;
     return n;
 }

@@ -73,10 +73,13 @@ class MemorySystem
     /** Number of CPUs (cores or nodes) in the system. */
     virtual unsigned numCpus() const = 0;
 
-    /** Bytes held by the model's per-block state table (capacity x
-     *  slot size), and the number of blocks it tracks. */
+    /** Bytes held by the model's per-block state table (its pages
+     *  plus their directory), and the number of blocks it tracks. */
     virtual std::size_t blockStateBytes() const { return 0; }
     virtual std::size_t blockStateEntries() const { return 0; }
+
+    /** Bytes held by the tag and LRU arrays of every L1 and L2. */
+    virtual std::size_t cacheBytes() const { return 0; }
 
     /**
      * Process an access of arbitrary size by splitting it into its

@@ -17,6 +17,15 @@ MultiChipSystem::MultiChipSystem(const MultiChipConfig &cfg)
     offChip_.numCpus = cfg.nodes;
 }
 
+std::size_t
+MultiChipSystem::cacheBytes() const
+{
+    std::size_t n = 0;
+    for (unsigned i = 0; i < cfg_.nodes; ++i)
+        n += l1_[i].bytes() + l2_[i].bytes();
+    return n;
+}
+
 const MultiChipSystem::BlockState *
 MultiChipSystem::dirEntry(BlockId blk) const
 {

@@ -45,7 +45,7 @@ class MultiChipSystem : public MemorySystem
     /**
      * Everything the DSM keeps per block: the per-node reader history
      * and the directory entry. 16 bytes (the directory fields fill the
-     * history's tail padding), so a table slot with its key is 24.
+     * history's tail padding); the table stores no key beside it.
      */
     struct BlockState : ReaderHistory<std::uint32_t>
     {
@@ -62,6 +62,7 @@ class MultiChipSystem : public MemorySystem
 
     std::size_t blockStateBytes() const override { return blocks_.bytes(); }
     std::size_t blockStateEntries() const override { return blocks_.size(); }
+    std::size_t cacheBytes() const override;
 
     /** Probe a node's caches (tests / debugging). */
     std::optional<CohState> probeL1(unsigned node, BlockId blk) const;

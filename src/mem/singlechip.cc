@@ -15,6 +15,15 @@ SingleChipSystem::SingleChipSystem(const SingleChipConfig &cfg)
     intraChip_.numCpus = cfg.cores;
 }
 
+std::size_t
+SingleChipSystem::cacheBytes() const
+{
+    std::size_t n = l2_.bytes();
+    for (const Cache &c : l1_)
+        n += c.bytes();
+    return n;
+}
+
 std::optional<CohState>
 SingleChipSystem::probeL1(unsigned core, BlockId blk) const
 {
@@ -163,9 +172,12 @@ SingleChipSystem::handleWrite(const Access &acc, BlockId blk)
     l2_.invalidate(blk);
 
     // A store to a block absent from the chip allocates silently (store
-    // misses are not part of the paper's read-miss traces).
-    if (!l2_.probe(blk) && !l1_[core].probe(blk))
-        b.chip.touched = true;
+    // misses are not part of the paper's read-miss traces), but counts
+    // as touched. The L2 copy is gone by now, and a block still in this
+    // core's L1 is touched already: every on-chip fill sets the chip
+    // history's `touched` first (off-chip fill, store allocation, or a
+    // supplier that was filled that way) and nothing clears it.
+    b.chip.touched = true;
 
     fillL1(core, blk, CohState::Modified);
 }

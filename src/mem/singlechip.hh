@@ -48,6 +48,7 @@ class SingleChipSystem : public MemorySystem
 
     std::size_t blockStateBytes() const override { return blocks_.bytes(); }
     std::size_t blockStateEntries() const override { return blocks_.size(); }
+    std::size_t cacheBytes() const override;
 
     /** Probe caches (tests / debugging). */
     std::optional<CohState> probeL1(unsigned core, BlockId blk) const;
@@ -57,7 +58,7 @@ class SingleChipSystem : public MemorySystem
     /**
      * Per-block history at both viewpoints: per core (intra-chip
      * cause split) and the whole chip as one reader (off-chip
-     * classification). 16 bytes, so a table slot with its key is 24.
+     * classification). 16 bytes; the table stores no key beside it.
      */
     struct BlockState
     {

@@ -23,6 +23,7 @@
 
 #include "mem/block_table.hh"
 #include "trace/record.hh"
+#include "util/logging.hh"
 
 namespace tstream
 {

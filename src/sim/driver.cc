@@ -116,6 +116,7 @@ runCell(const Cell &cell, const DriverOptions &opts)
         res = runExperiment(cell.cfg);
         telemetry::count("mem.block_state_bytes", res.blockStateBytes);
         telemetry::count("mem.block_state_entries", res.blockStateEntries);
+        telemetry::count("mem.cache_bytes", res.cacheBytes);
         traceCacheStore(cell.cfg, res);
     }
     out.instructions = res.instructions;

@@ -176,6 +176,7 @@ runExperiment(const ExperimentConfig &cfg)
     res.instructions = eng.totalInstructions();
     res.blockStateBytes = eng.memory().blockStateBytes();
     res.blockStateEntries = eng.memory().blockStateEntries();
+    res.cacheBytes = eng.memory().cacheBytes();
     if (loop) {
         res.prefetchEnabled = true;
         res.prefetch = loop->stats();

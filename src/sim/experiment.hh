@@ -130,6 +130,10 @@ struct ExperimentResult
     std::uint64_t blockStateBytes = 0;
     std::uint64_t blockStateEntries = 0;
 
+    /** Bytes of the model's cache tag and LRU arrays
+     *  (MemorySystem::cacheBytes). */
+    std::uint64_t cacheBytes = 0;
+
     /** In-the-loop prefetcher diagnostics (prefetchLoop.enabled runs
      *  only): stats over every observed miss, warm-up included. */
     bool prefetchEnabled = false;

@@ -1,6 +1,8 @@
 #include "util/claim_file.hh"
 
 #include <errno.h>
+#include <fcntl.h>
+#include <sys/file.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -79,15 +81,17 @@ ClaimDir::donePath(const std::string &key) const
 std::string
 ClaimDir::tempPath(const std::string &key)
 {
-    // Unique per (owner, thread, call): concurrent threads share one
-    // ClaimDir, so the owner id alone is not enough.
+    // Unique per (process, thread, call): concurrent threads share one
+    // ClaimDir, so the owner id alone is not enough, and forked
+    // processes start with the same thread id and a fresh counter.
     const std::uint64_t seq =
         seq_.fetch_add(1, std::memory_order_relaxed);
     const std::uint64_t tid =
         std::hash<std::thread::id>{}(std::this_thread::get_id()) &
         0xffffff;
-    char suffix[64];
-    std::snprintf(suffix, sizeof suffix, ".tmp.%llx.%llx",
+    char suffix[80];
+    std::snprintf(suffix, sizeof suffix, ".tmp.%lx.%llx.%llx",
+                  static_cast<long>(::getpid()),
                   static_cast<unsigned long long>(tid),
                   static_cast<unsigned long long>(seq));
     return dir_ + "/" + key + suffix;
@@ -213,17 +217,43 @@ ClaimDir::tryClaimImpl(const std::string &key, std::string *why)
     // then re-run the normal claim. A fresh claim racing in between
     // is fine: our link attempt just loses again.
     ClaimInfo info;
-    if (!readClaim(claim, info))
-        return Outcome::Held; // vanished (owner finished/released)
-    if (info.owner == owner_)
-        return Outcome::Held; // our own live claim (double tryClaim)
-    const std::int64_t beatAge = now_() - info.beatMs;
-    if (beatAge <= ttlMs_)
+    auto stale = [&] {
+        if (!readClaim(claim, info))
+            return false; // vanished (owner finished/released)
+        if (info.owner == owner_)
+            return false; // our own live claim (double tryClaim)
+        return now_() - info.beatMs > ttlMs_;
+    };
+    if (!stale())
         return Outcome::Held;
 
+    // The rename moves whatever file holds the claim name, so a
+    // stealer that judged the old claim stale must not rename after
+    // another stealer has already linked its fresh claim there.
+    // Stealers of one key therefore take an advisory lock and judge
+    // staleness again under it. flock() is dropped with the
+    // descriptor, so a stealer that dies mid-steal cannot wedge the
+    // key; a busy lock means another stealer is already at it.
+    const std::string lockPath = claim + ".steal";
+    const int lock =
+        ::open(lockPath.c_str(), O_RDWR | O_CREAT | O_CLOEXEC, 0644);
+    if (lock < 0) {
+        if (why)
+            *why = "cannot open " + lockPath + ": " +
+                   std::strerror(errno);
+        return Outcome::Error;
+    }
+    if (::flock(lock, LOCK_EX | LOCK_NB) != 0 || !stale()) {
+        ::close(lock);
+        return Outcome::Held;
+    }
+    const std::int64_t beatAge = now_() - info.beatMs;
+
     const std::string tomb = tempPath(key) + ".tomb";
-    if (::rename(claim.c_str(), tomb.c_str()) != 0)
-        return Outcome::Held; // another stealer won
+    if (::rename(claim.c_str(), tomb.c_str()) != 0) {
+        ::close(lock);
+        return Outcome::Held; // the owner finished meanwhile
+    }
     ::unlink(tomb.c_str());
     telemetry::count("claim.steals");
     logf(LogLevel::Info,
@@ -233,6 +263,7 @@ ClaimDir::tryClaimImpl(const std::string &key, std::string *why)
          static_cast<long long>(beatAge),
          static_cast<long long>(ttlMs_));
     out = attempt();
+    ::close(lock);
     return out;
 }
 

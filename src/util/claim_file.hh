@@ -23,7 +23,12 @@
  *    renaming the stale claim file to a worker-unique tomb name —
  *    `rename` with a vanished source fails with ENOENT, so of N
  *    simultaneous stealers exactly one wins — and only the winner
- *    then re-runs the normal link-claim.
+ *    then re-runs the normal link-claim. Stealers of one key first
+ *    take a non-blocking `flock(2)` on `<key>.claim.steal` and judge
+ *    staleness again under it, so a late stealer cannot rename away
+ *    the fresh claim an earlier stealer linked in the stale one's
+ *    place. The lock file stays behind; the lock itself is dropped
+ *    with its descriptor, even when the stealer dies.
  *  - **Done** = the owner publishes completion by writing
  *    `<key>.done` (temp + rename) carrying an `ok` or
  *    `failed:<cause>` status; other workers drop the unit instead of
@@ -41,7 +46,8 @@
  * NFS, `link` is atomic but close-to-open caching can delay another
  * client's view of `done` markers; the protocol stays correct (a
  * stale view only causes a redundant claim attempt, which `link`
- * rejects).
+ * rejects), and Linux clients carry the steal `flock` as a
+ * whole-file lock the server arbitrates.
  *
  * The one unavoidable hole: an owner that stalls longer than the TTL
  * and then heartbeats can resurrect a claim another worker already

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include "mem/cache.hh"
+#include "mem/multichip.hh"
+#include "mem/singlechip.hh"
 
 namespace tstream
 {
@@ -130,6 +132,23 @@ TEST(Cache, InvalidWaysArePreferredOverEviction)
     // Room exists again: no victim.
     EXPECT_FALSE(c.insert(1 + 2 * sets, CohState::Shared).has_value());
     EXPECT_EQ(c.residentCount(), 2u);
+}
+
+TEST(Cache, ArrayFootprintIsTwoWordsPerWay)
+{
+    // One tag word and one LRU stamp per way, whatever is resident.
+    Cache c(cachecfg::kL1);
+    const std::size_t l1 = 512 * 2 * 16;
+    EXPECT_EQ(c.bytes(), l1);
+    c.insert(3, CohState::Modified);
+    EXPECT_EQ(c.bytes(), l1);
+    const std::size_t l2 = 8192 * 16 * 16;
+    EXPECT_EQ(Cache(cachecfg::kL2).bytes(), l2);
+
+    // The models sum every L1 and L2: 16 nodes of each in the DSM, 4
+    // L1s over one shared L2 in the CMP.
+    EXPECT_EQ(MultiChipSystem().cacheBytes(), 16 * (l1 + l2));
+    EXPECT_EQ(SingleChipSystem().cacheBytes(), 4 * l1 + l2);
 }
 
 /** Property sweep: distinct blocks never exceed capacity. */

@@ -315,30 +315,45 @@ TEST(ClaimRaceTest, ProcessesCoverEveryKeyExactlyOnce)
         keys.push_back("cell-" + std::to_string(i));
 
     // Each forked child drains the key set in its own shuffled order
-    // and exits with its win count; exact cover means the counts sum
-    // to kKeys across the processes (the claim directory is the only
-    // shared state).
+    // and writes its win count to its pipe; exact cover means the
+    // counts sum to kKeys across the processes (the claim directory
+    // is the only shared state). A pipe, not the exit status: one
+    // child may win nearly every key before the others start, and an
+    // exit status stops at 255. A child exits nonzero when one of its
+    // own checks failed.
     std::vector<pid_t> pids;
+    std::vector<int> counts;
     for (int p = 0; p < kProcs; ++p) {
+        int fds[2];
+        ASSERT_EQ(::pipe(fds), 0);
         const pid_t pid = ::fork();
         ASSERT_GE(pid, 0);
         if (pid == 0) {
+            ::close(fds[0]);
             ClaimDir::Options o;
             o.dir = dir;
             o.owner = "proc-" + std::to_string(::getpid());
             ClaimDir d(o);
             auto [w, a] = drainKeys(d, keys, 99 + p);
             (void)a;
-            ::_exit(w > 255 ? 255 : w);
+            const bool sent = ::write(fds[1], &w, sizeof w) == sizeof w;
+            ::_exit(sent && !::testing::Test::HasFailure() ? 0 : 1);
         }
+        ::close(fds[1]);
         pids.push_back(pid);
+        counts.push_back(fds[0]);
     }
     int total = 0;
-    for (pid_t pid : pids) {
+    for (int p = 0; p < kProcs; ++p) {
+        int w = 0;
+        EXPECT_EQ(::read(counts[p], &w, sizeof w),
+                  static_cast<ssize_t>(sizeof w));
+        ::close(counts[p]);
         int status = 0;
-        ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+        ASSERT_EQ(::waitpid(pids[p], &status, 0), pids[p]);
         ASSERT_TRUE(WIFEXITED(status));
-        total += WEXITSTATUS(status);
+        EXPECT_EQ(WEXITSTATUS(status), 0) << "child " << p;
+        total += w;
     }
     EXPECT_EQ(total, kKeys);
     ClaimDir::Options o;
