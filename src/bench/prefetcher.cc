@@ -1,9 +1,9 @@
 /**
  * @file
- * Extension bench: a temporal-streaming prefetcher over the collected
- * traces — the "so what" of the paper's characterization. Coverage
- * should track Figure 2's in-stream fractions (web/OLTP multi-chip
- * high, DSS low), and a replay-depth sweep shows why the paper argues
+ * The extension view: a temporal-streaming prefetcher over the
+ * collected traces — the "so what" of the paper's characterization.
+ * Coverage should track Figure 2's in-stream fractions (web/OLTP
+ * multi-chip high, DSS low), and a replay-depth sweep shows why the paper argues
  * against fixed-depth policies (Section 4.4).
  *
  * Every evaluation routes through the prefetch-policy registry
@@ -18,16 +18,16 @@
  *  - --replay-depth N sets the replay depth those tables use.
  *
  * The default (flagless) output is byte-identical to the
- * pre-policy-API bench.
+ * pre-policy-API bench. The flags exist only on the standalone
+ * ext_prefetcher binary; `tstream-bench run ext` prints the default
+ * table.
  */
 
-#include "common.hh"
-
+#include "bench/common.hh"
 #include "core/prefetch_policy.hh"
 
-using namespace tstream;
-using namespace tstream::bench;
-
+namespace tstream::bench
+{
 namespace
 {
 
@@ -128,19 +128,12 @@ std::vector<BenchRow>
 buildRows(const CellResult &res, const ExtOptions &ext)
 {
     std::vector<BenchRow> rows;
-    for (const RunOutput &r : res.runs) {
-        const std::string wl(workloadName(r.workload));
-        const std::string kind(traceKindName(r.kind));
-
-        // The classic depth-sweep table, now routed through the
-        // policy registry (previously an inline TsPrefetcher loop —
-        // numbers are bit-identical).
-        BenchRow row;
-        row.table = "prefetcher";
-        row.trace = kind;
-        row.text = strprintf("%-10s %-12s %9.1f%% |       ",
-                             wl.c_str(), kind.c_str(),
-                             100.0 * r.streams.inStreamFraction());
+    for (const RunOutput &r : res.runs()) {
+        // The classic depth-sweep table, routed through the policy
+        // registry.
+        BenchRow row = runRow(r, "prefetcher");
+        row.text += strprintf(" %9.1f%% |       ",
+                              100.0 * r.streams.inStreamFraction());
         row.metrics = {
             {"in_streams_pct", 100.0 * r.streams.inStreamFraction()},
         };
@@ -175,15 +168,13 @@ buildRows(const CellResult &res, const ExtOptions &ext)
             const TsPrefetcherStats st = scorePolicy(
                 r.trace, name, ext.replayDepth,
                 TsPrefetcherConfig{}.historyEntries, bytes);
-            BenchRow pr;
-            pr.table = "prefetcher_policy";
-            pr.trace = kind;
+            BenchRow pr = runRow(r, "prefetcher_policy");
             pr.policy = name;
-            pr.text = strprintf(
-                "%-10s %-12s %-9s %9.0fKB %7.1f%% %7.1f%%", wl.c_str(),
-                kind.c_str(), name.c_str(),
-                static_cast<double>(bytes) / 1024.0,
-                100.0 * st.coverage(), 100.0 * st.accuracy());
+            pr.text += strprintf(" %-9s %9.0fKB %7.1f%% %7.1f%%",
+                                 name.c_str(),
+                                 static_cast<double>(bytes) / 1024.0,
+                                 100.0 * st.coverage(),
+                                 100.0 * st.accuracy());
             pr.metrics = {
                 {"storage_bytes", static_cast<double>(bytes)},
                 {"coverage_pct", 100.0 * st.coverage()},
@@ -207,15 +198,13 @@ buildRows(const CellResult &res, const ExtOptions &ext)
                     const TsPrefetcherStats st =
                         scorePolicy(r.trace, name, ext.replayDepth,
                                     entries, bytes);
-                    BenchRow br;
-                    br.table = "prefetcher_budget";
-                    br.trace = kind;
+                    BenchRow br = runRow(r, "prefetcher_budget");
                     br.policy = name;
                     br.label = strprintf("%u", entries);
-                    br.text = strprintf(
-                        "%-10s %-12s %-9s %8u %9.0fKB %7.1f%% %7.1f%%",
-                        wl.c_str(), kind.c_str(), name.c_str(),
-                        entries, static_cast<double>(bytes) / 1024.0,
+                    br.text += strprintf(
+                        " %-9s %8u %9.0fKB %7.1f%% %7.1f%%",
+                        name.c_str(), entries,
+                        static_cast<double>(bytes) / 1024.0,
                         100.0 * st.coverage(), 100.0 * st.accuracy());
                     br.metrics = {
                         {"cmob_entries",
@@ -232,42 +221,9 @@ buildRows(const CellResult &res, const ExtOptions &ext)
     return rows;
 }
 
-} // namespace
-
-int
-main(int argc, char **argv)
+void
+extPrint(const std::vector<BenchCell> &cells, const ExtOptions &ext)
 {
-    ExtOptions ext;
-    BenchExtraArgs extra;
-    extra.usage = kExtraUsage;
-    extra.handler = [&ext](std::string_view arg,
-                           const std::function<const char *(
-                               const char *)> &take) {
-        if (arg == "--policy") {
-            ext.policies = splitPolicies(take("--policy"));
-            return true;
-        }
-        if (arg == "--budget-sweep") {
-            ext.budgetSweep = true;
-            return true;
-        }
-        if (arg == "--replay-depth") {
-            ext.replayDepthArg = take("--replay-depth");
-            return true;
-        }
-        return false;
-    };
-    extra.validate = [&ext](const BenchOptions &opts) {
-        return validateExt(ext, opts);
-    };
-
-    const BenchOptions opts =
-        parseBenchArgs(argc, argv, "ext_prefetcher", &extra);
-    const auto grid = benchGrid(kAllWorkloads, opts);
-    const auto cells = runBenchCells(
-        grid, opts, opts.driver(),
-        [&ext](const CellResult &res) { return buildRows(res, ext); });
-
     std::printf("Extension: temporal-streaming prefetcher coverage / "
                 "accuracy\n");
     rule();
@@ -310,6 +266,46 @@ main(int argc, char **argv)
                 "non-repetitive DSS misses (the Section 4.3 synergy) "
                 "while temporal replay\nkeeps the pointer-chasing "
                 "coverage.\n");
-    return emitReport(opts, "ext_prefetcher", grid.size(),
-                      std::move(cells));
 }
+
+} // namespace
+
+BenchView
+extView()
+{
+    auto ext = std::make_shared<ExtOptions>();
+    BenchView view;
+    view.grid = [](const BenchOptions &opts) {
+        return benchGrid(allWorkloads(), opts);
+    };
+    view.rows = [ext](const CellResult &res) {
+        return buildRows(res, *ext);
+    };
+    view.print = [ext](const std::vector<BenchCell> &cells) {
+        extPrint(cells, *ext);
+    };
+    view.extra.usage = kExtraUsage;
+    view.extra.handler = [ext](std::string_view arg,
+                               const std::function<const char *(
+                                   const char *)> &take) {
+        if (arg == "--policy") {
+            ext->policies = splitPolicies(take("--policy"));
+            return true;
+        }
+        if (arg == "--budget-sweep") {
+            ext->budgetSweep = true;
+            return true;
+        }
+        if (arg == "--replay-depth") {
+            ext->replayDepthArg = take("--replay-depth");
+            return true;
+        }
+        return false;
+    };
+    view.extra.validate = [ext](const BenchOptions &opts) {
+        return validateExt(*ext, opts);
+    };
+    return view;
+}
+
+} // namespace tstream::bench

@@ -333,7 +333,7 @@ struct Buffer
 /**
  * The shared per-miss step: demand check with usefulness feedback,
  * train, drain, insert with FIFO displacement. Bit-identical to the
- * pre-API TsPrefetcher loops — candidates are inserted after the
+ * pre-API prefetcher loops — candidates are inserted after the
  * policy observed the miss, but insertion only touches the buffer, so
  * the order change is unobservable.
  */

@@ -2,9 +2,17 @@
  * @file
  * Pluggable prefetch-policy API.
  *
- * The temporal-streaming prefetcher model (ts_prefetcher.hh) used to
- * be a closed class with two special-cased entry points. This header
- * turns the mechanism into a policy interface: a policy consumes the
+ * The paper is the characterization behind the temporal-streaming
+ * prefetcher line (TSE [25], STEMS, and successors): record the miss
+ * sequence in a history buffer, locate the previous occurrence of a
+ * missing address, and replay the addresses that followed it. The
+ * model reports the standard figures of merit: coverage (fraction of
+ * misses eliminated by an earlier prefetch) and accuracy (fraction of
+ * issued prefetches that were useful); timeliness is not modeled (the
+ * traces are timing-free), matching the paper's hardware-independent
+ * stance.
+ *
+ * This header makes the mechanism a policy interface: a policy consumes the
  * demand-miss stream one record at a time (observeMiss), hands back
  * the blocks it wants prefetched (drainPrefetches), learns from
  * feedback when a prefetched block absorbs a later miss (noteUseful),
@@ -28,13 +36,13 @@
  * Concrete policies:
  *
  *  - FixedDepthPolicy:    the paper's fixed replay depth (bit-identical
- *                         to the pre-API TsPrefetcher::evaluate);
+ *                         to the pre-API fixed-depth prefetcher);
  *  - AdaptiveDepthPolicy: per-stream accuracy feedback throttles or
  *                         extends the replay depth (Section 4.4's
  *                         argument against fixed depth);
  *  - StridePolicy:        a conventional stride engine (Section 4.3);
- *  - HybridPolicy:        an ordered composite — replaces the old
- *                         hard-coded evaluateHybrid special case.
+ *  - HybridPolicy:        an ordered composite (temporalPlusStride()
+ *                         is the paper's Section 4.3 synergy).
  *
  * makePrefetchPolicy() is the registry every future prefetcher idea
  * plugs into; bench/ext_prefetcher's --policy flag resolves through it.
@@ -51,12 +59,56 @@
 #include <vector>
 
 #include "core/stride.hh"
-#include "core/ts_prefetcher.hh"
 #include "mem/memory_system.hh"
 #include "trace/record.hh"
 
 namespace tstream
 {
+
+/** Configuration of the temporal-streaming prefetcher. */
+struct TsPrefetcherConfig
+{
+    /** History buffer entries per CPU. */
+    std::uint32_t historyEntries = 1 << 18;
+    /** Addresses replayed per stream lookup. */
+    std::uint32_t replayDepth = 8;
+    /** Prefetch buffer capacity (blocks) per CPU. */
+    std::uint32_t bufferBlocks = 64;
+    /**
+     * Cross-CPU lookups: a miss may locate its stream in another
+     * CPU's history (the paper's streams recur across processors).
+     */
+    bool crossCpu = true;
+};
+
+/** Result of evaluating a prefetch policy over one trace. */
+struct TsPrefetcherStats
+{
+    std::uint64_t misses = 0;        ///< demand misses observed
+    std::uint64_t covered = 0;       ///< eliminated by a prefetch
+    std::uint64_t issued = 0;        ///< prefetches issued
+    std::uint64_t useful = 0;        ///< prefetches that were hit
+    std::uint64_t evictions = 0;     ///< buffer entries displaced unused
+    std::uint64_t streamLookups = 0; ///< index hits that replayed
+
+    double
+    coverage() const
+    {
+        return misses == 0
+                   ? 0.0
+                   : static_cast<double>(covered) /
+                         static_cast<double>(misses);
+    }
+
+    double
+    accuracy() const
+    {
+        return issued == 0
+                   ? 0.0
+                   : static_cast<double>(useful) /
+                         static_cast<double>(issued);
+    }
+};
 
 /**
  * One block a policy wants prefetched. The tag is policy-private: it
@@ -132,8 +184,9 @@ class PrefetchPolicy
  * The classic temporal-streaming policy at a fixed replay depth:
  * per-CPU circular history, global block -> last-position index,
  * replay of the @c replayDepth successors. Bit-identical to the
- * pre-API TsPrefetcher::evaluate() when driven by evaluatePolicy()
- * with the same TsPrefetcherConfig.
+ * pre-API prefetcher (frozen as RefPrefetcher in
+ * tests/prefetch_policy_test.cc) when driven by evaluatePolicy() with
+ * the same TsPrefetcherConfig.
  */
 class FixedDepthPolicy : public PrefetchPolicy
 {

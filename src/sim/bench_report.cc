@@ -68,23 +68,28 @@ loadResumeCells(const std::string &path, const std::string &benchName,
     if (!readBenchDocs(path, docs, err))
         return false; // unreadable or wrong schema version
 
-    const BenchDoc *doc = nullptr;
     for (const BenchDoc &d : docs)
         if (d.bench == benchName)
-            doc = &d;
-    if (!doc) {
-        err = path + ": no document for bench " + benchName;
-        return false;
-    }
-    if (doc->quick != quick || doc->budgets.warmup != budgets.warmup ||
-        doc->budgets.measure != budgets.measure ||
-        doc->budgets.scale != budgets.scale) {
+            return resumeCells(d, path, quick, budgets, grid, out, err);
+    err = path + ": no document for bench " + benchName;
+    return false;
+}
+
+bool
+resumeCells(const BenchDoc &prior, const std::string &path, bool quick,
+            const BenchBudgets &budgets, const std::vector<Cell> &grid,
+            std::vector<BenchCell> &out, std::string &err)
+{
+    out.clear();
+    if (prior.quick != quick || prior.budgets.warmup != budgets.warmup ||
+        prior.budgets.measure != budgets.measure ||
+        prior.budgets.scale != budgets.scale) {
         err = path + ": budgets differ from this run (was the report "
                      "recorded with different --quick/budget flags?)";
         return false;
     }
-    if (doc->gridCells != grid.size()) {
-        err = path + ": grid size " + std::to_string(doc->gridCells) +
+    if (prior.gridCells != grid.size()) {
+        err = path + ": grid size " + std::to_string(prior.gridCells) +
               " != current " + std::to_string(grid.size()) +
               " (workload suite changed); delete the report or drop "
               "--resume";
@@ -92,7 +97,7 @@ loadResumeCells(const std::string &path, const std::string &benchName,
     }
 
     std::vector<bool> seen(grid.size(), false);
-    for (const BenchCell &cell : doc->cells) {
+    for (const BenchCell &cell : prior.cells) {
         if (cell.index >= grid.size() || seen[cell.index]) {
             err = path + ": duplicate or out-of-range cell index " +
                   std::to_string(cell.index);

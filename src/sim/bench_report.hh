@@ -124,6 +124,16 @@ bool loadResumeCells(const std::string &path,
                      const std::vector<Cell> &grid,
                      std::vector<BenchCell> &out, std::string &err);
 
+/**
+ * The validation behind loadResumeCells() for a document already in
+ * memory (`tstream-bench run --resume` hands each view its prior
+ * document this way); @p path only names it in diagnostics.
+ */
+bool resumeCells(const BenchDoc &prior, const std::string &path,
+                 bool quick, const BenchBudgets &budgets,
+                 const std::vector<Cell> &grid,
+                 std::vector<BenchCell> &out, std::string &err);
+
 json::Value benchDocToJson(const BenchDoc &doc);
 
 /** Parse one bench document; false + @p err on schema mismatch. */

@@ -94,6 +94,54 @@ shardCells(const std::vector<Cell> &grid, const ShardSpec &shard)
     return mine;
 }
 
+const std::vector<RunOutput> &
+CellResult::runs() const
+{
+    static const std::vector<RunOutput> kNone;
+    return analysis ? analysis->runs : kNone;
+}
+
+CellMemo::CellMemo(const std::vector<std::vector<Cell>> &grids)
+{
+    for (std::size_t v = 0; v < grids.size(); ++v)
+        for (const Cell &c : grids[v])
+            lastView_[configHash(c.cfg)] = v;
+}
+
+std::shared_ptr<const CellAnalysis>
+CellMemo::find(const ExperimentConfig &cfg) const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    const auto it = cells_.find(configHash(cfg));
+    return it == cells_.end() ? nullptr : it->second;
+}
+
+void
+CellMemo::store(const ExperimentConfig &cfg,
+                std::shared_ptr<const CellAnalysis> analysis)
+{
+    const std::uint64_t key = configHash(cfg);
+    std::lock_guard<std::mutex> lk(mu_);
+    if (lastView_.count(key))
+        cells_[key] = std::move(analysis);
+}
+
+void
+CellMemo::finishView(std::size_t view)
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    for (auto it = cells_.begin(); it != cells_.end();)
+        it = lastView_.at(it->first) <= view ? cells_.erase(it)
+                                             : std::next(it);
+}
+
+std::size_t
+CellMemo::size() const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return cells_.size();
+}
+
 namespace
 {
 
@@ -104,6 +152,26 @@ runCell(const Cell &cell, const DriverOptions &opts)
 
     CellResult out;
     out.cell = cell;
+    auto finish = [&] {
+        out.wallSeconds = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+        telemetry::count("driver.cells");
+        telemetry::count(out.cacheHit ? "driver.cache_hit_cells"
+                                      : "driver.cache_miss_cells");
+        telemetry::observe("driver.cell_wall_ms", out.wallSeconds * 1e3);
+        return out;
+    };
+
+    if (opts.memo) {
+        if (auto hit = opts.memo->find(cell.cfg)) {
+            out.analysis = std::move(hit);
+            out.instructions = out.analysis->instructions;
+            out.cacheHit = true;
+            telemetry::count("driver.memo_hit_cells");
+            return finish();
+        }
+    }
 
     ExperimentResult res;
     if (auto cached = traceCacheLoad(cell.cfg)) {
@@ -119,9 +187,11 @@ runCell(const Cell &cell, const DriverOptions &opts)
         telemetry::count("mem.cache_bytes", res.cacheBytes);
         traceCacheStore(cell.cfg, res);
     }
-    out.instructions = res.instructions;
+    auto analysis = std::make_shared<CellAnalysis>();
+    analysis->instructions = out.instructions = res.instructions;
 
-    auto analyze = [&](MissTrace &&trace, TraceKind kind) {
+    auto analyze = [&](std::array<std::uint64_t, kNumMissClasses> classes,
+                       MissTrace &&trace, TraceKind kind) {
         telemetry::Span span("analyze", "analysis");
         if (span.active()) {
             span.arg("id", cell.id);
@@ -130,35 +200,35 @@ runCell(const Cell &cell, const DriverOptions &opts)
         RunOutput r;
         r.workload = cell.cfg.workload;
         r.kind = kind;
+        r.classMisses = classes;
         r.trace = std::move(trace);
-        if (opts.analyzeStreams) {
-            r.streams = analyzeStreams(r.trace);
-            r.modules = profileModules(r.trace, r.streams, res.registry);
-        }
-        return r;
+        r.streams = analyzeStreams(r.trace);
+        r.modules = profileModules(r.trace, r.streams, res.registry);
+        analysis->runs.push_back(std::move(r));
+    };
+    auto classCounts = [](const MissTrace &t) {
+        std::array<std::uint64_t, kNumMissClasses> n{};
+        for (const MissRecord &m : t.misses)
+            n[m.cls]++;
+        return n;
     };
 
-    if (cell.cfg.context == SystemContext::MultiChip) {
-        out.runs.push_back(
-            analyze(std::move(res.offChip), TraceKind::MultiChip));
-    } else {
-        out.runs.push_back(
-            analyze(std::move(res.offChip), TraceKind::SingleChip));
-        out.runs.push_back(analyze(opts.filterIntra
-                                       ? res.intraChipOnChip()
-                                       : std::move(res.intraChip),
-                                   TraceKind::IntraChip));
+    // Filter the intra-chip trace before any analysis runs and free
+    // the unfiltered one: no view reads it beyond its class counts.
+    const bool multi = cell.cfg.context == SystemContext::MultiChip;
+    std::array<std::uint64_t, kNumMissClasses> intraClasses{};
+    MissTrace onChip;
+    if (!multi) {
+        intraClasses = classCounts(res.intraChip);
+        onChip = res.intraChipOnChip();
+        res.intraChip = MissTrace{};
     }
-
-    out.wallSeconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      t0)
-            .count();
-    telemetry::count("driver.cells");
-    telemetry::count(out.cacheHit ? "driver.cache_hit_cells"
-                                  : "driver.cache_miss_cells");
-    telemetry::observe("driver.cell_wall_ms", out.wallSeconds * 1e3);
-    return out;
+    analyze(classCounts(res.offChip), std::move(res.offChip),
+            multi ? TraceKind::MultiChip : TraceKind::SingleChip);
+    if (!multi)
+        analyze(intraClasses, std::move(onChip), TraceKind::IntraChip);
+    out.analysis = std::move(analysis);
+    return finish();
 }
 
 /** What one bounded attempt produced. */
@@ -284,6 +354,8 @@ runCellWithRetry(const Cell &cell, const DriverOptions &opts)
         switch (d.kind) {
           case RetryState::Decision::Kind::Done:
             out.result.attempts = retry.attempts();
+            if (opts.memo)
+                opts.memo->store(cell.cfg, out.result.analysis);
             return out.result;
           case RetryState::Decision::Kind::RetryAt: {
             logf(LogLevel::Warn,
@@ -493,11 +565,9 @@ runCells(const std::vector<Cell> &grid, const DriverOptions &opts)
     if (opts.claim.enabled())
         return runCellsClaiming(grid, opts);
 
-    const std::vector<Cell> mine = shardCells(grid, opts.shard);
-
-    std::vector<CellResult> out(mine.size());
+    std::vector<CellResult> out(grid.size());
     WorkPool pool(opts.jobs);
-    for (std::size_t i = 0; i < mine.size(); ++i) {
+    for (std::size_t i = 0; i < grid.size(); ++i) {
         const std::int64_t submitUs =
             telemetry::enabled() ? telemetry::nowMicros() : 0;
         pool.submit([&, i, submitUs] {
@@ -508,12 +578,12 @@ runCells(const std::vector<Cell> &grid, const DriverOptions &opts)
                 const std::int64_t startUs = telemetry::nowMicros();
                 telemetry::recordSpan("cell-queue-wait", "driver",
                                       submitUs, startUs, "id",
-                                      mine[i].id);
+                                      grid[i].id);
                 telemetry::observe(
                     "driver.queue_wait_ms",
                     static_cast<double>(startUs - submitUs) / 1e3);
             }
-            out[i] = runCellWithRetry(mine[i], opts);
+            out[i] = runCellWithRetry(grid[i], opts);
         });
     }
     pool.wait();

@@ -30,16 +30,25 @@
  * printed tables and --json reports (sim/bench_report.hh) are
  * reproducible.
  *
- * Every figure/table bench binary (bench/) is a thin main() over this
- * driver; docs/BENCHMARKING.md is the operator's guide.
+ * Every cell is simulated (or loaded from the trace cache) and then
+ * analyzed: SEQUITUR, stride and module attribution always run, and
+ * the intra-chip trace is always restricted to on-chip hits. A
+ * CellMemo shares those analyses between the figure/table views of
+ * one `tstream-bench run` (src/bench/views.hh), so each distinct cell
+ * is analyzed once per run; docs/BENCHMARKING.md is the operator's
+ * guide.
  */
 
 #ifndef TSTREAM_SIM_DRIVER_HH
 #define TSTREAM_SIM_DRIVER_HH
 
+#include <array>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "core/module_profile.hh"
@@ -114,20 +123,33 @@ struct RunOutput
 {
     WorkloadKind workload;
     TraceKind kind;
+    /** The analyzed trace; for IntraChip, the on-chip hits only. */
     MissTrace trace;
+    /** Misses per class, counted before the intra-chip filter (so
+     *  the IntraChip run still counts its Off-chip class). */
+    std::array<std::uint64_t, kNumMissClasses> classMisses{};
     StreamStats streams;
     ModuleProfile modules;
 };
 
-/** One executed cell: its traces, analyses and run diagnostics. */
+/** Everything a view reads of one cell; shared, never copied. */
+struct CellAnalysis
+{
+    std::uint64_t instructions = 0; ///< simulated instructions
+    /** MultiChip cell: {multi}. SingleChip cell: {single, intra}. */
+    std::vector<RunOutput> runs;
+};
+
+/** One executed cell: its analysis and run diagnostics. */
 struct CellResult
 {
     Cell cell;
-    /** MultiChip cell: {multi}. SingleChip cell: {single, intra}. */
-    std::vector<RunOutput> runs;
+    /** Null when the cell failed. */
+    std::shared_ptr<const CellAnalysis> analysis;
     double wallSeconds = 0.0;          ///< execute + analyze wall time
     std::uint64_t instructions = 0;    ///< simulated instructions
-    bool cacheHit = false;             ///< served from TSTREAM_TRACE_CACHE
+    /** Served from TSTREAM_TRACE_CACHE or from the run's CellMemo. */
+    bool cacheHit = false;
     /**
      * Attempts exhausted (timeouts and/or exceptions): runs is empty
      * and the cell becomes a structured failure row in the report
@@ -136,6 +158,39 @@ struct CellResult
     bool failed = false;
     std::string failureCause; ///< last failure, e.g. "timeout after 500ms"
     unsigned attempts = 1;    ///< attempts consumed (1 = first try)
+
+    /** The analyzed runs; empty when the cell failed. */
+    const std::vector<RunOutput> &runs() const;
+};
+
+/**
+ * The analyses of one multi-view run, keyed by configHash(): a cell
+ * that several views share is simulated and analyzed by the first of
+ * them and handed to the rest without copying. The memo knows the
+ * grids of all views up front and drops each entry after the last
+ * view that needs it. Failed cells are never stored. Thread-safe.
+ */
+class CellMemo
+{
+  public:
+    /** Plan a run of views over @p grids, in execution order. */
+    explicit CellMemo(const std::vector<std::vector<Cell>> &grids);
+
+    std::shared_ptr<const CellAnalysis>
+    find(const ExperimentConfig &cfg) const;
+    /** Keep @p analysis if a planned view needs @p cfg. */
+    void store(const ExperimentConfig &cfg,
+               std::shared_ptr<const CellAnalysis> analysis);
+    /** View @p view is done: drop what no later view needs. */
+    void finishView(std::size_t view);
+    std::size_t size() const;
+
+  private:
+    mutable std::mutex mu_;
+    std::unordered_map<std::uint64_t, std::size_t> lastView_;
+    std::unordered_map<std::uint64_t,
+                       std::shared_ptr<const CellAnalysis>>
+        cells_;
 };
 
 /** Dynamic work claiming across cooperating worker processes. */
@@ -163,11 +218,7 @@ struct ClaimOptions
 struct DriverOptions
 {
     unsigned jobs = 0; ///< 0 = TSTREAM_JOBS or hardware concurrency
-    ShardSpec shard;
-    bool analyzeStreams = true; ///< run SEQUITUR + module attribution
-    bool filterIntra = true;    ///< restrict intra trace to on-chip hits
-    /** When claim.enabled(), shard is ignored: workers race on claim
-     *  files instead of owning a static residue class. */
+    /** When enabled, workers race on claim files for the cells. */
     ClaimOptions claim;
     /** Per-attempt timeout / bounded retry for every cell. The default
      *  (timeoutMs = 0) never times out and never retries in practice
@@ -181,15 +232,18 @@ struct DriverOptions
      * deterministically.
      */
     std::function<void(const Cell &, unsigned attempt)> testCellHook;
+    /** The run's shared analyses (null = none): looked up inside each
+     *  attempt before the trace cache; successful cells are stored. */
+    std::shared_ptr<CellMemo> memo;
 };
 
 /**
- * Execute the cells of @p grid owned by opts.shard on a bounded
- * work-stealing pool of opts.jobs threads — or, when
- * opts.claim.enabled(), the subset of @p grid this worker wins by
- * racing on the claim directory (dying workers' cells are reclaimed
- * after the heartbeat TTL, so cooperating workers always drain the
- * whole grid between them). Results are returned in grid order
+ * Execute the cells of @p grid (callers pass a shard's cells through
+ * shardCells()) on a bounded work-stealing pool of opts.jobs threads
+ * — or, when opts.claim.enabled(), the subset of @p grid this worker
+ * wins by racing on the claim directory (dying workers' cells are
+ * reclaimed after the heartbeat TTL, so cooperating workers always
+ * drain the whole grid between them). Results are returned in grid order
  * regardless of completion order; under claiming only the cells this
  * worker executed are returned (merge the per-worker reports to get
  * the full grid). Cells are served from the trace cache when
@@ -258,13 +312,10 @@ struct BenchOptions
     std::string claimDir() const;
 
     DriverOptions
-    driver(bool analyze_streams = true, bool filter_intra = true) const
+    driver() const
     {
         DriverOptions d;
         d.jobs = jobs;
-        d.shard = shard;
-        d.analyzeStreams = analyze_streams;
-        d.filterIntra = filter_intra;
         d.claim.session = claimSession;
         d.claim.dir = claimDir();
         d.claim.ttlMs = claimTtlMs;

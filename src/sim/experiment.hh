@@ -13,7 +13,7 @@
 #include <memory>
 #include <string>
 
-#include "core/ts_prefetcher.hh"
+#include "core/prefetch_policy.hh"
 #include "mem/multichip.hh"
 #include "mem/singlechip.hh"
 #include "sim/workload.hh"

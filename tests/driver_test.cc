@@ -3,8 +3,9 @@
  * Tests for the sharded cell-level experiment driver (sim/driver.hh)
  * and its work-stealing pool (util/work_pool.hh): deterministic grid
  * enumeration, disjoint-exact-cover sharding for any N, bounded pool
- * concurrency, strict bench argument parsing, and cell execution with
- * result ordering independent of the job count.
+ * concurrency, strict bench argument parsing, cell execution with
+ * result ordering independent of the job count, and the per-run cell
+ * memo shared by the views of one run.
  */
 
 #include <gtest/gtest.h>
@@ -14,8 +15,10 @@
 #include <cstdlib>
 #include <filesystem>
 #include <set>
+#include <stdexcept>
 #include <thread>
 
+#include "obs/telemetry.hh"
 #include "sim/driver.hh"
 #include "util/work_pool.hh"
 
@@ -34,6 +37,16 @@ tinyBudgets()
     b.warmup = 100'000;
     b.measure = 300'000;
     b.scale = 0.05;
+    return b;
+}
+
+/** Smaller still, for tests that only need a few misses per run. */
+BenchBudgets
+smallBudgets()
+{
+    BenchBudgets b = tinyBudgets();
+    b.warmup = 50'000;
+    b.measure = 150'000;
     return b;
 }
 
@@ -400,14 +413,14 @@ TEST_F(DriverRunTest, ExecutesCellsInGridOrder)
         // Multi-chip cells yield one trace, single-chip cells two.
         const bool single = results[i].cell.cfg.context ==
                             SystemContext::SingleChip;
-        ASSERT_EQ(results[i].runs.size(), single ? 2u : 1u);
-        EXPECT_EQ(results[i].runs[0].kind,
+        ASSERT_EQ(results[i].runs().size(), single ? 2u : 1u);
+        EXPECT_EQ(results[i].runs()[0].kind,
                   single ? TraceKind::SingleChip
                          : TraceKind::MultiChip);
         if (single) {
-            EXPECT_EQ(results[i].runs[1].kind, TraceKind::IntraChip);
+            EXPECT_EQ(results[i].runs()[1].kind, TraceKind::IntraChip);
         }
-        for (const RunOutput &r : results[i].runs) {
+        for (const RunOutput &r : results[i].runs()) {
             EXPECT_FALSE(r.trace.misses.empty());
             EXPECT_GT(r.streams.totalMisses, 0u);
         }
@@ -416,33 +429,52 @@ TEST_F(DriverRunTest, ExecutesCellsInGridOrder)
 
 TEST_F(DriverRunTest, ShardedRunsPartitionTheGrid)
 {
-    const auto grid = standardGrid(kTwoWorkloads, tinyBudgets());
+    const auto grid = standardGrid(kTwoWorkloads, smallBudgets());
     DriverOptions opts;
     opts.jobs = 2;
-    opts.analyzeStreams = false; // keep the test fast
 
     std::vector<std::string> ids;
-    for (unsigned k = 0; k < 2; ++k) {
-        opts.shard = ShardSpec{k, 2};
-        for (const CellResult &res : runCells(grid, opts))
+    for (unsigned k = 0; k < 2; ++k)
+        for (const CellResult &res :
+             runCells(shardCells(grid, ShardSpec{k, 2}), opts))
             ids.push_back(res.cell.id);
-    }
     ASSERT_EQ(ids.size(), grid.size());
     std::set<std::string> unique(ids.begin(), ids.end());
     EXPECT_EQ(unique.size(), grid.size());
 }
 
-TEST_F(DriverRunTest, AnalysisTogglesPerRun)
+TEST_F(DriverRunTest, IntraClassCountsPrecedeTheOnChipFilter)
 {
-    auto grid = standardGrid({WorkloadKind::Oltp}, tinyBudgets());
-    grid.resize(1); // multi-chip cell only
+    auto grid = standardGrid({WorkloadKind::Oltp}, smallBudgets());
+    grid.erase(grid.begin()); // single-chip cell only
     DriverOptions opts;
     opts.jobs = 1;
-    opts.analyzeStreams = false;
     const auto results = runCells(grid, opts);
     ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].runs[0].streams.totalMisses, 0u);
-    EXPECT_EQ(results[0].runs[0].modules.total, 0u);
+    const std::vector<RunOutput> &runs = results[0].runs();
+    ASSERT_EQ(runs.size(), 2u);
+    auto sum = [](const RunOutput &r) {
+        std::uint64_t n = 0;
+        for (std::uint64_t c : r.classMisses)
+            n += c;
+        return n;
+    };
+    // Every run is analyzed.
+    for (const RunOutput &r : runs) {
+        EXPECT_EQ(r.streams.totalMisses, r.trace.misses.size());
+        EXPECT_EQ(r.modules.total, r.trace.misses.size());
+    }
+    EXPECT_EQ(sum(runs[0]), runs[0].trace.misses.size());
+
+    // The intra trace holds on-chip hits only; its Off-chip class is
+    // counted before the filter.
+    const RunOutput &intra = runs[1];
+    const std::uint64_t offChip =
+        intra.classMisses[static_cast<std::size_t>(IntraClass::OffChip)];
+    EXPECT_GT(offChip, 0u);
+    EXPECT_EQ(sum(intra), intra.trace.misses.size() + offChip);
+    for (const MissRecord &m : intra.trace.misses)
+        EXPECT_NE(static_cast<IntraClass>(m.cls), IntraClass::OffChip);
 }
 
 TEST_F(DriverRunTest, TraceCacheCreatesMissingDirectoryAndHits)
@@ -455,10 +487,9 @@ TEST_F(DriverRunTest, TraceCacheCreatesMissingDirectoryAndHits)
     const std::string cacheDir = root + "/nested/dir";
     ::setenv("TSTREAM_TRACE_CACHE", cacheDir.c_str(), 1);
 
-    auto grid = standardGrid({WorkloadKind::Oltp}, tinyBudgets());
+    auto grid = standardGrid({WorkloadKind::Oltp}, smallBudgets());
     DriverOptions opts;
     opts.jobs = 1;
-    opts.analyzeStreams = false;
 
     const auto first = runCells(grid, opts);
     ASSERT_EQ(first.size(), 2u);
@@ -473,11 +504,11 @@ TEST_F(DriverRunTest, TraceCacheCreatesMissingDirectoryAndHits)
 
     // A cached cell reproduces the simulated one exactly.
     for (std::size_t c = 0; c < 2; ++c) {
-        ASSERT_EQ(second[c].runs.size(), first[c].runs.size());
+        ASSERT_EQ(second[c].runs().size(), first[c].runs().size());
         EXPECT_EQ(second[c].instructions, first[c].instructions);
-        for (std::size_t r = 0; r < first[c].runs.size(); ++r) {
-            const MissTrace &a = first[c].runs[r].trace;
-            const MissTrace &b = second[c].runs[r].trace;
+        for (std::size_t r = 0; r < first[c].runs().size(); ++r) {
+            const MissTrace &a = first[c].runs()[r].trace;
+            const MissTrace &b = second[c].runs()[r].trace;
             ASSERT_EQ(a.misses.size(), b.misses.size());
             for (std::size_t i = 0; i < a.misses.size(); ++i) {
                 EXPECT_EQ(a.misses[i].block, b.misses[i].block);
@@ -486,6 +517,101 @@ TEST_F(DriverRunTest, TraceCacheCreatesMissingDirectoryAndHits)
             }
         }
     }
+}
+
+// The per-run cell memo: views over overlapping grids share one
+// analysis per distinct cell, each entry is dropped after the last
+// view that needs it, and a failed cell is never stored.
+class CellMemoTest : public DriverRunTest
+{
+  protected:
+    void
+    SetUp() override
+    {
+        DriverRunTest::SetUp();
+        telemetry::enable(""); // count cells, write nothing
+        telemetry::reset();
+    }
+
+    void
+    TearDown() override
+    {
+        telemetry::reset();
+        telemetry::disable();
+    }
+};
+
+TEST_F(CellMemoTest, OverlappingViewsSimulateEachCellOnce)
+{
+    // View A sweeps OLTP + KVstore, view B KVstore + Broker: the two
+    // KVstore cells are shared, six configs are distinct.
+    const auto a = standardGrid({WorkloadKind::Oltp, WorkloadKind::KvStore},
+                                smallBudgets());
+    const auto b = standardGrid(
+        {WorkloadKind::KvStore, WorkloadKind::Broker}, smallBudgets());
+    auto memo = std::make_shared<CellMemo>(
+        std::vector<std::vector<Cell>>{a, b});
+    DriverOptions opts;
+    opts.jobs = 2;
+    opts.memo = memo;
+
+    const auto ra = runCells(a, opts);
+    memo->finishView(0);
+    EXPECT_EQ(memo->size(), 2u); // only what view B still needs
+    const auto rb = runCells(b, opts);
+    memo->finishView(1);
+    EXPECT_EQ(memo->size(), 0u);
+
+    EXPECT_EQ(telemetry::counterValue("driver.cache_miss_cells"), 6u);
+    EXPECT_EQ(telemetry::counterValue("driver.memo_hit_cells"), 2u);
+    for (std::size_t i = 0; i < 2; ++i) {
+        const CellResult &hit = rb[i];
+        const CellResult &first = ra[2 + i];
+        ASSERT_EQ(hit.cell.id, first.cell.id);
+        EXPECT_FALSE(first.cacheHit);
+        EXPECT_TRUE(hit.cacheHit);
+        // The stored analysis itself, not a copy, with its
+        // instruction count.
+        EXPECT_EQ(hit.analysis, first.analysis);
+        EXPECT_EQ(hit.instructions, first.instructions);
+        EXPECT_GT(hit.instructions, 0u);
+    }
+    EXPECT_FALSE(rb[2].cacheHit);
+    EXPECT_FALSE(rb[3].cacheHit);
+}
+
+TEST_F(CellMemoTest, FailedCellIsNotStoredAndRunsAgain)
+{
+    const auto grid = standardGrid({WorkloadKind::Oltp}, smallBudgets());
+    auto memo = std::make_shared<CellMemo>(
+        std::vector<std::vector<Cell>>{grid, grid});
+
+    DriverOptions failing;
+    failing.jobs = 1;
+    failing.memo = memo;
+    failing.retry.maxAttempts = 1;
+    failing.testCellHook = [](const Cell &cell, unsigned) {
+        if (cell.index == 0)
+            throw std::runtime_error("injected fault");
+    };
+    const auto first = runCells(grid, failing);
+    ASSERT_EQ(first.size(), 2u);
+    EXPECT_TRUE(first[0].failed);
+    EXPECT_FALSE(first[1].failed);
+    EXPECT_EQ(memo->size(), 1u);
+    memo->finishView(0);
+
+    DriverOptions plain;
+    plain.jobs = 1;
+    plain.memo = memo;
+    const auto second = runCells(grid, plain);
+    ASSERT_EQ(second.size(), 2u);
+    EXPECT_FALSE(second[0].failed);
+    EXPECT_FALSE(second[0].cacheHit); // simulated again
+    EXPECT_TRUE(second[1].cacheHit);
+    EXPECT_EQ(telemetry::counterValue("driver.cache_miss_cells"), 2u);
+    memo->finishView(1);
+    EXPECT_EQ(memo->size(), 0u);
 }
 
 } // namespace

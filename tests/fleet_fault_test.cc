@@ -34,8 +34,8 @@ BenchBudgets
 tinyBudgets()
 {
     BenchBudgets b;
-    b.warmup = 100'000;
-    b.measure = 300'000;
+    b.warmup = 50'000;
+    b.measure = 150'000;
     b.scale = 0.05;
     return b;
 }
@@ -70,7 +70,6 @@ claimingOptions(const std::string &dir, std::int64_t ttlMs,
 {
     DriverOptions opts;
     opts.jobs = 1;
-    opts.analyzeStreams = false; // keep the fault tests fast
     opts.claim.session = "fault-test";
     opts.claim.dir = dir;
     opts.claim.ttlMs = ttlMs;
@@ -85,7 +84,6 @@ TEST_F(FleetFaultTest, SingleClaimingWorkerEqualsPlainRun)
 
     DriverOptions plain;
     plain.jobs = 1;
-    plain.analyzeStreams = false;
     const auto expect = runCells(grid, plain);
 
     const auto got = runCells(
@@ -96,10 +94,10 @@ TEST_F(FleetFaultTest, SingleClaimingWorkerEqualsPlainRun)
         EXPECT_EQ(got[i].cell.id, expect[i].cell.id);
         EXPECT_FALSE(got[i].failed);
         EXPECT_EQ(got[i].instructions, expect[i].instructions);
-        ASSERT_EQ(got[i].runs.size(), expect[i].runs.size());
-        for (std::size_t r = 0; r < got[i].runs.size(); ++r)
-            EXPECT_EQ(got[i].runs[r].trace.misses.size(),
-                      expect[i].runs[r].trace.misses.size());
+        ASSERT_EQ(got[i].runs().size(), expect[i].runs().size());
+        for (std::size_t r = 0; r < got[i].runs().size(); ++r)
+            EXPECT_EQ(got[i].runs()[r].trace.misses.size(),
+                      expect[i].runs()[r].trace.misses.size());
     }
 }
 
@@ -131,7 +129,6 @@ TEST_F(FleetFaultTest, KilledWorkerCellIsReclaimedAndSweepCompletes)
     ASSERT_EQ(got.size(), grid.size());
     DriverOptions plain;
     plain.jobs = 1;
-    plain.analyzeStreams = false;
     const auto expect = runCells(grid, plain);
     std::set<std::size_t> covered;
     for (std::size_t i = 0; i < got.size(); ++i) {
@@ -150,7 +147,6 @@ TEST_F(FleetFaultTest, ThrowingHookRetriesThenSucceeds)
 
     DriverOptions opts;
     opts.jobs = 1;
-    opts.analyzeStreams = false;
     opts.retry.maxAttempts = 3;
     opts.retry.backoffBaseMs = 1; // keep the retry sleep negligible
     opts.testCellHook = [](const Cell &, unsigned attempt) {
@@ -162,7 +158,7 @@ TEST_F(FleetFaultTest, ThrowingHookRetriesThenSucceeds)
     ASSERT_EQ(results.size(), 1u);
     EXPECT_FALSE(results[0].failed);
     EXPECT_EQ(results[0].attempts, 2u);
-    EXPECT_FALSE(results[0].runs.empty());
+    EXPECT_FALSE(results[0].runs().empty());
 }
 
 TEST_F(FleetFaultTest, ExhaustedRetriesBecomeFailureRow)
@@ -172,7 +168,6 @@ TEST_F(FleetFaultTest, ExhaustedRetriesBecomeFailureRow)
 
     DriverOptions opts;
     opts.jobs = 1;
-    opts.analyzeStreams = false;
     opts.retry.maxAttempts = 2;
     opts.retry.backoffBaseMs = 1;
     opts.testCellHook = [](const Cell &, unsigned) {
@@ -185,7 +180,7 @@ TEST_F(FleetFaultTest, ExhaustedRetriesBecomeFailureRow)
     EXPECT_TRUE(res.failed);
     EXPECT_EQ(res.attempts, 2u);
     EXPECT_EQ(res.failureCause, "exception: persistent fault");
-    EXPECT_TRUE(res.runs.empty());
+    EXPECT_TRUE(res.runs().empty());
     EXPECT_GE(res.wallSeconds, 0.0);
 
     // The failure travels into the report cell unchanged, with no

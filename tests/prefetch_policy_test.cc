@@ -25,7 +25,7 @@ namespace
 {
 
 // ---------------------------------------------------------------------------
-// Frozen reference: the pre-API TsPrefetcher algorithms, verbatim.
+// Frozen reference: the pre-API prefetcher algorithms, verbatim.
 // ---------------------------------------------------------------------------
 
 struct RefPrefetcher
@@ -300,19 +300,6 @@ TEST(PrefetchPolicyDiff, HybridMatchesReferenceEvaluateHybrid)
                 ref.evaluateHybrid(t, 2));
         }
     }
-}
-
-TEST(PrefetchPolicyDiff, DeprecatedWrappersStillMatch)
-{
-    // The kept TsPrefetcher entry points route through the policy API;
-    // they must agree with the frozen reference too.
-    const MissTrace t = synthTrace(13, 2);
-    TsPrefetcherConfig cfg;
-    cfg.replayDepth = 16;
-    expectStatsEq(TsPrefetcher(cfg).evaluate(t),
-                  RefPrefetcher(cfg).evaluate(t));
-    expectStatsEq(TsPrefetcher(cfg).evaluateHybrid(t, 3),
-                  RefPrefetcher(cfg).evaluateHybrid(t, 3));
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 /**
  * @file
- * Trace serialization tests: v1/v2 round trips and equivalence,
+ * Trace serialization tests: v1 fixture reads, v2 round trips,
  * chunking, compression, the embedded function table, and rejection
  * of malformed files through the TraceResult error contract.
  */
@@ -115,29 +115,29 @@ TEST(TraceIo, RandomTraceRoundTrip)
     std::remove(path.c_str());
 }
 
+/** makeTrace(100) in the legacy v1 format, which is read only: the
+ *  file is checked in because nothing writes v1 any more. */
+const std::string kV1Fixture =
+    std::string(TSTREAM_TEST_DATA_DIR) + "/trace_v1_100.tst";
+
 TEST(TraceIo, V1RoundTripEquivalence)
 {
-    const MissTrace t = makeTrace(5'000);
-    const auto v1 = tmpPath("equiv.v1.tst");
+    const MissTrace t = makeTrace(100);
     const auto v2 = tmpPath("equiv.v2.tst");
-    TraceWriteOptions opts;
-    opts.version = 1;
-    ASSERT_TRUE(saveTrace(t, v1, opts));
     ASSERT_TRUE(saveTrace(t, v2));
 
-    const auto fromV1 = loadTrace(v1);
+    const auto fromV1 = loadTrace(kV1Fixture);
     const auto fromV2 = loadTrace(v2);
     ASSERT_TRUE(fromV1) << fromV1.error();
     ASSERT_TRUE(fromV2) << fromV2.error();
     expectSameRecords(t, *fromV1);
     expectSameRecords(*fromV1, *fromV2);
 
-    auto reader = TraceReader::open(v1);
+    auto reader = TraceReader::open(kV1Fixture);
     ASSERT_TRUE(reader) << reader.error();
     EXPECT_EQ(reader->meta().version, 1u);
-    EXPECT_EQ(reader->meta().recordCount, 5'000u);
+    EXPECT_EQ(reader->meta().recordCount, 100u);
     EXPECT_FALSE(reader->hasFunctions());
-    std::remove(v1.c_str());
     std::remove(v2.c_str());
 }
 
@@ -324,19 +324,13 @@ TEST(TraceIo, TruncatedFilesRejected)
 
 TEST(TraceIo, TruncatedV1Rejected)
 {
-    const auto path = tmpPath("v1full.tst");
-    TraceWriteOptions opts;
-    opts.version = 1;
-    ASSERT_TRUE(saveTrace(makeTrace(100), path, opts));
-    const long full = sizeOf(path);
-
+    const long full = sizeOf(kV1Fixture);
     const auto cut = tmpPath("v1cut.tst");
     for (long bytes : {10L, 27L, full - 7}) {
-        truncateTo(path, cut, bytes);
+        truncateTo(kV1Fixture, cut, bytes);
         const auto r = loadTrace(cut);
         EXPECT_FALSE(r) << "prefix of " << bytes << " bytes";
     }
-    std::remove(path.c_str());
     std::remove(cut.c_str());
 }
 
@@ -378,14 +372,6 @@ TEST(TraceIo, SaveToInvalidPathFails)
 {
     MissTrace t;
     EXPECT_FALSE(saveTrace(t, "/nonexistent-dir/x/y/z.tst"));
-}
-
-TEST(TraceIo, UnknownWriteVersionFails)
-{
-    MissTrace t;
-    TraceWriteOptions opts;
-    opts.version = 3;
-    EXPECT_FALSE(saveTrace(t, tmpPath("v3.tst"), opts));
 }
 
 } // namespace

@@ -1,11 +1,13 @@
 /**
  * @file
- * Tests for the temporal-streaming prefetcher extension.
+ * Tests for the temporal-streaming prefetcher extension, scored
+ * offline through the policy API: the fixed-depth policy and the
+ * temporal-plus-stride hybrid.
  */
 
 #include <gtest/gtest.h>
 
-#include "core/ts_prefetcher.hh"
+#include "core/prefetch_policy.hh"
 #include "util/rng.hh"
 
 namespace tstream
@@ -24,10 +26,23 @@ traceOf(const std::vector<BlockId> &blocks, unsigned ncpu = 1)
     return t;
 }
 
+TsPrefetcherStats
+fixedDepth(const MissTrace &t, const TsPrefetcherConfig &cfg = {})
+{
+    FixedDepthPolicy policy(cfg);
+    return evaluatePolicy(t, policy, cfg.bufferBlocks);
+}
+
+TsPrefetcherStats
+hybrid(const MissTrace &t, const TsPrefetcherConfig &cfg = {})
+{
+    auto policy = HybridPolicy::temporalPlusStride(cfg, 2);
+    return evaluatePolicy(t, *policy, cfg.bufferBlocks);
+}
+
 TEST(TsPrefetcher, EmptyTrace)
 {
-    TsPrefetcher pf;
-    const auto st = pf.evaluate(MissTrace{});
+    const auto st = fixedDepth(MissTrace{});
     EXPECT_EQ(st.misses, 0u);
     EXPECT_EQ(st.coverage(), 0.0);
     EXPECT_EQ(st.accuracy(), 0.0);
@@ -38,8 +53,7 @@ TEST(TsPrefetcher, UniqueMissesAreNeverCovered)
     std::vector<BlockId> blocks;
     for (BlockId b = 0; b < 1000; ++b)
         blocks.push_back(b * 1009);
-    TsPrefetcher pf;
-    const auto st = pf.evaluate(traceOf(blocks));
+    const auto st = fixedDepth(traceOf(blocks));
     EXPECT_EQ(st.covered, 0u);
 }
 
@@ -57,8 +71,7 @@ TEST(TsPrefetcher, RepeatedStreamGetsCovered)
         for (int i = 0; i < 20; ++i)
             blocks.push_back(900000 + fresh++);
     }
-    TsPrefetcher pf;
-    const auto st = pf.evaluate(traceOf(blocks));
+    const auto st = fixedDepth(traceOf(blocks));
     // 4 recurrences x ~31 coverable misses each, less ramp-up.
     EXPECT_GT(st.coverage(), 0.3);
     EXPECT_GT(st.accuracy(), 0.5);
@@ -80,8 +93,7 @@ TEST(TsPrefetcher, DeeperReplayCoversLongerStreams)
     auto statsAt = [&](std::uint32_t depth) {
         TsPrefetcherConfig cfg;
         cfg.replayDepth = depth;
-        TsPrefetcher pf(cfg);
-        return pf.evaluate(traceOf(blocks));
+        return fixedDepth(traceOf(blocks), cfg);
     };
     // Depth-1 replay still covers by chaining (each covered miss
     // looks up the stream again), so coverage is monotone rather than
@@ -111,8 +123,8 @@ TEST(TsPrefetcher, CrossCpuRecurrenceRequiresCrossCpuLookup)
     on.crossCpu = true;
     TsPrefetcherConfig off;
     off.crossCpu = false;
-    const auto covOn = TsPrefetcher(on).evaluate(t).coverage();
-    const auto covOff = TsPrefetcher(off).evaluate(t).coverage();
+    const auto covOn = fixedDepth(t, on).coverage();
+    const auto covOff = fixedDepth(t, off).coverage();
     EXPECT_GT(covOn, 0.3);
     EXPECT_LT(covOff, covOn);
 }
@@ -127,8 +139,7 @@ TEST(TsPrefetcher, BufferCapacityBoundsOutstandingPrefetches)
         motif.push_back(b + 100);
     std::vector<BlockId> blocks = motif;
     blocks.insert(blocks.end(), motif.begin(), motif.end());
-    TsPrefetcher pf(cfg);
-    const auto st = pf.evaluate(traceOf(blocks));
+    const auto st = fixedDepth(traceOf(blocks), cfg);
     // With a 4-entry buffer, deep replay displaces most of its own
     // prefetches: accuracy suffers.
     EXPECT_LT(st.accuracy(), 0.6);
@@ -143,8 +154,7 @@ TEST(TsPrefetcher, HistoryWrapInvalidatesStalePositions)
     for (BlockId b = 0; b < 500; ++b)
         blocks.push_back(100000 + b); // flushes the ring
     blocks.push_back(42);             // stale index entry
-    TsPrefetcher pf(cfg);
-    const auto st = pf.evaluate(traceOf(blocks));
+    const auto st = fixedDepth(traceOf(blocks), cfg);
     // Must not crash or replay garbage; the stale lookup is skipped
     // (or harmlessly replays recent entries if re-indexed).
     EXPECT_EQ(st.covered, 0u);
@@ -159,9 +169,8 @@ TEST(TsPrefetcher, HybridCoversStridedNonRepetitiveMisses)
     for (BlockId b = 0; b < 2000; ++b)
         sweep.push_back(100000 + b);
     const MissTrace t = traceOf(sweep);
-    TsPrefetcher temporal, hybrid;
-    EXPECT_EQ(temporal.evaluate(t).covered, 0u);
-    EXPECT_GT(hybrid.evaluateHybrid(t).coverage(), 0.8);
+    EXPECT_EQ(fixedDepth(t).covered, 0u);
+    EXPECT_GT(hybrid(t).coverage(), 0.8);
 }
 
 TEST(TsPrefetcher, HybridKeepsTemporalCoverage)
@@ -180,9 +189,8 @@ TEST(TsPrefetcher, HybridKeepsTemporalCoverage)
             blocks.push_back(fresh++ * 97);
     }
     const MissTrace t = traceOf(blocks);
-    TsPrefetcher temporal, hybrid;
-    const double tcov = temporal.evaluate(t).coverage();
-    const double hcov = hybrid.evaluateHybrid(t).coverage();
+    const double tcov = fixedDepth(t).coverage();
+    const double hcov = hybrid(t).coverage();
     EXPECT_GT(tcov, 0.3);
     EXPECT_GE(hcov, tcov * 0.9);
 }
@@ -204,9 +212,8 @@ TEST(TsPrefetcher, CoverageTracksRepetitionQualitatively)
         }
         return traceOf(blocks);
     };
-    TsPrefetcher pf1, pf2;
-    const double covHigh = pf1.evaluate(makeTrace(0.5)).coverage();
-    const double covLow = pf2.evaluate(makeTrace(0.05)).coverage();
+    const double covHigh = fixedDepth(makeTrace(0.5)).coverage();
+    const double covLow = fixedDepth(makeTrace(0.05)).coverage();
     EXPECT_GT(covHigh, covLow);
 }
 

@@ -2,15 +2,16 @@
  * @file
  * `tstream-bench` — front-end for the sharded/fleet bench driver.
  *
- * Runs a named list of figure/table benches (each a binary built from
- * bench/), collects their --json reports into one combined document,
+ * Runs a named list of figure/table views (src/bench/views.hh) in
+ * this process, bundles their reports into one combined document,
  * merges shard/worker outputs back into unsharded reports, and checks
  * the invariants the driver promises. Subcommands:
  *
- *   run          run benches (forwarding --quick/--jobs/--shard and
- *                the claim/timeout knobs) and bundle their reports
- *                into one combined JSON document; with --fleet
- *                HOSTS.txt, fan one dynamic-claiming session out to N
+ *   run          run views in order, sharing one cell memo so each
+ *                distinct cell is simulated and analyzed once, and
+ *                bundle their reports into one combined JSON
+ *                document; with --fleet HOSTS.txt, fan one
+ *                dynamic-claiming session out to N
  *                workers (local processes or ssh hosts) sharing one
  *                TSTREAM_TRACE_CACHE, collect the per-worker reports
  *                and logs, and merge them (a worker that dies loses
@@ -62,34 +63,18 @@
 #include <thread>
 #include <vector>
 
+#include "bench/views.hh"
+#include "obs/telemetry.hh"
 #include "sim/bench_report.hh"
 #include "util/claim_file.hh"
 #include "util/logging.hh"
 
 using namespace tstream;
+using bench::findView;
+using bench::kViews;
 
 namespace
 {
-
-struct BenchAlias
-{
-    const char *alias;
-    const char *binary;
-};
-
-const BenchAlias kBenches[] = {
-    {"fig1", "fig1_miss_classification"},
-    {"fig2", "fig2_stream_fraction"},
-    {"fig3", "fig3_stride_breakdown"},
-    {"fig4", "fig4_length_reuse"},
-    {"table3", "table3_web_origins"},
-    {"table4", "table4_oltp_origins"},
-    {"table5", "table5_dss_origins"},
-    {"table6", "table6_scenario_origins"},
-    {"ablation_a", "ablation_stream_detector"},
-    {"ablation_b", "ablation_l2_sweep"},
-    {"ext", "ext_prefetcher"},
-};
 
 int
 usage(const char *msg)
@@ -103,7 +88,7 @@ usage(const char *msg)
         "                [--claim-session ID] [--claim-ttl MS]\n"
         "                [--heartbeat MS] [--cell-timeout MS]\n"
         "                [--cell-retries N] [--fleet HOSTS.txt]\n"
-        "                [--fleet-kill-after N] [--bench-dir DIR]\n"
+        "                [--fleet-kill-after N]\n"
         "                [--telemetry-out BASE] [--slowest N]\n"
         "                -o OUT.json BENCH...\n"
         "  tstream-bench status [--claim-dir DIR | --session ID\n"
@@ -119,10 +104,11 @@ usage(const char *msg)
         "  tstream-bench print REPORT.json\n"
         "  tstream-bench list\n"
         "\n"
-        "run executes each named bench binary (see `list`; `paper` =\n"
+        "run executes each named bench (see `list`; `paper` =\n"
         "fig1-fig4 + tables, `all` adds the ablations and the\n"
-        "prefetcher extension), forwards --quick/--jobs/--shard and\n"
-        "the claim/timeout knobs, and bundles the per-bench JSON\n"
+        "prefetcher extension) in this process with the bench flags\n"
+        "--quick/--jobs/--shard and the claim/timeout knobs, analyzes\n"
+        "each distinct cell once for all of them, and bundles their\n"
         "reports into one combined document. Shard or fleet-worker\n"
         "reports from separate processes/machines are reassembled\n"
         "with merge, which fails if any grid cell is missing (a cell\n"
@@ -140,7 +126,7 @@ usage(const char *msg)
         "and metric mismatches are reported distinctly and none\n"
         "passes. With --subset, every cell of A must match its\n"
         "same-id cell in B (B may hold more — e.g. a --workload\n"
-        "config run against the full compiled-in sweep). run forwards\n"
+        "config run against the full compiled-in sweep). run applies\n"
         "--workload/--phases to every named bench, restricting each to\n"
         "the configured workload. With --resume, cells already present in\n"
         "the existing OUT.json are reused instead of re-run; the run\n"
@@ -154,10 +140,10 @@ usage(const char *msg)
         "report sequence and prints each one's trajectory; with\n"
         "--max-regress it fails when last/first exceeds R or a\n"
         "--series name is absent from the newest report. With\n"
-        "--telemetry-out BASE, run forwards --telemetry-out\n"
-        "BASE.<binary>.json to every bench (fleet workers get\n"
-        "BASE.workerK.<binary>.json), collecting per-process metrics\n"
-        "and Chrome trace files next to the reports; after every\n"
+        "--telemetry-out BASE, run writes each bench's metrics and\n"
+        "Chrome trace to BASE.<binary>.json (fleet workers write\n"
+        "BASE.workerK.<binary>.json); a cell shared by several benches\n"
+        "is charged to the first that runs it. After every\n"
         "sweep run prints the --slowest N cells by wall time (default\n"
         "5, 0 disables). status scans a claim directory — by default\n"
         "$TSTREAM_TRACE_CACHE/claims, or one session via --session ID\n"
@@ -169,15 +155,6 @@ usage(const char *msg)
         "(tests). Recipes: docs/BENCHMARKING.md and\n"
         "docs/OBSERVABILITY.md.\n");
     return 2;
-}
-
-const char *
-resolveBench(const std::string &name)
-{
-    for (const BenchAlias &b : kBenches)
-        if (name == b.alias || name == b.binary)
-            return b.binary;
-    return nullptr;
 }
 
 std::string
@@ -194,15 +171,63 @@ shellQuote(const std::string &s)
     return out;
 }
 
-std::string
-dirName(const std::string &path)
+// ---- report documents -------------------------------------------------------
+
+/** Write @p docs to @p path: one bench document, or a combined report
+ *  when there are several. */
+bool
+writeDocs(const std::vector<BenchDoc> &docs, const std::string &path)
 {
-    const std::size_t slash = path.find_last_of('/');
-    if (slash == std::string::npos)
-        return ".";
-    if (slash == 0)
-        return "/";
-    return path.substr(0, slash);
+    std::string err;
+    if (docs.size() == 1
+            ? writeBenchDoc(docs[0], path, err)
+            : json::writeFile(combinedReportToJson(docs), path, err))
+        return true;
+    std::fprintf(stderr, "tstream-bench: %s\n", err.c_str());
+    return false;
+}
+
+/** Merge shard/worker documents bench by bench, in first-seen bench
+ *  order (mergeBenchDocs checks each bench's exact cover). */
+bool
+mergeByBench(std::vector<BenchDoc> docs, std::vector<BenchDoc> &merged,
+             std::string &err)
+{
+    std::vector<std::vector<BenchDoc>> groups;
+    for (BenchDoc &doc : docs) {
+        auto g = std::find_if(groups.begin(), groups.end(),
+                              [&](const std::vector<BenchDoc> &grp) {
+                                  return grp.front().bench == doc.bench;
+                              });
+        if (g == groups.end())
+            g = groups.emplace(groups.end());
+        g->push_back(std::move(doc));
+    }
+    for (const std::vector<BenchDoc> &group : groups) {
+        merged.emplace_back();
+        if (!mergeBenchDocs(group, merged.back(), err))
+            return false;
+    }
+    return true;
+}
+
+std::size_t
+cellCount(const std::vector<BenchDoc> &docs)
+{
+    std::size_t n = 0;
+    for (const BenchDoc &doc : docs)
+        n += doc.cells.size();
+    return n;
+}
+
+std::size_t
+failedCells(const std::vector<BenchDoc> &docs)
+{
+    std::size_t n = 0;
+    for (const BenchDoc &doc : docs)
+        for (const BenchCell &c : doc.cells)
+            n += c.failed ? 1 : 0;
+    return n;
 }
 
 // ---- run --------------------------------------------------------------------
@@ -210,51 +235,19 @@ dirName(const std::string &path)
 /** Everything `run` parsed; shared with the fleet fan-out. */
 struct RunOptions
 {
-    bool quick = false;
+    /** The bench flags, verbatim: every view (and every fleet worker)
+     *  parses and validates them with parseBenchArgs(). */
+    std::vector<std::string> benchArgs;
     bool resume = false;
-    unsigned jobs = 0;
     std::string shard;
-    std::string workloadFile;
-    std::string phasesSpec;
     std::string claimSession;
-    long claimTtlMs = 0;    ///< 0 = bench default
-    long heartbeatMs = -1;  ///< -1 = bench default
-    long cellTimeoutMs = -1;
-    long cellRetries = 0;
     std::string fleetFile;
     long fleetKillAfter = 0;
-    std::string benchDir;
     std::string telemetryOut; ///< per-bench files BASE.<binary>.json
     long slowest = 5;         ///< top-N slowest cells; 0 = off
     std::string out;
     std::vector<std::string> names;
 };
-
-/** The flags forwarded verbatim to every bench binary / inner run. */
-std::string
-forwardedFlags(const RunOptions &o)
-{
-    std::string cmd;
-    if (o.quick)
-        cmd += " --quick";
-    if (o.jobs > 0)
-        cmd += " --jobs " + std::to_string(o.jobs);
-    if (!o.shard.empty())
-        cmd += " --shard " + o.shard;
-    if (!o.workloadFile.empty())
-        cmd += " --workload " + shellQuote(o.workloadFile);
-    if (!o.phasesSpec.empty())
-        cmd += " --phases " + shellQuote(o.phasesSpec);
-    if (o.claimTtlMs > 0)
-        cmd += " --claim-ttl " + std::to_string(o.claimTtlMs);
-    if (o.heartbeatMs >= 0)
-        cmd += " --heartbeat " + std::to_string(o.heartbeatMs);
-    if (o.cellTimeoutMs >= 0)
-        cmd += " --cell-timeout " + std::to_string(o.cellTimeoutMs);
-    if (o.cellRetries > 0)
-        cmd += " --cell-retries " + std::to_string(o.cellRetries);
-    return cmd;
-}
 
 int runFleet(const RunOptions &opts, const char *argv0);
 
@@ -301,7 +294,6 @@ int
 cmdRun(int argc, char **argv, const char *argv0)
 {
     RunOptions o;
-    o.benchDir = dirName(argv0) + "/../bench";
 
     for (int i = 0; i < argc; ++i) {
         const std::string_view arg = argv[i];
@@ -326,36 +318,23 @@ cmdRun(int argc, char **argv, const char *argv0)
             return n;
         };
         if (arg == "--quick") {
-            o.quick = true;
+            o.benchArgs.emplace_back(arg);
+        } else if (arg == "--jobs" || arg == "--shard" ||
+                   arg == "--workload" || arg == "--phases" ||
+                   arg == "--claim-ttl" || arg == "--heartbeat" ||
+                   arg == "--cell-timeout" || arg == "--cell-retries") {
+            o.benchArgs.emplace_back(arg);
+            o.benchArgs.emplace_back(value(argv[i]));
+            if (arg == "--shard")
+                o.shard = o.benchArgs.back();
         } else if (arg == "--resume") {
             o.resume = true;
-        } else if (arg == "--jobs") {
-            o.jobs = static_cast<unsigned>(number("--jobs", 1));
-        } else if (arg == "--shard") {
-            o.shard = value("--shard");
-            ShardSpec spec;
-            if (!parseShardSpec(o.shard, spec))
-                return usage("--shard wants k/N with k < N");
-        } else if (arg == "--workload") {
-            o.workloadFile = value("--workload");
-        } else if (arg == "--phases") {
-            o.phasesSpec = value("--phases");
         } else if (arg == "--claim-session") {
             o.claimSession = value("--claim-session");
-        } else if (arg == "--claim-ttl") {
-            o.claimTtlMs = number("--claim-ttl", 1);
-        } else if (arg == "--heartbeat") {
-            o.heartbeatMs = number("--heartbeat", 0);
-        } else if (arg == "--cell-timeout") {
-            o.cellTimeoutMs = number("--cell-timeout", 0);
-        } else if (arg == "--cell-retries") {
-            o.cellRetries = number("--cell-retries", 1);
         } else if (arg == "--fleet") {
             o.fleetFile = value("--fleet");
         } else if (arg == "--fleet-kill-after") {
             o.fleetKillAfter = number("--fleet-kill-after", 1);
-        } else if (arg == "--bench-dir") {
-            o.benchDir = value("--bench-dir");
         } else if (arg == "--telemetry-out") {
             o.telemetryOut = value("--telemetry-out");
         } else if (arg == "--slowest") {
@@ -372,8 +351,8 @@ cmdRun(int argc, char **argv, const char *argv0)
                       "table4", "table5"})
                     o.names.push_back(n);
             } else if (arg == "all") {
-                for (const BenchAlias &b : kBenches)
-                    o.names.push_back(b.alias);
+                for (const bench::ViewEntry &v : kViews)
+                    o.names.push_back(v.alias);
             } else {
                 o.names.push_back(std::string(arg));
             }
@@ -383,10 +362,8 @@ cmdRun(int argc, char **argv, const char *argv0)
         return usage("run needs -o OUT.json");
     if (o.names.empty())
         return usage("run needs at least one bench name (see list)");
-    if (!o.workloadFile.empty() && !o.phasesSpec.empty())
-        return usage("--workload and --phases are mutually exclusive");
     for (const std::string &name : o.names)
-        if (!resolveBench(name))
+        if (!findView(name))
             return usage(("unknown bench: " + name +
                           " (see tstream-bench list)")
                              .c_str());
@@ -413,117 +390,96 @@ cmdRun(int argc, char **argv, const char *argv0)
     if (o.fleetKillAfter > 0 && o.fleetFile.empty())
         return usage("--fleet-kill-after needs --fleet");
 
+    // Parse every view's flags and build every grid up front: that
+    // validates the bench flags before any work starts, and the memo
+    // needs every grid to know when no later view needs a cell.
+    std::vector<std::string> args = o.benchArgs;
+    if (!o.claimSession.empty()) {
+        args.emplace_back("--claim-session");
+        args.push_back(o.claimSession);
+    }
+    std::vector<bench::BenchView> views;
+    std::vector<BenchOptions> viewOpts;
+    std::vector<std::vector<Cell>> grids;
+    for (const std::string &name : o.names) {
+        const bench::ViewEntry &entry = *findView(name);
+        views.push_back(entry.make());
+        std::vector<char *> argv{const_cast<char *>(entry.binary)};
+        for (std::string &a : args)
+            argv.push_back(a.data());
+        viewOpts.push_back(parseBenchArgs(static_cast<int>(argv.size()),
+                                          argv.data(), entry.binary,
+                                          &views.back().extra));
+        grids.push_back(views.back().grid(viewOpts.back()));
+    }
     if (!o.fleetFile.empty())
         return runFleet(o, argv0);
 
-    const bool resume = o.resume;
-    const std::string &benchDir = o.benchDir;
-    const std::string &out = o.out;
-    const std::vector<std::string> &names = o.names;
-
-    // --resume: reuse cells recorded in the existing OUT.json. Each
-    // bench's prior document is re-written to its part path and the
-    // binary revalidates it cell by cell (schema version mismatches
-    // fail right here in readBenchDocs; config-hash mismatches fail
-    // inside the bench).
+    // --resume: reuse cells recorded in the existing OUT.json; each
+    // view revalidates its prior document cell by cell.
     std::vector<BenchDoc> priorDocs;
-    if (resume) {
-        std::FILE *f = std::fopen(out.c_str(), "rb");
-        if (f) {
-            std::fclose(f);
-            std::string err;
-            if (!readBenchDocs(out, priorDocs, err)) {
-                std::fprintf(stderr,
-                             "tstream-bench: --resume: %s\n",
-                             err.c_str());
-                return 1;
-            }
-        }
+    std::string err;
+    if (o.resume && std::filesystem::exists(o.out) &&
+        !readBenchDocs(o.out, priorDocs, err)) {
+        std::fprintf(stderr, "tstream-bench: --resume: %s\n",
+                     err.c_str());
+        return 1;
     }
+
+    auto memo = std::make_shared<CellMemo>(grids);
+    if (!o.telemetryOut.empty())
+        telemetry::enable(""); // each view writes its own file below
 
     std::vector<BenchDoc> docs;
     std::size_t lastWritten = 0;
-    for (const std::string &name : names) {
-        const char *binary = resolveBench(name);
-        if (!binary)
-            return usage(("unknown bench: " + name +
-                          " (see tstream-bench list)")
-                             .c_str());
-        const std::string part = out + "." + binary + ".json";
-        std::string cmd = shellQuote(benchDir + "/" + binary);
-        cmd += forwardedFlags(o);
-        if (!o.claimSession.empty())
-            cmd += " --claim-session " + shellQuote(o.claimSession);
-        if (!o.telemetryOut.empty())
-            cmd += " --telemetry-out " +
-                   shellQuote(o.telemetryOut + "." + binary + ".json");
-        cmd += " --json " + shellQuote(part);
-        if (resume) {
-            for (const BenchDoc &doc : priorDocs)
-                if (doc.bench == binary) {
-                    std::string err;
-                    if (!writeBenchDoc(doc, part, err)) {
-                        std::fprintf(stderr, "tstream-bench: %s\n",
-                                     err.c_str());
-                        return 1;
-                    }
-                    cmd += " --resume";
-                    break;
-                }
+    for (std::size_t i = 0; i < views.size(); ++i) {
+        const std::string &binary = viewOpts[i].benchName;
+        std::vector<BenchCell> prior;
+        for (const BenchDoc &doc : priorDocs)
+            if (doc.bench == binary &&
+                !resumeCells(doc, o.out, viewOpts[i].quick,
+                             viewOpts[i].budgets, grids[i], prior, err)) {
+                std::fprintf(stderr, "%s: --resume: %s\n",
+                             binary.c_str(), err.c_str());
+                return 1;
+            }
+
+        logf(LogLevel::Info, "[tstream-bench] %s", binary.c_str());
+        docs.push_back(bench::runView(views[i], viewOpts[i], grids[i],
+                                      std::move(prior), memo));
+        memo->finishView(i);
+        if (!o.telemetryOut.empty()) {
+            if (!telemetry::writeArtifacts(
+                    o.telemetryOut + "." + binary + ".json", err))
+                logWarn("telemetry: " + err);
+            telemetry::reset();
         }
 
-        logf(LogLevel::Info, "[tstream-bench] %s", cmd.c_str());
-        const int rc = std::system(cmd.c_str());
-        if (rc != 0) {
-            std::fprintf(stderr,
-                         "tstream-bench: %s failed (status %d)\n",
-                         binary, rc);
-            return 1;
-        }
-        std::string err;
-        if (!readBenchDocs(part, docs, err)) {
-            std::fprintf(stderr, "tstream-bench: %s\n", err.c_str());
-            return 1;
-        }
-        std::remove(part.c_str());
-
-        // Checkpoint OUT.json after every bench, so a sweep that dies
-        // partway leaves the completed benches behind for --resume.
-        // Under --resume, prior documents whose bench this write does
+        // Checkpoint OUT.json after every view, so a sweep that dies
+        // partway leaves the completed views behind for --resume.
+        // Under --resume, prior documents whose view this write does
         // not yet hold are carried forward, so resuming a subset
         // (e.g. just one failed table) never truncates the report.
         std::vector<BenchDoc> flat = docs;
-        if (resume)
-            for (const BenchDoc &doc : priorDocs) {
-                bool fresh = false;
-                for (const BenchDoc &d : docs)
-                    fresh = fresh || d.bench == doc.bench;
-                if (!fresh)
-                    flat.push_back(doc);
-            }
-        if (flat.size() == 1) {
-            if (!writeBenchDoc(flat[0], out, err)) {
-                std::fprintf(stderr, "tstream-bench: %s\n",
-                             err.c_str());
-                return 1;
-            }
-        } else if (!json::writeFile(combinedReportToJson(flat), out,
-                                    err)) {
-            std::fprintf(stderr, "tstream-bench: %s\n", err.c_str());
-            return 1;
+        for (const BenchDoc &doc : priorDocs) {
+            bool fresh = false;
+            for (const BenchDoc &d : docs)
+                fresh = fresh || d.bench == doc.bench;
+            if (!fresh)
+                flat.push_back(doc);
         }
+        if (!writeDocs(flat, o.out))
+            return 1;
         lastWritten = flat.size();
     }
 
     printSlowestCells(docs, o.slowest);
     logf(LogLevel::Info, "[tstream-bench] wrote %s (%zu benches)",
-         out.c_str(), lastWritten);
+         o.out.c_str(), lastWritten);
     return 0;
 }
 
 // ---- fleet ------------------------------------------------------------------
-
-std::vector<std::vector<BenchDoc>> groupByBench(std::vector<BenchDoc>);
 
 /** Absolute path of this binary (for ssh workers on a shared
  *  filesystem); falls back to argv0 unresolved. */
@@ -539,8 +495,8 @@ selfPath(const char *argv0)
 /**
  * Fan one dynamic-claiming session out to the hosts of
  * opts.fleetFile: one worker per line (`local` / `localhost` = a
- * local process, anything else = `ssh HOST` assuming this binary, the
- * bench binaries and TSTREAM_TRACE_CACHE resolve identically there),
+ * local process, anything else = `ssh HOST` assuming this binary and
+ * TSTREAM_TRACE_CACHE resolve identically there),
  * each a recursive `tstream-bench run --claim-session` writing
  * OUT.workerK.json with stdout+stderr in OUT.workerK.log. Dead
  * workers are tolerated — their claims go stale and the survivors
@@ -578,9 +534,9 @@ runFleet(const RunOptions &opts, const char *argv0)
                                 std::to_string(wallClockMs());
     const std::string self = shellQuote(selfPath(argv0));
 
-    std::string inner = "run --claim-session " + shellQuote(session) +
-                        forwardedFlags(opts) + " --bench-dir " +
-                        shellQuote(opts.benchDir);
+    std::string inner = "run --claim-session " + shellQuote(session);
+    for (const std::string &arg : opts.benchArgs)
+        inner += " " + shellQuote(arg);
     for (const std::string &name : opts.names)
         inner += " " + shellQuote(name);
 
@@ -664,63 +620,24 @@ runFleet(const RunOptions &opts, const char *argv0)
 
     std::vector<BenchDoc> merged;
     std::string err;
-    for (auto &group : groupByBench(std::move(docs))) {
-        BenchDoc doc;
-        if (!mergeBenchDocs(group, doc, err)) {
-            std::fprintf(stderr, "tstream-bench: fleet merge: %s\n",
-                         err.c_str());
-            return 1;
-        }
-        merged.push_back(std::move(doc));
-    }
-    if (merged.size() == 1) {
-        if (!writeBenchDoc(merged[0], opts.out, err)) {
-            std::fprintf(stderr, "tstream-bench: %s\n", err.c_str());
-            return 1;
-        }
-    } else if (!json::writeFile(combinedReportToJson(merged), opts.out,
-                                err)) {
-        std::fprintf(stderr, "tstream-bench: %s\n", err.c_str());
+    if (!mergeByBench(std::move(docs), merged, err)) {
+        std::fprintf(stderr, "tstream-bench: fleet merge: %s\n",
+                     err.c_str());
         return 1;
     }
+    if (!writeDocs(merged, opts.out))
+        return 1;
 
-    std::size_t cells = 0, failedCells = 0;
-    for (const BenchDoc &doc : merged)
-        for (const BenchCell &c : doc.cells) {
-            ++cells;
-            failedCells += c.failed ? 1 : 0;
-        }
     printSlowestCells(merged, opts.slowest);
     logf(LogLevel::Info,
          "[tstream-bench] fleet wrote %s: %zu benches, %zu cells "
          "(%zu failed), %zu/%zu workers survived, full cover",
-         opts.out.c_str(), merged.size(), cells, failedCells,
-         hosts.size() - dead, hosts.size());
+         opts.out.c_str(), merged.size(), cellCount(merged),
+         failedCells(merged), hosts.size() - dead, hosts.size());
     return 0;
 }
 
 // ---- merge ------------------------------------------------------------------
-
-/** Group by bench name preserving first-seen order. */
-std::vector<std::vector<BenchDoc>>
-groupByBench(std::vector<BenchDoc> docs)
-{
-    std::vector<std::vector<BenchDoc>> groups;
-    for (BenchDoc &doc : docs) {
-        bool placed = false;
-        for (auto &g : groups)
-            if (g.front().bench == doc.bench) {
-                g.push_back(std::move(doc));
-                placed = true;
-                break;
-            }
-        if (!placed) {
-            groups.emplace_back();
-            groups.back().push_back(std::move(doc));
-        }
-    }
-    return groups;
-}
 
 int
 cmdMerge(int argc, char **argv)
@@ -749,37 +666,18 @@ cmdMerge(int argc, char **argv)
         }
 
     std::vector<BenchDoc> merged;
-    for (auto &group : groupByBench(std::move(docs))) {
-        BenchDoc doc;
-        if (!mergeBenchDocs(group, doc, err)) {
-            std::fprintf(stderr, "tstream-bench: %s\n", err.c_str());
-            return 1;
-        }
-        merged.push_back(std::move(doc));
-    }
-
-    if (merged.size() == 1) {
-        if (!writeBenchDoc(merged[0], out, err)) {
-            std::fprintf(stderr, "tstream-bench: %s\n", err.c_str());
-            return 1;
-        }
-    } else if (!json::writeFile(combinedReportToJson(merged), out,
-                                err)) {
+    if (!mergeByBench(std::move(docs), merged, err)) {
         std::fprintf(stderr, "tstream-bench: %s\n", err.c_str());
         return 1;
     }
-    std::size_t cells = 0, failedCells = 0;
-    for (const BenchDoc &doc : merged)
-        for (const BenchCell &c : doc.cells) {
-            ++cells;
-            failedCells += c.failed ? 1 : 0;
-        }
+    if (!writeDocs(merged, out))
+        return 1;
     std::fprintf(stderr,
                  "[tstream-bench] merged %zu input file(s) into %s "
                  "(%zu benches, %zu cells, %zu failed, full cover)\n",
-                 inputs.size(), out.c_str(), merged.size(), cells,
-                 failedCells);
-    if (failedCells > 0)
+                 inputs.size(), out.c_str(), merged.size(),
+                 cellCount(merged), failedCells(merged));
+    if (failedCells(merged) > 0)
         for (const BenchDoc &doc : merged)
             for (const BenchCell &c : doc.cells)
                 if (c.failed)
@@ -1402,8 +1300,8 @@ main(int argc, char **argv)
     }
     if (cmd == "list") {
         std::printf("%-12s %s\n", "alias", "binary");
-        for (const BenchAlias &b : kBenches)
-            std::printf("%-12s %s\n", b.alias, b.binary);
+        for (const bench::ViewEntry &v : kViews)
+            std::printf("%-12s %s\n", v.alias, v.binary);
         std::printf("%-12s fig1-fig4 + table3-table5\n", "paper");
         std::printf("%-12s every bench above\n", "all");
         return 0;

@@ -88,7 +88,6 @@ usage(const char *msg)
         "                     misses vanish from the recorded trace\n"
         "  --prefetch-depth N replay depth for --prefetch-policy\n"
         "                     (default 8)\n"
-        "  --v1               write the legacy v1 format\n"
         "  -o FILE            output path (required)\n"
         "\n"
         "analyze sections (default: all that apply):\n"
@@ -289,8 +288,6 @@ cmdRecord(int argc, char **argv)
             cfg.prefetchLoop.ts.replayDepth =
                 static_cast<unsigned>(n);
             prefetchDepthSet = true;
-        } else if (arg == "--v1") {
-            opts.version = 1;
         } else if (arg == "-o" || arg == "--output") {
             if (!(v = value()))
                 return usage("missing -o value");
