@@ -1,11 +1,12 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the analysis substrate: SEQUITUR
- * grammar construction, cache-hierarchy simulation (per-block and
- * batched engine runs), stride detection, the full stream-analysis
- * pipeline, and the scenario-subsystem hot paths (KV slab/LRU,
- * broker append/replay). BENCH_baseline.json at the repo root records
- * these series; `tstream-bench compare` gates regressions against it
+ * grammar construction, cache replacement (miss-then-fill), cache-
+ * hierarchy simulation (per-block and batched engine runs), stride
+ * detection, the full stream-analysis pipeline, and the
+ * scenario-subsystem hot paths (KV slab/LRU, broker append/replay).
+ * BENCH_baseline.json at the repo root records these series;
+ * `tstream-bench compare` gates regressions against it
  * (docs/BENCHMARKING.md).
  */
 
@@ -16,6 +17,7 @@
 #include "core/stride.hh"
 #include "kernel/kernel.hh"
 #include "kv/kvstore.hh"
+#include "mem/cache.hh"
 #include "mem/multichip.hh"
 #include "mem/singlechip.hh"
 #include "mq/broker.hh"
@@ -64,6 +66,32 @@ BM_SequiturAppend(benchmark::State &state)
                             static_cast<std::int64_t>(input.size()));
 }
 BENCHMARK(BM_SequiturAppend)->Arg(10000)->Arg(100000)->Arg(1000000);
+
+void
+BM_CacheMissFill(benchmark::State &state)
+{
+    // The replacement kernel alone, in fills per second: the paper's
+    // L2 geometry with twice its ways in blocks cycling through every
+    // set, so under LRU each access (after the first pass fills the
+    // empty ways) is a lookup miss followed by an evicting fill.
+    Cache c(cachecfg::kL2);
+    const BlockId sets = cachecfg::kL2.numSets();
+    const BlockId span = 2 * cachecfg::kL2.ways;
+    BlockId set = 0, k = 0;
+    std::int64_t evictions = 0;
+    for (auto _ : state) {
+        const BlockId blk = set + k * sets;
+        if (!c.lookup(blk))
+            evictions += c.fill(blk, CohState::Shared).has_value();
+        if (++set == sets) {
+            set = 0;
+            k = (k + 1) % span;
+        }
+    }
+    benchmark::DoNotOptimize(evictions);
+    state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_CacheMissFill);
 
 void
 BM_MultiChipAccess(benchmark::State &state)

@@ -53,9 +53,15 @@ MultiChipSystem::invalidateNode(unsigned node, BlockId blk)
 }
 
 void
-MultiChipSystem::fillL2(unsigned node, BlockId blk, CohState st)
+MultiChipSystem::invalidateSharers(std::uint32_t sharers, BlockId blk)
 {
-    auto evicted = l2_[node].insert(blk, st);
+    for (; sharers != 0; sharers &= sharers - 1)
+        invalidateNode(static_cast<unsigned>(__builtin_ctz(sharers)), blk);
+}
+
+void
+MultiChipSystem::evictL2(unsigned node, std::optional<Cache::Line> evicted)
+{
     if (evicted) {
         // Maintain L1 subset of L2 within a node: back-invalidate.
         l1_[node].invalidate(evicted->block);
@@ -107,9 +113,10 @@ MultiChipSystem::handleRead(const Access &acc, BlockId blk)
         return;
 
     // L2 hit: refill L1 from the local L2 (intra-node, untraced in the
-    // multi-chip context).
+    // multi-chip context). The L1 just missed, so fill() need not
+    // search it.
     if (auto st = l2_[node].lookup(blk)) {
-        l1_[node].insert(blk, *st);
+        l1_[node].fill(blk, *st);
         return;
     }
 
@@ -130,8 +137,9 @@ MultiChipSystem::handleRead(const Access &acc, BlockId blk)
     }
     b.sharers |= 1u << node;
 
-    fillL2(node, blk, CohState::Shared);
-    l1_[node].insert(blk, CohState::Shared);
+    // Both caches just missed.
+    evictL2(node, l2_[node].fill(blk, CohState::Shared));
+    l1_[node].fill(blk, CohState::Shared);
 }
 
 void
@@ -141,24 +149,19 @@ MultiChipSystem::handleWrite(const Access &acc, BlockId blk)
     BlockState &b = blocks_.findOrInsert(blk);
     b.recordWrite(static_cast<int>(node));
 
-    // Write hit in Modified: done.
-    if (auto st = l2_[node].probe(blk); st && *st == CohState::Modified) {
-        l2_[node].lookup(blk); // refresh LRU
+    // Write hit in Modified: done. The lookup also refreshes recency
+    // on an upgrade, which the insert below does again.
+    if (auto st = l2_[node].lookup(blk); st && *st == CohState::Modified) {
         l1_[node].insert(blk, CohState::Modified);
         return;
     }
 
     // Upgrade or write miss: invalidate all other copies.
-    for (unsigned n = 0; n < cfg_.nodes; ++n) {
-        if (n == node)
-            continue;
-        if ((b.sharers & (1u << n)) || b.owner == static_cast<int>(n))
-            invalidateNode(n, blk);
-    }
+    invalidateSharers(b.sharers & ~(1u << node), blk);
     b.sharers = 1u << node;
     b.owner = static_cast<std::int8_t>(node);
 
-    fillL2(node, blk, CohState::Modified);
+    evictL2(node, l2_[node].insert(blk, CohState::Modified));
     l1_[node].insert(blk, CohState::Modified);
 }
 
@@ -169,9 +172,7 @@ MultiChipSystem::handleIoWrite(BlockId blk, int writer)
     b.recordWrite(writer);
 
     // I/O writes invalidate every cached copy and do not allocate.
-    for (unsigned n = 0; n < cfg_.nodes; ++n)
-        if ((b.sharers & (1u << n)) || b.owner == static_cast<int>(n))
-            invalidateNode(n, blk);
+    invalidateSharers(b.sharers, blk);
     b.sharers = 0;
     b.owner = -1;
 }

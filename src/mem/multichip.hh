@@ -76,8 +76,15 @@ class MultiChipSystem : public MemorySystem
     /** Invalidate @p node's cached copies of @p blk. */
     void invalidateNode(unsigned node, BlockId blk);
 
-    /** Handle an L2 insertion's possible eviction at @p node. */
-    void fillL2(unsigned node, BlockId blk, CohState st);
+    /**
+     * Invalidate @p blk at every node in the bitmask @p sharers. The
+     * owner is always among a block's sharers, so a directory entry's
+     * sharer bits name every cached copy.
+     */
+    void invalidateSharers(std::uint32_t sharers, BlockId blk);
+
+    /** Handle the line an L2 fill at @p node evicted, if any. */
+    void evictL2(unsigned node, std::optional<Cache::Line> evicted);
 
     MultiChipConfig cfg_;
     std::vector<Cache> l1_;

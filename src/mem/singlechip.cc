@@ -37,9 +37,8 @@ SingleChipSystem::probeL2(BlockId blk) const
 }
 
 void
-SingleChipSystem::fillL1(unsigned core, BlockId blk, CohState st)
+SingleChipSystem::evictL1(std::optional<Cache::Line> evicted)
 {
-    auto evicted = l1_[core].insert(blk, st);
     if (evicted && dirty(evicted->state)) {
         // Non-inclusive hierarchy: dirty L1 victims are written back
         // into the L2 (allocating there).
@@ -55,7 +54,7 @@ SingleChipSystem::offChipFill(const Access &acc, BlockId blk,
     const MissClass cls = b.chip.classifyRead(0);
     recordOffChipMiss(blk, acc.cpu, static_cast<std::uint8_t>(cls),
                       acc.fn);
-    l2_.insert(blk, CohState::Shared);
+    l2_.fill(blk, CohState::Shared);
 }
 
 void
@@ -115,32 +114,31 @@ SingleChipSystem::handleRead(const Access &acc, BlockId blk)
         }
     }
 
-    const bool l2Hit = l2_.probe(blk).has_value();
-
+    // A dirty peer supplies whether or not the L2 holds the block; a
+    // clean peer only when the L2 does not. Dirty owners downgrade
+    // M -> O and keep ownership (Piranha-style); the requestor fills
+    // Shared. A dirty-peer supply is a cache-to-cache transfer and
+    // counts as Coherence:Peer-L1 regardless of the reader's history
+    // (classification by supplier, as in the paper's Figure 1 right);
+    // a clean-peer supply of a merely-L2-evicted block is replacement
+    // traffic. The L2 is looked up (and its recency refreshed) only
+    // when no dirty peer supplies, and only an L2 hit supplies.
     IntraClass icls;
-    if (peer >= 0 && (peerDirty || !l2Hit)) {
-        // Peer L1 supplies. Dirty owners downgrade M -> O and keep
-        // ownership (Piranha-style); the requestor fills Shared. A
-        // dirty-peer supply is a cache-to-cache transfer and counts
-        // as Coherence:Peer-L1 regardless of the reader's history
-        // (classification by supplier, as in the paper's Figure 1
-        // right); a clean-peer supply of a merely-L2-evicted block is
-        // replacement traffic.
-        if (peerDirty)
-            l1_[static_cast<unsigned>(peer)].setState(blk, CohState::Owned);
-        icls = (peerDirty || cohCause) ? IntraClass::CoherencePeerL1
-                                       : IntraClass::ReplacementL2;
-        fillL1(core, blk, CohState::Shared);
-    } else if (l2Hit) {
-        l2_.lookup(blk); // refresh LRU
+    if (peer >= 0 && peerDirty) {
+        l1_[static_cast<unsigned>(peer)].setState(blk, CohState::Owned);
+        icls = IntraClass::CoherencePeerL1;
+    } else if (l2_.lookup(blk)) {
         icls = cohCause ? IntraClass::CoherenceL2
                         : IntraClass::ReplacementL2;
-        fillL1(core, blk, CohState::Shared);
+    } else if (peer >= 0) {
+        icls = cohCause ? IntraClass::CoherencePeerL1
+                        : IntraClass::ReplacementL2;
     } else {
         icls = IntraClass::OffChip;
         offChipFill(acc, blk, b);
-        fillL1(core, blk, CohState::Shared);
     }
+    // The L1 missed above and no path since has filled it.
+    evictL1(l1_[core].fill(blk, CohState::Shared));
 
     if (tracing_) {
         intraChip_.misses.push_back(MissRecord{
@@ -157,11 +155,10 @@ SingleChipSystem::handleWrite(const Access &acc, BlockId blk)
     b.core.recordWrite(static_cast<int>(core));
     b.chip.recordWrite(0);
 
-    // Write hit in Modified: done.
-    if (auto st = l1_[core].probe(blk); st && *st == CohState::Modified) {
-        l1_[core].lookup(blk); // refresh LRU
+    // Write hit in Modified: done. The lookup also refreshes recency
+    // on an upgrade, which the insert below does again.
+    if (auto st = l1_[core].lookup(blk); st && *st == CohState::Modified)
         return;
-    }
 
     // Invalidate peers; ownership moves to this core's L1.
     for (unsigned p = 0; p < cfg_.cores; ++p)
@@ -179,7 +176,7 @@ SingleChipSystem::handleWrite(const Access &acc, BlockId blk)
     // supplier that was filled that way) and nothing clears it.
     b.chip.touched = true;
 
-    fillL1(core, blk, CohState::Modified);
+    evictL1(l1_[core].insert(blk, CohState::Modified));
 }
 
 void

@@ -70,12 +70,12 @@ class SingleChipSystem : public MemorySystem
     void handleWrite(const Access &acc, BlockId blk);
     void handleIoWrite(BlockId blk, int writer);
 
-    /** Evicting L1 fill, writing dirty victims back into the L2. */
-    void fillL1(unsigned core, BlockId blk, CohState st);
+    /** Write the line an L1 fill evicted back into the L2 if dirty. */
+    void evictL1(std::optional<Cache::Line> evicted);
 
     /**
-     * Fetch a block into the L2 from memory (off-chip); classifies and
-     * traces the off-chip miss.
+     * Fetch a block absent from the L2 into it from memory (off-chip);
+     * classifies and traces the off-chip miss.
      */
     void offChipFill(const Access &acc, BlockId blk, BlockState &b);
 

@@ -9,7 +9,8 @@
  * Seeded random Read / Write / DmaWrite / NonAllocWrite streams over a
  * small block universe (and tiny caches, so evictions, coherence and
  * I/O-coherence misses all occur) must give identical classifications,
- * traces and directory states.
+ * traces and directory states. The DSM directory's owner must also
+ * always be among its sharers.
  */
 
 #include <gtest/gtest.h>
@@ -596,6 +597,51 @@ TEST(BlockStateDiff, MultiChipMatchesNodeMapReference)
             }
         }
         EXPECT_GT(entries, 0u);
+    }
+}
+
+TEST(BlockStateDiff, DirectoryOwnerIsAlwaysASharer)
+{
+    // The DSM invalidates the copies of a block by walking the set bits
+    // of its directory entry's sharers, which finds every copy only if
+    // the owner is always a sharer and no node caches the block without
+    // being one. Check both as a random run with DMA and copyout writes
+    // goes: the owner after every access, the cached copies every 97.
+    const std::vector<BlockId> universe = blockUniverse(384);
+    for (unsigned nodes : kReaderCounts) {
+        MultiChipConfig cfg;
+        cfg.nodes = nodes;
+        cfg.l1 = kTinyL1;
+        cfg.l2 = kTinyL2;
+        MultiChipSystem sys(cfg);
+        const std::vector<Access> s = randomStream(nodes, 20000, 31 + nodes);
+        std::size_t owned = 0;
+        for (std::size_t i = 0; i < s.size(); ++i) {
+            sys.accessRun(&s[i], 1);
+            for (BlockId blk : universe) {
+                const auto *e = sys.dirEntry(blk);
+                if (!e || e->owner < 0)
+                    continue;
+                ++owned;
+                ASSERT_TRUE(e->sharers >> e->owner & 1u)
+                    << "nodes " << nodes << " step " << i << " block "
+                    << blk;
+            }
+            if (i % 97 != 0)
+                continue;
+            for (BlockId blk : universe) {
+                const auto *e = sys.dirEntry(blk);
+                const std::uint32_t sharers = e ? e->sharers : 0;
+                for (unsigned n = 0; n < nodes; ++n) {
+                    const bool cached =
+                        sys.probeL1(n, blk) || sys.probeL2(n, blk);
+                    ASSERT_TRUE(!cached || (sharers >> n & 1u))
+                        << "nodes " << nodes << " step " << i << " node "
+                        << n << " block " << blk;
+                }
+            }
+        }
+        EXPECT_GT(owned, 0u);
     }
 }
 

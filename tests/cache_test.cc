@@ -134,19 +134,20 @@ TEST(Cache, InvalidWaysArePreferredOverEviction)
     EXPECT_EQ(c.residentCount(), 2u);
 }
 
-TEST(Cache, ArrayFootprintIsTwoWordsPerWay)
+TEST(Cache, ArrayFootprintIsTagsPlusRanks)
 {
-    // One tag word and one LRU stamp per way, whatever is resident.
+    // One tag word per way and one 16-byte rank vector per set,
+    // whatever is resident.
     Cache c(cachecfg::kL1);
-    const std::size_t l1 = 512 * 2 * 16;
+    const std::size_t l1 = 512 * 2 * 8 + 512 * 16;
     EXPECT_EQ(c.bytes(), l1);
     c.insert(3, CohState::Modified);
     EXPECT_EQ(c.bytes(), l1);
-    const std::size_t l2 = 8192 * 16 * 16;
+    const std::size_t l2 = 8192 * 16 * 8 + 8192 * 16;
     EXPECT_EQ(Cache(cachecfg::kL2).bytes(), l2);
 
-    // The models sum every L1 and L2: 16 nodes of each in the DSM, 4
-    // L1s over one shared L2 in the CMP.
+    // The models sum every L1 and L2: 16 nodes of each in the DSM
+    // (19,136,512 B), 4 L1s over one shared L2 in the CMP (1,245,184 B).
     EXPECT_EQ(MultiChipSystem().cacheBytes(), 16 * (l1 + l2));
     EXPECT_EQ(SingleChipSystem().cacheBytes(), 4 * l1 + l2);
 }
