@@ -133,9 +133,13 @@ constexpr WorkloadKind kSweepWorkloads[] = {WorkloadKind::Oltp,
                                             WorkloadKind::KvStore};
 
 std::vector<Cell>
-l2SweepGrid(const BenchOptions &opts)
+l2SweepGrid(const BenchOptions &opts, std::string &err)
 {
-    benchRejectWorkloadOverrides(opts); // fixed (app, L2-size) grid
+    if (!opts.workloadFile.empty() || !opts.phasesSpec.empty()) {
+        err = "this bench runs a fixed grid; --workload/--phases do "
+              "not apply";
+        return {};
+    }
     std::vector<Cell> grid;
     for (const WorkloadKind w : kSweepWorkloads) {
         for (const std::uint64_t mb : kL2SizesMb) {
@@ -223,23 +227,23 @@ l2SweepPrint(const std::vector<BenchCell> &cells)
 } // namespace
 
 BenchView
-ablationAView()
+ablationAView(const BenchOptions &)
 {
     // OLTP and Apache, plus the KV store so the detector comparison
     // covers a scenario workload too.
-    return {[](const BenchOptions &opts) {
+    return {[](const BenchOptions &opts, std::string &err) {
                 return benchGrid({WorkloadKind::Oltp,
                                   WorkloadKind::Apache,
                                   WorkloadKind::KvStore},
-                                 opts);
+                                 opts, err);
             },
-            detectorRows, detectorPrint, {}};
+            detectorRows, detectorPrint};
 }
 
 BenchView
-ablationBView()
+ablationBView(const BenchOptions &)
 {
-    return {l2SweepGrid, l2SweepRows, l2SweepPrint, {}};
+    return {l2SweepGrid, l2SweepRows, l2SweepPrint};
 }
 
 } // namespace tstream::bench

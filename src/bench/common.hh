@@ -14,7 +14,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/views.hh"
+#include "bench/run.hh"
 
 namespace tstream::bench
 {

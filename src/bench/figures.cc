@@ -46,9 +46,9 @@ namespace
 {
 
 std::vector<Cell>
-allWorkloadsGrid(const BenchOptions &opts)
+allWorkloadsGrid(const BenchOptions &opts, std::string &err)
 {
-    return benchGrid(allWorkloads(), opts);
+    return benchGrid(allWorkloads(), opts, err);
 }
 
 std::vector<BenchRow>
@@ -306,27 +306,27 @@ fig4Print(const std::vector<BenchCell> &cells)
 } // namespace
 
 BenchView
-fig1View()
+fig1View(const BenchOptions &)
 {
-    return {allWorkloadsGrid, fig1Rows, fig1Print, {}};
+    return {allWorkloadsGrid, fig1Rows, fig1Print};
 }
 
 BenchView
-fig2View()
+fig2View(const BenchOptions &)
 {
-    return {allWorkloadsGrid, fig2Rows, fig2Print, {}};
+    return {allWorkloadsGrid, fig2Rows, fig2Print};
 }
 
 BenchView
-fig3View()
+fig3View(const BenchOptions &)
 {
-    return {allWorkloadsGrid, fig3Rows, fig3Print, {}};
+    return {allWorkloadsGrid, fig3Rows, fig3Print};
 }
 
 BenchView
-fig4View()
+fig4View(const BenchOptions &)
 {
-    return {allWorkloadsGrid, fig4Rows, fig4Print, {}};
+    return {allWorkloadsGrid, fig4Rows, fig4Print};
 }
 
 } // namespace tstream::bench

@@ -99,8 +99,8 @@ originsView(const char *title, std::vector<WorkloadKind> workloads,
             OriginsRows which)
 {
     return {
-        [workloads](const BenchOptions &opts) {
-            return benchGrid(workloads, opts);
+        [workloads](const BenchOptions &opts, std::string &err) {
+            return benchGrid(workloads, opts, err);
         },
         [which](const CellResult &res) { return originsRows(res, which); },
         [title](const std::vector<BenchCell> &cells) {
@@ -111,14 +111,13 @@ originsView(const char *title, std::vector<WorkloadKind> workloads,
                         rule();
                         std::printf("%s\n", row.text.c_str());
                     }
-        },
-        {}};
+        }};
 }
 
 } // namespace
 
 BenchView
-table3View()
+table3View(const BenchOptions &)
 {
     return originsView(
         "Table 3: temporal stream origins in Web applications",
@@ -126,14 +125,14 @@ table3View()
 }
 
 BenchView
-table4View()
+table4View(const BenchOptions &)
 {
     return originsView("Table 4: temporal stream origins in OLTP (DB2)",
                        {WorkloadKind::Oltp}, {false, true, false});
 }
 
 BenchView
-table5View()
+table5View(const BenchOptions &)
 {
     return originsView(
         "Table 5: temporal stream origins in DSS (DB2)",
@@ -142,7 +141,7 @@ table5View()
 }
 
 BenchView
-table6View()
+table6View(const BenchOptions &)
 {
     return originsView("Table 6 (extension): temporal stream origins in "
                        "the scenario suite",

@@ -18,9 +18,8 @@
  *  - --replay-depth N sets the replay depth those tables use.
  *
  * The default (flagless) output is byte-identical to the
- * pre-policy-API bench. The flags exist only on the standalone
- * ext_prefetcher binary; `tstream-bench run ext` prints the default
- * table.
+ * pre-policy-API bench. The flags are `tstream-bench run` flags
+ * (bench/run.hh), accepted only when the ext view is named.
  */
 
 #include "bench/common.hh"
@@ -31,82 +30,9 @@ namespace tstream::bench
 namespace
 {
 
-/** The --policy / --budget-sweep / --replay-depth extension flags. */
-struct ExtOptions
-{
-    std::vector<std::string> policies; ///< --policy, in given order
-    bool budgetSweep = false;          ///< --budget-sweep
-    std::string replayDepthArg;        ///< --replay-depth (raw)
-    unsigned replayDepth = 8;          ///< validated value
-};
-
 /** CMOB budget points of the Section 4.5 sweep (entries per CPU). */
 constexpr std::uint32_t kBudgetPoints[] = {1u << 12, 1u << 14,
                                            1u << 16, 1u << 18};
-
-const char *const kExtraUsage =
-    "  --policy NAMES comma-separated prefetch policies (fixed,\n"
-    "                 adaptive, stride, hybrid — see\n"
-    "                 core/prefetch_policy.hh), each scored per trace\n"
-    "                 in an extra 'prefetcher_policy' table\n"
-    "  --budget-sweep add the Section 4.5 storage-budget sweep table\n"
-    "                 ('prefetcher_budget'): CMOB entries x coverage /\n"
-    "                 accuracy per workload\n"
-    "  --replay-depth N\n"
-    "                 replay depth for the --policy / --budget-sweep\n"
-    "                 tables (default 8; needs one of those modes)\n";
-
-std::vector<std::string>
-splitPolicies(const char *arg)
-{
-    std::vector<std::string> out;
-    std::string cur;
-    for (const char *p = arg;; ++p) {
-        if (*p == ',' || *p == '\0') {
-            out.push_back(cur);
-            cur.clear();
-            if (*p == '\0')
-                break;
-        } else {
-            cur += *p;
-        }
-    }
-    return out;
-}
-
-/** Validate the extension flags; "" when fine. */
-std::string
-validateExt(ExtOptions &ext, const BenchOptions &opts)
-{
-    for (const std::string &name : ext.policies) {
-        bool known = false;
-        for (const std::string &k : prefetchPolicyNames())
-            known = known || k == name;
-        if (!known) {
-            std::string diag = "--policy: unknown policy '" + name +
-                               "' (known:";
-            for (const std::string &k : prefetchPolicyNames())
-                diag += " " + k;
-            return diag + ")";
-        }
-    }
-    if (!ext.replayDepthArg.empty()) {
-        char *end = nullptr;
-        const long n =
-            std::strtol(ext.replayDepthArg.c_str(), &end, 10);
-        if (!end || *end != '\0' || n <= 0 || n > 1024)
-            return "--replay-depth wants a positive integer (<= 1024)";
-        if (ext.policies.empty() && !ext.budgetSweep)
-            return "--replay-depth needs --policy or --budget-sweep "
-                   "(the default depth-sweep columns are fixed)";
-        ext.replayDepth = static_cast<unsigned>(n);
-    }
-    if ((!ext.policies.empty() || ext.budgetSweep) && opts.resume)
-        return "--policy/--budget-sweep and --resume are mutually "
-               "exclusive (a stored report may lack the policy "
-               "tables)";
-    return "";
-}
 
 /** Policy-table and budget-sweep evaluation at @p depth. */
 TsPrefetcherStats
@@ -271,41 +197,17 @@ extPrint(const std::vector<BenchCell> &cells, const ExtOptions &ext)
 } // namespace
 
 BenchView
-extView()
+extView(const BenchOptions &opts)
 {
-    auto ext = std::make_shared<ExtOptions>();
-    BenchView view;
-    view.grid = [](const BenchOptions &opts) {
-        return benchGrid(allWorkloads(), opts);
-    };
-    view.rows = [ext](const CellResult &res) {
-        return buildRows(res, *ext);
-    };
-    view.print = [ext](const std::vector<BenchCell> &cells) {
-        extPrint(cells, *ext);
-    };
-    view.extra.usage = kExtraUsage;
-    view.extra.handler = [ext](std::string_view arg,
-                               const std::function<const char *(
-                                   const char *)> &take) {
-        if (arg == "--policy") {
-            ext->policies = splitPolicies(take("--policy"));
-            return true;
-        }
-        if (arg == "--budget-sweep") {
-            ext->budgetSweep = true;
-            return true;
-        }
-        if (arg == "--replay-depth") {
-            ext->replayDepthArg = take("--replay-depth");
-            return true;
-        }
-        return false;
-    };
-    view.extra.validate = [ext](const BenchOptions &opts) {
-        return validateExt(*ext, opts);
-    };
-    return view;
+    return {[](const BenchOptions &o, std::string &err) {
+                return benchGrid(allWorkloads(), o, err);
+            },
+            [ext = opts.ext](const CellResult &res) {
+                return buildRows(res, ext);
+            },
+            [ext = opts.ext](const std::vector<BenchCell> &cells) {
+                extPrint(cells, ext);
+            }};
 }
 
 } // namespace tstream::bench

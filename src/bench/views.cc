@@ -1,9 +1,9 @@
 #include "bench/views.hh"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "util/work_pool.hh"
+#include "bench/run.hh"
+#include "gen/workload_config.hh"
 
 namespace tstream::bench
 {
@@ -17,87 +17,42 @@ findView(std::string_view name)
     return nullptr;
 }
 
-BenchDoc
-runView(const BenchView &view, const BenchOptions &opts,
-        const std::vector<Cell> &grid, std::vector<BenchCell> prior,
-        std::shared_ptr<CellMemo> memo)
+std::vector<Cell>
+benchGrid(const std::vector<WorkloadKind> &workloads,
+          const BenchOptions &opts, std::string &err)
 {
-    // Keep only the reused cells this shard owns, so a resumed shard
-    // run emits exactly what a fresh shard run would.
-    prior.erase(std::remove_if(prior.begin(), prior.end(),
-                               [&](const BenchCell &c) {
-                                   return !opts.shard.owns(c.index);
-                               }),
-                prior.end());
-    if (!prior.empty())
-        std::fprintf(stderr, "[bench] %s --resume: reusing %zu cell(s)\n",
-                     opts.benchName.c_str(), prior.size());
+    if (opts.workloadFile.empty() && opts.phasesSpec.empty())
+        return standardGrid(workloads, opts.budgets);
 
-    std::vector<bool> have(grid.size(), false);
-    for (const BenchCell &c : prior)
-        have[c.index] = true;
-    std::vector<Cell> todo;
-    for (const Cell &c : shardCells(grid, opts.shard))
-        if (!have[c.index])
-            todo.push_back(c);
-
-    DriverOptions dopts = opts.driver();
-    dopts.memo = std::move(memo);
-    std::vector<BenchCell> cells = std::move(prior);
-    for (const CellResult &res : runCells(todo, dopts))
-        cells.push_back(makeBenchCell(
-            res, res.failed ? std::vector<BenchRow>{} : view.rows(res)));
-    std::stable_sort(cells.begin(), cells.end(),
-                     [](const BenchCell &a, const BenchCell &b) {
-                         return a.index < b.index;
-                     });
-
-    view.print(cells);
-
-    BenchDoc doc;
-    doc.bench = opts.benchName;
-    doc.quick = opts.quick;
-    doc.budgets = opts.budgets;
-    doc.gridCells = grid.size();
-    doc.shard = opts.shard;
-    doc.jobs = opts.jobs != 0 ? opts.jobs : WorkPool::defaultJobs();
-    doc.cells = std::move(cells);
-    return doc;
-}
-
-int
-viewMain(const char *binary, int argc, char **argv)
-{
-    const ViewEntry *entry = findView(binary);
-    if (!entry) {
-        std::fprintf(stderr, "%s: no such view\n", binary);
-        return 2;
-    }
-    const BenchView view = entry->make();
-    const BenchOptions opts =
-        parseBenchArgs(argc, argv, binary, &view.extra);
-    const std::vector<Cell> grid = view.grid(opts);
-
-    std::vector<BenchCell> prior;
-    std::string err;
-    if (opts.resume &&
-        !loadResumeCells(opts.jsonPath, binary, opts.quick, opts.budgets,
-                         grid, prior, err)) {
-        std::fprintf(stderr, "%s: --resume: %s\n", binary, err.c_str());
-        return 1;
+    WorkloadKind kind;
+    PhaseSchedule schedule;
+    if (!opts.workloadFile.empty()) {
+        WorkloadConfig config;
+        if (!config.loadFromFile(opts.workloadFile, err)) {
+            err = "--workload: " + err;
+            return {};
+        }
+        kind = config.kind;
+        schedule = config.schedule;
+    } else {
+        if (!parsePhasesSpec(opts.phasesSpec, schedule, err)) {
+            err = "--phases: " + err;
+            return {};
+        }
+        kind = WorkloadKind::PhasedMix;
     }
 
-    const BenchDoc doc = runView(view, opts, grid, std::move(prior),
-                                 nullptr);
-    if (opts.jsonPath.empty())
-        return 0;
-    if (!writeBenchDoc(doc, opts.jsonPath, err)) {
-        std::fprintf(stderr, "%s: %s\n", binary, err.c_str());
-        return 1;
+    if (std::find(workloads.begin(), workloads.end(), kind) ==
+        workloads.end()) {
+        err = "workload " + std::string(workloadName(kind)) +
+              " is not part of this bench's sweep";
+        return {};
     }
-    std::fprintf(stderr, "[bench] wrote %s (%zu cells)\n",
-                 opts.jsonPath.c_str(), doc.cells.size());
-    return 0;
+
+    std::vector<Cell> grid = standardGrid({kind}, opts.budgets);
+    for (Cell &c : grid)
+        c.cfg.phases = schedule;
+    return grid;
 }
 
 } // namespace tstream::bench

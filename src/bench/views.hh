@@ -4,19 +4,17 @@
  * plus the ablations and the prefetcher extension, is a *view*: a grid
  * of cells, a function from one analyzed cell (sim/driver.hh) to its
  * report rows, and a printer for the finished table. One registry
- * names them all. A standalone bench binary (bench/main.cc) and
- * `tstream-bench run` both execute a view through runView(); `run`
- * executes its named views in order in one process and shares one
- * CellMemo between them, so each distinct cell is simulated and
- * analyzed once per run. docs/ARCHITECTURE.md maps the views to the
- * paper.
+ * names them all; `tstream-bench run` (bench/run.hh) executes the
+ * named views in one process and shares one CellMemo between them, so
+ * each distinct cell is simulated and analyzed once per run.
+ * docs/ARCHITECTURE.md maps the views to the paper.
  */
 
 #ifndef TSTREAM_BENCH_VIEWS_HH
 #define TSTREAM_BENCH_VIEWS_HH
 
 #include <functional>
-#include <memory>
+#include <string>
 #include <string_view>
 #include <vector>
 
@@ -26,35 +24,39 @@
 namespace tstream::bench
 {
 
+struct BenchOptions; // bench/run.hh
+
 /** One figure or table as a query over analyzed cells. */
 struct BenchView
 {
-    std::function<std::vector<Cell>(const BenchOptions &)> grid;
+    /** The view's grid; empty with @p err set when the options cannot
+     *  apply (e.g. --workload naming a workload outside the sweep). */
+    std::function<std::vector<Cell>(const BenchOptions &,
+                                    std::string &err)>
+        grid;
     std::function<std::vector<BenchRow>(const CellResult &)> rows;
     /** Print the finished table to stdout from the report cells. */
     std::function<void(const std::vector<BenchCell> &)> print;
-    /** View-specific flags; empty for every view but ext_prefetcher. */
-    BenchExtraArgs extra;
 };
 
-BenchView fig1View();
-BenchView fig2View();
-BenchView fig3View();
-BenchView fig4View();
-BenchView table3View();
-BenchView table4View();
-BenchView table5View();
-BenchView table6View();
-BenchView ablationAView();
-BenchView ablationBView();
-BenchView extView();
+BenchView fig1View(const BenchOptions &opts);
+BenchView fig2View(const BenchOptions &opts);
+BenchView fig3View(const BenchOptions &opts);
+BenchView fig4View(const BenchOptions &opts);
+BenchView table3View(const BenchOptions &opts);
+BenchView table4View(const BenchOptions &opts);
+BenchView table5View(const BenchOptions &opts);
+BenchView table6View(const BenchOptions &opts);
+BenchView ablationAView(const BenchOptions &opts);
+BenchView ablationBView(const BenchOptions &opts);
+BenchView extView(const BenchOptions &opts);
 
 /** A registry entry: names plus a factory, so listing builds nothing. */
 struct ViewEntry
 {
-    const char *binary; ///< report name and standalone binary name
+    const char *binary; ///< report name and alias binary name
     const char *alias;  ///< short name for `tstream-bench run`
-    BenchView (*make)();
+    BenchView (*make)(const BenchOptions &);
 };
 
 /** Every view, in `tstream-bench list` and `all` order. */
@@ -76,24 +78,15 @@ inline constexpr ViewEntry kViews[] = {
 const ViewEntry *findView(std::string_view name);
 
 /**
- * Run @p view over @p grid and print its tables. The cells this shard
- * owns are executed on the driver pool, except those in @p prior (the
- * already-validated cells of a `--resume` report), which are reused
- * verbatim. Under `--claim-session` the claim protocol decides which
- * cells this worker runs. @p memo (null for a standalone binary)
- * shares analyses with the other views of a run. A cell that exhausted
- * its retries becomes a failure row. Returns the view's report.
+ * A swept view's grid after any --workload / --phases override: with
+ * neither flag this is standardGrid(@p workloads, opts.budgets); with
+ * --workload FILE it is the file's workload kind (which must be in
+ * @p workloads) running the file's schedule; with --phases SPEC it is
+ * PhasedMix under the inline schedule. A config error or a workload
+ * outside the sweep returns an empty grid with @p err set.
  */
-BenchDoc runView(const BenchView &view, const BenchOptions &opts,
-                 const std::vector<Cell> &grid,
-                 std::vector<BenchCell> prior,
-                 std::shared_ptr<CellMemo> memo);
-
-/**
- * main() of the standalone binary for the view named @p binary: parse
- * the bench flags, run the view, and write the `--json` report.
- */
-int viewMain(const char *binary, int argc, char **argv);
+std::vector<Cell> benchGrid(const std::vector<WorkloadKind> &workloads,
+                            const BenchOptions &opts, std::string &err);
 
 } // namespace tstream::bench
 

@@ -99,7 +99,7 @@ std::string renderModuleOverallRow(const ModuleProfile &p);
  * category (restricted to cross-application plus web, DB and/or
  * scenario rows) with "% misses" and "% in streams" columns. Composed
  * from renderModuleRow()/renderModuleOverallRow(), so per-row
- * consumers (the bench --json reports) stay bit-identical to this
+ * consumers (the bench -o reports) stay bit-identical to this
  * block.
  */
 std::string renderModuleTable(const ModuleProfile &p, bool web_rows,

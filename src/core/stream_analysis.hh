@@ -111,9 +111,9 @@ struct StreamAnalysisConfig
      * Worker threads for the per-CPU projection phases (stride
      * labeling and per-CPU sequence extraction — each CPU's state is
      * independent, so they fan out over a util/work_pool). 0 = auto
-     * (WorkPool::defaultJobs(), i.e. TSTREAM_JOBS or the hardware
-     * concurrency), 1 = run inline. The result is bit-identical for
-     * any value; this only affects wall time.
+     * (WorkPool::defaultJobs(), i.e. the hardware concurrency), 1 =
+     * run inline. The result is bit-identical for any value; this only
+     * affects wall time.
      */
     unsigned jobs = 0;
 };

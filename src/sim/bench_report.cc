@@ -51,28 +51,14 @@ makeBenchCell(const CellResult &res, std::vector<BenchRow> rows)
 }
 
 bool
-loadResumeCells(const std::string &path, const std::string &benchName,
-                bool quick, const BenchBudgets &budgets,
-                const std::vector<Cell> &grid,
-                std::vector<BenchCell> &out, std::string &err)
+readResumeDocs(const std::string &path, std::vector<BenchDoc> &out,
+               std::string &err)
 {
-    out.clear();
-    {
-        std::FILE *f = std::fopen(path.c_str(), "rb");
-        if (!f)
-            return true; // nothing to resume from: fresh run
-        std::fclose(f);
-    }
-
-    std::vector<BenchDoc> docs;
-    if (!readBenchDocs(path, docs, err))
-        return false; // unreadable or wrong schema version
-
-    for (const BenchDoc &d : docs)
-        if (d.bench == benchName)
-            return resumeCells(d, path, quick, budgets, grid, out, err);
-    err = path + ": no document for bench " + benchName;
-    return false;
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return true; // nothing to resume from: fresh run
+    std::fclose(f);
+    return readBenchDocs(path, out, err);
 }
 
 bool

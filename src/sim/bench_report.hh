@@ -1,8 +1,8 @@
 /**
  * @file
- * Versioned machine-readable bench reports — the `--json` output of
- * every figure/table bench and the interchange format of the
- * tstream-bench front-end.
+ * Versioned machine-readable bench reports — the `-o` output of
+ * `tstream-bench run` (and every figure/table bench alias) and the
+ * interchange format of the tstream-bench front-end.
  *
  * One *bench document* (schema "tstream-bench/v3") describes one
  * bench binary's (possibly sharded or fleet) run: the budgets, the
@@ -108,26 +108,21 @@ BenchCell makeBenchCell(const CellResult &res,
                         std::vector<BenchRow> rows);
 
 /**
- * `--resume` support: load the reusable cells of the prior report at
- * @p path for @p benchName over the current @p grid. A missing file
- * succeeds with no cells (first run). An existing file must match
- * exactly — schema version (readBenchDocs rejects others), bench
- * name, quick flag, budgets, grid size, and every stored cell's id
- * and configHash() against the current grid — otherwise the load
- * fails with a description in @p err rather than silently mixing
- * results from different configurations. On success @p out holds the
- * stored cells in ascending grid order.
+ * `--resume` support: read the documents of the prior report at
+ * @p path (readBenchDocs). A missing file succeeds with no documents
+ * (first run).
  */
-bool loadResumeCells(const std::string &path,
-                     const std::string &benchName, bool quick,
-                     const BenchBudgets &budgets,
-                     const std::vector<Cell> &grid,
-                     std::vector<BenchCell> &out, std::string &err);
+bool readResumeDocs(const std::string &path, std::vector<BenchDoc> &out,
+                    std::string &err);
 
 /**
- * The validation behind loadResumeCells() for a document already in
- * memory (`tstream-bench run --resume` hands each view its prior
- * document this way); @p path only names it in diagnostics.
+ * The reusable cells of @p prior over the current @p grid. The
+ * document must match exactly — quick flag, budgets, grid size, and
+ * every stored cell's id and configHash() against the current grid —
+ * otherwise this fails with a description in @p err (@p path names the
+ * report) rather than silently mixing results from different
+ * configurations. Failed cells are not reused. On success @p out holds
+ * the stored cells in ascending grid order.
  */
 bool resumeCells(const BenchDoc &prior, const std::string &path,
                  bool quick, const BenchBudgets &budgets,

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <condition_variable>
@@ -16,7 +17,6 @@
 #include <mutex>
 #include <thread>
 
-#include "gen/workload_config.hh"
 #include "obs/telemetry.hh"
 #include "trace/trace_io.hh"
 #include "util/claim_file.hh"
@@ -40,23 +40,18 @@ traceKindName(TraceKind k)
 bool
 parseShardSpec(std::string_view text, ShardSpec &out)
 {
-    const std::size_t slash = text.find('/');
-    if (slash == std::string_view::npos || slash == 0 ||
-        slash + 1 >= text.size())
+    // Both numbers must fill all of their text and fit an unsigned.
+    const char *end = text.data() + text.size();
+    unsigned k = 0;
+    unsigned n = 0;
+    const auto kr = std::from_chars(text.data(), end, k);
+    if (kr.ec != std::errc() || kr.ptr == end || *kr.ptr != '/')
         return false;
-    const std::string k(text.substr(0, slash));
-    const std::string n(text.substr(slash + 1));
-    char *end = nullptr;
-    const unsigned long ki = std::strtoul(k.c_str(), &end, 10);
-    if (!end || *end != '\0')
+    const auto nr = std::from_chars(kr.ptr + 1, end, n);
+    if (nr.ec != std::errc() || nr.ptr != end || n == 0 || k >= n)
         return false;
-    const unsigned long ni = std::strtoul(n.c_str(), &end, 10);
-    if (!end || *end != '\0')
-        return false;
-    if (ni == 0 || ki >= ni)
-        return false;
-    out.index = static_cast<unsigned>(ki);
-    out.count = static_cast<unsigned>(ni);
+    out.index = k;
+    out.count = n;
     return true;
 }
 
@@ -588,294 +583,6 @@ runCells(const std::vector<Cell> &grid, const DriverOptions &opts)
     }
     pool.wait();
     return out;
-}
-
-// ---- bench command line -----------------------------------------------------
-
-namespace
-{
-
-[[noreturn]] void
-benchUsage(const char *benchName, const char *msg, int status,
-           const char *extraUsage = nullptr)
-{
-    std::FILE *to = status == 0 ? stdout : stderr;
-    if (msg)
-        std::fprintf(to, "%s: %s\n\n", benchName, msg);
-    std::fprintf(to,
-        "usage: %s [options]\n"
-        "\n"
-        "options:\n"
-        "  --quick        reduced smoke budgets (also: TSTREAM_QUICK=1)\n"
-        "  --jobs N       worker threads for the cell pool\n"
-        "                 (also: TSTREAM_JOBS=N; default: hardware)\n"
-        "  --shard k/N    run only grid cells with index %% N == k\n"
-        "                 (also: TSTREAM_SHARD=k/N; default 0/1)\n"
-        "  --json PATH    write a machine-readable report (schema in\n"
-        "                 docs/BENCHMARKING.md) next to the table\n"
-        "  --resume       reuse cells already present in the existing\n"
-        "                 --json report instead of re-running them\n"
-        "                 (fails on schema or config-hash mismatch)\n"
-        "  --workload F   run the workload config file F (grammar in\n"
-        "                 docs/BENCHMARKING.md) instead of the full\n"
-        "                 compiled-in sweep\n"
-        "  --phases S     inline phase records for the PhasedMix\n"
-        "                 workload, e.g. \"kv mix=0.9 dist=zipfian\n"
-        "                 theta=0.99 duration=1500000; broker ...\"\n"
-        "  --claim-session ID\n"
-        "                 drain the grid by dynamic work claiming:\n"
-        "                 workers sharing TSTREAM_TRACE_CACHE and the\n"
-        "                 session id race on atomic claim files, so a\n"
-        "                 dead worker's cells are re-run elsewhere\n"
-        "                 (also: TSTREAM_CLAIM_SESSION; requires\n"
-        "                 TSTREAM_TRACE_CACHE; excludes --shard and\n"
-        "                 --resume)\n"
-        "  --claim-ttl MS heartbeat staleness before a claim may be\n"
-        "                 stolen (also: TSTREAM_CLAIM_TTL_MS;\n"
-        "                 default 30000)\n"
-        "  --heartbeat MS heartbeat period for running claims (also:\n"
-        "                 TSTREAM_HEARTBEAT_MS; default: ttl/3)\n"
-        "  --cell-timeout MS\n"
-        "                 per-attempt cell timeout; 0 = none (also:\n"
-        "                 TSTREAM_CELL_TIMEOUT_MS)\n"
-        "  --cell-retries N\n"
-        "                 attempts per cell before it becomes a\n"
-        "                 failure row in the report (also:\n"
-        "                 TSTREAM_CELL_RETRIES; default 3)\n"
-        "  --telemetry-out PATH\n"
-        "                 record run telemetry and write the metrics\n"
-        "                 JSON to PATH (and the Chrome trace-event\n"
-        "                 timeline to PATH's .trace.json sibling) at\n"
-        "                 exit (also: TSTREAM_TELEMETRY=PATH; see\n"
-        "                 docs/OBSERVABILITY.md)\n"
-        "  --help         this message\n",
-        benchName);
-    if (extraUsage)
-        std::fputs(extraUsage, to);
-    std::fputs(
-        "\n"
-        "See docs/BENCHMARKING.md for sharded and fleet multi-process\n"
-        "recipes and the trace cache (TSTREAM_TRACE_CACHE).\n",
-        to);
-    std::exit(status);
-}
-
-/** Parse a non-negative integer CLI/env value or die with usage. */
-long
-parsePositive(const char *benchName, const char *what, const char *v,
-              bool allowZero)
-{
-    char *end = nullptr;
-    const long n = std::strtol(v, &end, 10);
-    if (!end || *end != '\0' || n < 0 || (!allowZero && n == 0))
-        benchUsage(benchName,
-                   (std::string(what) + " wants a " +
-                    (allowZero ? "non-negative" : "positive") +
-                    " integer")
-                       .c_str(),
-                   2);
-    return n;
-}
-
-} // namespace
-
-std::string
-BenchOptions::claimDir() const
-{
-    if (claimSession.empty())
-        return {};
-    const char *cache = std::getenv("TSTREAM_TRACE_CACHE");
-    if (!cache || !*cache)
-        return {};
-    return std::string(cache) + "/claims/" + claimSession + "/" +
-           benchName;
-}
-
-BenchOptions
-parseBenchArgs(int argc, char **argv, const char *benchName,
-               const BenchExtraArgs *extra)
-{
-    const char *extraUsage = extra ? extra->usage : nullptr;
-    BenchOptions opts;
-    opts.benchName = benchName;
-    opts.quick = std::getenv("TSTREAM_QUICK") != nullptr;
-    if (const char *env = std::getenv("TSTREAM_SHARD"))
-        if (!parseShardSpec(env, opts.shard))
-            benchUsage(benchName, "bad TSTREAM_SHARD (want k/N)", 2);
-    if (const char *env = std::getenv("TSTREAM_CLAIM_SESSION"))
-        opts.claimSession = env;
-    if (const char *env = std::getenv("TSTREAM_CLAIM_TTL_MS"))
-        opts.claimTtlMs =
-            parsePositive(benchName, "TSTREAM_CLAIM_TTL_MS", env, false);
-    if (const char *env = std::getenv("TSTREAM_HEARTBEAT_MS"))
-        opts.heartbeatMs =
-            parsePositive(benchName, "TSTREAM_HEARTBEAT_MS", env, true);
-    if (const char *env = std::getenv("TSTREAM_CELL_TIMEOUT_MS"))
-        opts.cellTimeoutMs = parsePositive(
-            benchName, "TSTREAM_CELL_TIMEOUT_MS", env, true);
-    if (const char *env = std::getenv("TSTREAM_CELL_RETRIES"))
-        opts.cellRetries = static_cast<unsigned>(parsePositive(
-            benchName, "TSTREAM_CELL_RETRIES", env, false));
-
-    for (int i = 1; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        auto value = [&](const char *what) -> const char * {
-            if (i + 1 >= argc)
-                benchUsage(benchName,
-                           (std::string("missing value for ") + what)
-                               .c_str(),
-                           2, extraUsage);
-            return argv[++i];
-        };
-        if (arg == "--quick") {
-            opts.quick = true;
-        } else if (arg == "--jobs") {
-            const char *v = value("--jobs");
-            char *end = nullptr;
-            const long n = std::strtol(v, &end, 10);
-            if (!end || *end != '\0' || n <= 0)
-                benchUsage(benchName, "--jobs wants a positive integer",
-                           2);
-            opts.jobs = static_cast<unsigned>(n);
-        } else if (arg == "--shard") {
-            if (!parseShardSpec(value("--shard"), opts.shard))
-                benchUsage(benchName, "--shard wants k/N with k < N", 2);
-        } else if (arg == "--json") {
-            opts.jsonPath = value("--json");
-        } else if (arg == "--resume") {
-            opts.resume = true;
-        } else if (arg == "--workload") {
-            opts.workloadFile = value("--workload");
-        } else if (arg == "--phases") {
-            opts.phasesSpec = value("--phases");
-        } else if (arg == "--claim-session") {
-            opts.claimSession = value("--claim-session");
-        } else if (arg == "--claim-ttl") {
-            opts.claimTtlMs = parsePositive(
-                benchName, "--claim-ttl", value("--claim-ttl"), false);
-        } else if (arg == "--heartbeat") {
-            opts.heartbeatMs = parsePositive(
-                benchName, "--heartbeat", value("--heartbeat"), true);
-        } else if (arg == "--cell-timeout") {
-            opts.cellTimeoutMs =
-                parsePositive(benchName, "--cell-timeout",
-                              value("--cell-timeout"), true);
-        } else if (arg == "--cell-retries") {
-            opts.cellRetries = static_cast<unsigned>(
-                parsePositive(benchName, "--cell-retries",
-                              value("--cell-retries"), false));
-        } else if (arg == "--telemetry-out") {
-            opts.telemetryOut = value("--telemetry-out");
-        } else if (arg == "--help" || arg == "-h") {
-            benchUsage(benchName, nullptr, 0, extraUsage);
-        } else if (extra && extra->handler &&
-                   extra->handler(arg, value)) {
-            // Consumed by the bench's extension flags.
-        } else {
-            // Reject anything unrecognized: a typo like --qiuck must
-            // not silently run at paper scale for hours.
-            benchUsage(benchName,
-                       (std::string("unknown option: ") +
-                        std::string(arg))
-                           .c_str(),
-                       2, extraUsage);
-        }
-    }
-
-    if (opts.resume && opts.jsonPath.empty())
-        benchUsage(benchName, "--resume needs --json PATH (the report "
-                              "to resume from)",
-                   2);
-    if (!opts.workloadFile.empty() && !opts.phasesSpec.empty())
-        benchUsage(benchName,
-                   "--workload and --phases are mutually exclusive "
-                   "(a config file already carries its schedule)",
-                   2);
-    if (!opts.claimSession.empty()) {
-        const char *cache = std::getenv("TSTREAM_TRACE_CACHE");
-        if (!cache || !*cache)
-            benchUsage(benchName,
-                       "--claim-session needs TSTREAM_TRACE_CACHE set "
-                       "(the claim directory lives in the shared "
-                       "cache)",
-                       2);
-        if (opts.shard.count > 1)
-            benchUsage(benchName,
-                       "--claim-session and --shard are mutually "
-                       "exclusive (dynamic claiming replaces static "
-                       "sharding)",
-                       2);
-        if (opts.resume)
-            benchUsage(benchName,
-                       "--claim-session and --resume are mutually "
-                       "exclusive (claiming workers skip done cells "
-                       "via the claim directory instead)",
-                       2);
-    }
-
-    if (extra && extra->validate) {
-        const std::string diag = extra->validate(opts);
-        if (!diag.empty())
-            benchUsage(benchName, diag.c_str(), 2, extraUsage);
-    }
-
-    if (opts.quick) {
-        opts.budgets.warmup = kQuickBudgets.warmupInstructions;
-        opts.budgets.measure = kQuickBudgets.measureInstructions;
-        opts.budgets.scale = kQuickBudgets.scale;
-    }
-    if (!opts.telemetryOut.empty())
-        telemetry::enable(opts.telemetryOut);
-    return opts;
-}
-
-std::vector<Cell>
-benchGrid(const std::vector<WorkloadKind> &workloads,
-          const BenchOptions &opts)
-{
-    const char *bench = opts.benchName.c_str();
-    if (opts.workloadFile.empty() && opts.phasesSpec.empty())
-        return standardGrid(workloads, opts.budgets);
-
-    WorkloadKind kind;
-    PhaseSchedule schedule;
-    if (!opts.workloadFile.empty()) {
-        WorkloadConfig config;
-        std::string err;
-        if (!config.loadFromFile(opts.workloadFile, err))
-            benchUsage(bench, ("--workload: " + err).c_str(), 2);
-        kind = config.kind;
-        schedule = config.schedule;
-    } else {
-        std::string err;
-        if (!parsePhasesSpec(opts.phasesSpec, schedule, err))
-            benchUsage(bench, ("--phases: " + err).c_str(), 2);
-        kind = WorkloadKind::PhasedMix;
-    }
-
-    if (std::find(workloads.begin(), workloads.end(), kind) ==
-        workloads.end())
-        benchUsage(bench,
-                   (std::string("workload ") +
-                    std::string(workloadName(kind)) +
-                    " is not part of this bench's sweep")
-                       .c_str(),
-                   2);
-
-    std::vector<Cell> grid = standardGrid({kind}, opts.budgets);
-    for (Cell &c : grid)
-        c.cfg.phases = schedule;
-    return grid;
-}
-
-void
-benchRejectWorkloadOverrides(const BenchOptions &opts)
-{
-    if (!opts.workloadFile.empty() || !opts.phasesSpec.empty())
-        benchUsage(opts.benchName.c_str(),
-                   "this bench runs a fixed grid; --workload/--phases "
-                   "do not apply",
-                   2);
 }
 
 // ---- trace cache ------------------------------------------------------------

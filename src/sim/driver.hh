@@ -5,14 +5,13 @@
  * The paper's results form a (workload x context x budget) grid; this
  * driver enumerates that grid as independent *cells*, executes them on
  * a bounded work-stealing thread pool (util/work_pool.hh) sized by
- * --jobs / TSTREAM_JOBS, and distributes cells across processes two
- * ways:
+ * --jobs, and distributes cells across processes two ways:
  *
- *  - **Static sharding** (--shard k/N / TSTREAM_SHARD=k/N): shard k
+ *  - **Static sharding** (--shard k/N): shard k
  *    owns exactly the cells whose grid index is congruent to k mod N,
  *    so the N shards are a disjoint exact cover of the grid for any N
  *    and a merged run equals an unsharded one cell-for-cell.
- *  - **Dynamic claiming** (--claim-session / TSTREAM_CLAIM_SESSION):
+ *  - **Dynamic claiming** (--claim-session):
  *    heterogeneous workers drain the grid by racing on atomic claim
  *    files (util/claim_file.hh) under
  *    `$TSTREAM_TRACE_CACHE/claims/<session>/<bench>`; a worker that
@@ -27,14 +26,14 @@
  * point at one TSTREAM_TRACE_CACHE directory (cells are keyed on
  * configHash(); stores are temp+rename atomic). Results always come
  * back in deterministic grid order, independent of the job count, so
- * printed tables and --json reports (sim/bench_report.hh) are
+ * printed tables and -o reports (sim/bench_report.hh) are
  * reproducible.
  *
  * Every cell is simulated (or loaded from the trace cache) and then
  * analyzed: SEQUITUR, stride and module attribution always run, and
  * the intra-chip trace is always restricted to on-chip hits. A
  * CellMemo shares those analyses between the figure/table views of
- * one `tstream-bench run` (src/bench/views.hh), so each distinct cell
+ * one `tstream-bench run` (src/bench/run.hh), so each distinct cell
  * is analyzed once per run; docs/BENCHMARKING.md is the operator's
  * guide.
  */
@@ -199,7 +198,7 @@ struct ClaimOptions
     /** Sweep id; all workers draining one grid share it. Empty =
      *  static sharding (the default). */
     std::string session;
-    /** Claim directory. Empty = derived by BenchOptions::driver() as
+    /** Claim directory, e.g.
      *  `$TSTREAM_TRACE_CACHE/claims/<session>/<bench>`. */
     std::string dir;
     std::int64_t ttlMs = 30'000; ///< stale-claim steal threshold
@@ -217,7 +216,7 @@ struct ClaimOptions
 /** Execution options for runCells(). */
 struct DriverOptions
 {
-    unsigned jobs = 0; ///< 0 = TSTREAM_JOBS or hardware concurrency
+    unsigned jobs = 0; ///< 0 = hardware concurrency
     /** When enabled, workers race on claim files for the cells. */
     ClaimOptions claim;
     /** Per-attempt timeout / bounded retry for every cell. The default
@@ -257,145 +256,6 @@ struct DriverOptions
  */
 std::vector<CellResult> runCells(const std::vector<Cell> &grid,
                                  const DriverOptions &opts);
-
-// ---- bench command line -----------------------------------------------------
-
-/** Options shared by every figure/table bench binary. */
-struct BenchOptions
-{
-    std::string benchName; ///< binary name (set by parseBenchArgs)
-    BenchBudgets budgets;
-    bool quick = false;
-    unsigned jobs = 0;
-    ShardSpec shard;
-    std::string jsonPath; ///< empty = no JSON report
-    /**
-     * --resume: reuse the cells already present in the existing
-     * --json report instead of re-running them; fail if the report's
-     * schema version or any cell's config hash mismatches.
-     */
-    bool resume = false;
-    /**
-     * --workload FILE: a workload config file
-     * (gen/workload_config.hh). benchGrid() restricts the sweep to
-     * the configured workload and runs it under the file's phase
-     * schedule / key distributions.
-     */
-    std::string workloadFile;
-    /**
-     * --phases SPEC: inline phase records (parsePhasesSpec) applied
-     * to the PhasedMix workload; benchGrid() restricts the sweep to
-     * PhasedMix. Mutually exclusive with --workload.
-     */
-    std::string phasesSpec;
-    /**
-     * --claim-session ID: drain the grid by dynamic claiming instead
-     * of static sharding (requires TSTREAM_TRACE_CACHE for the shared
-     * claim directory; mutually exclusive with --shard and --resume).
-     */
-    std::string claimSession;
-    std::int64_t claimTtlMs = 30'000; ///< --claim-ttl MS
-    std::int64_t heartbeatMs = 0;     ///< --heartbeat MS; 0 = ttl/3
-    std::int64_t cellTimeoutMs = 0;   ///< --cell-timeout MS; 0 = none
-    unsigned cellRetries = 3;         ///< --cell-retries N (attempts)
-    /**
-     * --telemetry-out PATH: record run telemetry (obs/telemetry.hh)
-     * and write the metrics JSON to PATH — plus the Chrome
-     * trace-event timeline next to it — at process exit. Also:
-     * TSTREAM_TELEMETRY=PATH. parseBenchArgs() enables telemetry as a
-     * side effect; recording never perturbs results.
-     */
-    std::string telemetryOut;
-
-    /** The claim directory for this bench's sweep, or "" when
-     *  claiming is off: `$TSTREAM_TRACE_CACHE/claims/<session>/<bench>`. */
-    std::string claimDir() const;
-
-    DriverOptions
-    driver() const
-    {
-        DriverOptions d;
-        d.jobs = jobs;
-        d.claim.session = claimSession;
-        d.claim.dir = claimDir();
-        d.claim.ttlMs = claimTtlMs;
-        d.claim.heartbeatMs = heartbeatMs;
-        d.retry.maxAttempts = cellRetries;
-        d.retry.timeoutMs = cellTimeoutMs;
-        return d;
-    }
-};
-
-/**
- * Bench-specific CLI extension for parseBenchArgs(). The shared flag
- * set stays strict: an extension can only *add* flags (consumed by
- * @c handler before the unknown-flag rejection) plus their usage text
- * and cross-flag validation — it cannot loosen the rejection of
- * anything neither side recognizes.
- */
-struct BenchExtraArgs
-{
-    /** Extra usage lines, appended under "options:" (each line
-     *  terminated with '\n'). */
-    const char *usage = nullptr;
-
-    /**
-     * Try to consume @p arg. @p take("--flag") returns the flag's
-     * value argument, or prints usage and exits 2 when it is missing.
-     * Return true when the flag was consumed.
-     */
-    std::function<bool(
-        std::string_view arg,
-        const std::function<const char *(const char *)> &take)>
-        handler;
-
-    /**
-     * Post-parse validation across shared and extension flags (e.g.
-     * "--budget-sweep excludes --resume"); return a non-empty
-     * diagnostic to reject with usage and exit 2.
-     */
-    std::function<std::string(const BenchOptions &opts)> validate;
-};
-
-/**
- * Strict bench argument parser: --quick, --jobs N, --shard k/N,
- * --json PATH, --resume, --workload FILE, --phases SPEC,
- * --claim-session ID, --claim-ttl MS, --heartbeat MS,
- * --cell-timeout MS, --cell-retries N, --telemetry-out PATH, --help,
- * plus the TSTREAM_QUICK
- * / TSTREAM_JOBS / TSTREAM_SHARD / TSTREAM_CLAIM_SESSION /
- * TSTREAM_CLAIM_TTL_MS / TSTREAM_HEARTBEAT_MS /
- * TSTREAM_CELL_TIMEOUT_MS / TSTREAM_CELL_RETRIES environment
- * fallbacks. Any unknown flag prints a usage message naming
- * @p benchName and exits with status 2 (a typo like --qiuck must not
- * silently run at paper scale for hours); --help exits 0. --resume
- * requires --json; --workload and --phases are mutually exclusive;
- * --claim-session requires TSTREAM_TRACE_CACHE and excludes --shard
- * and --resume. @p extra (optional) adds bench-specific flags and
- * validation without loosening the unknown-flag rejection.
- */
-BenchOptions parseBenchArgs(int argc, char **argv,
-                            const char *benchName,
-                            const BenchExtraArgs *extra = nullptr);
-
-/**
- * The bench's grid after applying any --workload / --phases override:
- * with neither flag this is standardGrid(@p workloads, opts.budgets);
- * with --workload FILE the sweep is restricted to the file's workload
- * kind (which must be in @p workloads) running the file's schedule;
- * with --phases SPEC it is restricted to PhasedMix under the inline
- * schedule. Config errors and overrides that name a workload outside
- * this bench's sweep print a diagnostic and exit with status 2.
- */
-std::vector<Cell> benchGrid(const std::vector<WorkloadKind> &workloads,
-                            const BenchOptions &opts);
-
-/**
- * For benches whose grid is fixed (not workload-swept): exit with
- * status 2 if the user passed --workload or --phases, instead of
- * silently ignoring the override.
- */
-void benchRejectWorkloadOverrides(const BenchOptions &opts);
 
 // ---- trace cache ------------------------------------------------------------
 

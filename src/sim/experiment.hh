@@ -99,7 +99,7 @@ struct ExperimentConfig
 
 /**
  * Canonical instruction budgets, shared by the bench driver
- * (parseBenchArgs in sim/driver.hh) and the tstream-trace CLI so that
+ * (parseRunArgs in bench/run.hh) and the tstream-trace CLI so that
  * offline analyses of recorded traces reproduce bench rows exactly —
  * the equivalence holds only while both sides read these constants.
  */

@@ -1,7 +1,5 @@
 #include "util/work_pool.hh"
 
-#include <cstdlib>
-
 #include "obs/telemetry.hh"
 
 namespace tstream
@@ -10,11 +8,6 @@ namespace tstream
 unsigned
 WorkPool::defaultJobs()
 {
-    if (const char *env = std::getenv("TSTREAM_JOBS")) {
-        const long v = std::strtol(env, nullptr, 10);
-        if (v > 0)
-            return static_cast<unsigned>(v);
-    }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw > 0 ? hw : 1;
 }

@@ -48,11 +48,8 @@ class WorkPool
         return static_cast<unsigned>(workers_.size());
     }
 
-    /**
-     * Job count when the caller does not choose one: TSTREAM_JOBS if
-     * set to a positive integer, else the hardware concurrency, and
-     * always at least 1.
-     */
+    /** Job count when the caller does not choose one: the hardware
+     *  concurrency, and always at least 1. */
     static unsigned defaultJobs();
 
   private:

@@ -99,37 +99,39 @@ struct ResumeFixture
 
     ~ResumeFixture() { std::remove(path.c_str()); }
 
-    void
-    write()
+    /** Write the report, read it back as `run --resume` does, and
+     *  resume its one document over @p g at @p budgets. */
+    bool
+    resume(const BenchBudgets &budgets, const std::vector<Cell> &g,
+           std::vector<BenchCell> &out, std::string &err)
     {
-        std::string err;
-        ASSERT_TRUE(writeBenchDoc(doc, path, err)) << err;
+        std::vector<BenchDoc> docs;
+        if (!writeBenchDoc(doc, path, err) ||
+            !readResumeDocs(path, docs, err))
+            return false;
+        EXPECT_EQ(docs.size(), 1u);
+        return resumeCells(docs.at(0), path, true, budgets, g, out, err);
     }
 };
 
 TEST(ResumeTest, MissingFileIsFreshRun)
 {
     ResumeFixture fx("missing");
-    std::vector<BenchCell> out{makeCell(0, 1.0)};
+    std::vector<BenchDoc> docs;
     std::string err;
-    EXPECT_TRUE(loadResumeCells(fx.path, "fig2_stream_fraction", true,
-                                fx.doc.budgets, fx.grid, out, err))
-        << err;
-    EXPECT_TRUE(out.empty());
+    EXPECT_TRUE(readResumeDocs(fx.path, docs, err)) << err;
+    EXPECT_TRUE(docs.empty());
 }
 
 TEST(ResumeTest, LoadsMatchingCellsInGridOrder)
 {
     ResumeFixture fx("ok");
-    // Store them shuffled; the loader must return ascending indexes.
+    // Store them shuffled; resuming must return ascending indexes.
     std::swap(fx.doc.cells[0], fx.doc.cells.back());
-    fx.write();
 
     std::vector<BenchCell> out;
     std::string err;
-    ASSERT_TRUE(loadResumeCells(fx.path, "fig2_stream_fraction", true,
-                                fx.doc.budgets, fx.grid, out, err))
-        << err;
+    ASSERT_TRUE(fx.resume(fx.doc.budgets, fx.grid, out, err)) << err;
     ASSERT_EQ(out.size(), fx.grid.size());
     for (std::size_t i = 0; i < out.size(); ++i) {
         EXPECT_EQ(out[i].index, i);
@@ -142,12 +144,9 @@ TEST(ResumeTest, PartialReportLoadsPartially)
     ResumeFixture fx("partial");
     fx.doc.cells.erase(fx.doc.cells.begin() + 1,
                        fx.doc.cells.begin() + 3);
-    fx.write();
     std::vector<BenchCell> out;
     std::string err;
-    ASSERT_TRUE(loadResumeCells(fx.path, "fig2_stream_fraction", true,
-                                fx.doc.budgets, fx.grid, out, err))
-        << err;
+    ASSERT_TRUE(fx.resume(fx.doc.budgets, fx.grid, out, err)) << err;
     EXPECT_EQ(out.size(), fx.grid.size() - 2);
 }
 
@@ -155,11 +154,9 @@ TEST(ResumeTest, ConfigHashMismatchFails)
 {
     ResumeFixture fx("hash");
     fx.doc.cells[1].configHash ^= 1;
-    fx.write();
     std::vector<BenchCell> out;
     std::string err;
-    EXPECT_FALSE(loadResumeCells(fx.path, "fig2_stream_fraction", true,
-                                 fx.doc.budgets, fx.grid, out, err));
+    EXPECT_FALSE(fx.resume(fx.doc.budgets, fx.grid, out, err));
     EXPECT_NE(err.find("config hash mismatch"), std::string::npos)
         << err;
 }
@@ -167,38 +164,24 @@ TEST(ResumeTest, ConfigHashMismatchFails)
 TEST(ResumeTest, BudgetMismatchFails)
 {
     ResumeFixture fx("budget");
-    fx.write();
     BenchBudgets other = fx.doc.budgets;
     other.measure += 1;
     std::vector<BenchCell> out;
     std::string err;
-    EXPECT_FALSE(loadResumeCells(fx.path, "fig2_stream_fraction", true,
-                                 other, fx.grid, out, err));
+    EXPECT_FALSE(fx.resume(other, fx.grid, out, err));
+    EXPECT_NE(err.find("budgets differ"), std::string::npos) << err;
 }
 
 TEST(ResumeTest, GridSizeMismatchFails)
 {
     ResumeFixture fx("grid");
-    fx.write();
     std::vector<Cell> bigger = fx.grid;
     bigger.push_back(fx.grid.back());
     bigger.back().index = fx.grid.size();
     std::vector<BenchCell> out;
     std::string err;
-    EXPECT_FALSE(loadResumeCells(fx.path, "fig2_stream_fraction", true,
-                                 fx.doc.budgets, bigger, out, err));
-}
-
-TEST(ResumeTest, WrongBenchNameFails)
-{
-    ResumeFixture fx("name");
-    fx.write();
-    std::vector<BenchCell> out;
-    std::string err;
-    EXPECT_FALSE(loadResumeCells(fx.path, "fig1_miss_classification",
-                                 true, fx.doc.budgets, fx.grid, out,
-                                 err));
-    EXPECT_NE(err.find("no document"), std::string::npos) << err;
+    EXPECT_FALSE(fx.resume(fx.doc.budgets, bigger, out, err));
+    EXPECT_NE(err.find("grid size"), std::string::npos) << err;
 }
 
 TEST(BenchReportTest, JsonRoundTripPreservesEverything)

@@ -3,9 +3,9 @@
  * Tests for the sharded cell-level experiment driver (sim/driver.hh)
  * and its work-stealing pool (util/work_pool.hh): deterministic grid
  * enumeration, disjoint-exact-cover sharding for any N, bounded pool
- * concurrency, strict bench argument parsing, cell execution with
- * result ordering independent of the job count, and the per-run cell
- * memo shared by the views of one run.
+ * concurrency, the strict bench command line (bench/run.hh), cell
+ * execution with result ordering independent of the job count, and
+ * the per-run cell memo shared by the views of one run.
  */
 
 #include <gtest/gtest.h>
@@ -14,10 +14,12 @@
 #include <chrono>
 #include <cstdlib>
 #include <filesystem>
+#include <initializer_list>
 #include <set>
 #include <stdexcept>
 #include <thread>
 
+#include "bench/run.hh"
 #include "obs/telemetry.hh"
 #include "sim/driver.hh"
 #include "util/work_pool.hh"
@@ -186,65 +188,208 @@ TEST(WorkPoolTest, StealsFromBusyNeighbours)
     EXPECT_LT(ms, 2000.0);
 }
 
-TEST(WorkPoolTest, DefaultJobsHonoursEnvironment)
+// ---- the bench command line (bench/run.hh) ---------------------------------
+// parseRunArgs() reports every rejection as a returned diagnostic;
+// nothing here exits.
+
+/** parseRunArgs() over the arguments after `run`. */
+std::string
+parse(std::initializer_list<const char *> args, bench::BenchOptions &opts)
 {
-    ::setenv("TSTREAM_JOBS", "5", 1);
-    EXPECT_EQ(WorkPool::defaultJobs(), 5u);
-    ::setenv("TSTREAM_JOBS", "not-a-number", 1);
-    EXPECT_GE(WorkPool::defaultJobs(), 1u);
-    ::unsetenv("TSTREAM_JOBS");
-    EXPECT_GE(WorkPool::defaultJobs(), 1u);
+    const std::vector<const char *> argv(args);
+    return bench::parseRunArgs(static_cast<int>(argv.size()), argv.data(),
+                               opts);
+}
+
+/** True when @p err is a diagnostic containing @p what. */
+testing::AssertionResult
+rejects(const std::string &err, const std::string &what)
+{
+    if (err.find(what) != std::string::npos)
+        return testing::AssertionSuccess();
+    return testing::AssertionFailure()
+           << "diagnostic \"" << err << "\" lacks \"" << what << "\"";
 }
 
 TEST(BenchArgsTest, ParsesSupportedFlags)
 {
-    const char *argv[] = {"bench",      "--quick", "--jobs", "3",
-                          "--shard",    "1/4",     "--json", "out.json"};
-    const BenchOptions opts = parseBenchArgs(
-        8, const_cast<char **>(argv), "bench_under_test");
+    bench::BenchOptions opts;
+    ASSERT_EQ(parse({"--quick", "--jobs", "3", "--shard", "1/4", "-o",
+                     "out.json", "fig2", "ablation_b"},
+                    opts),
+              "");
     EXPECT_TRUE(opts.quick);
     EXPECT_EQ(opts.budgets.warmup, kQuickBudgets.warmupInstructions);
     EXPECT_EQ(opts.budgets.measure, kQuickBudgets.measureInstructions);
     EXPECT_EQ(opts.jobs, 3u);
     EXPECT_EQ(opts.shard.index, 1u);
     EXPECT_EQ(opts.shard.count, 4u);
-    EXPECT_EQ(opts.jsonPath, "out.json");
+    EXPECT_EQ(opts.out, "out.json");
+    ASSERT_EQ(opts.views.size(), 2u);
+    EXPECT_STREQ(opts.views[0]->binary, "fig2_stream_fraction");
+    EXPECT_STREQ(opts.views[1]->binary, "ablation_l2_sweep");
 }
 
 TEST(BenchArgsTest, DefaultsToPaperBudgets)
 {
-    const char *argv[] = {"bench"};
-    const BenchOptions opts =
-        parseBenchArgs(1, const_cast<char **>(argv), "bench");
+    bench::BenchOptions opts;
+    ASSERT_EQ(parse({"fig2"}, opts), "");
     EXPECT_FALSE(opts.quick);
     EXPECT_EQ(opts.budgets.warmup, kPaperBudgets.warmupInstructions);
     EXPECT_EQ(opts.shard.count, 1u);
+    EXPECT_EQ(opts.out, ""); // tables only
+}
+
+TEST(BenchArgsTest, ExpandsPaperAndAll)
+{
+    bench::BenchOptions opts;
+    ASSERT_EQ(parse({"paper"}, opts), "");
+    EXPECT_EQ(opts.views.size(), 7u);
+    ASSERT_EQ(parse({"all"}, opts), "");
+    EXPECT_EQ(opts.views.size(), std::size(bench::kViews));
+}
+
+TEST(BenchArgsTest, EnvironmentDoesNotChangeTheGrid)
+{
+    // Only TSTREAM_TRACE_CACHE reaches ssh fleet workers, so no other
+    // variable may change what a worker runs.
+    ::setenv("TSTREAM_QUICK", "1", 1);
+    ::setenv("TSTREAM_SHARD", "1/2", 1);
+    ::setenv("TSTREAM_CELL_RETRIES", "9", 1);
+    ::setenv("TSTREAM_JOBS", "7", 1);
+    bench::BenchOptions opts;
+    const std::string err = parse({"fig2"}, opts);
+    const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
+    const unsigned defaultJobs = WorkPool::defaultJobs();
+    for (const char *var : {"TSTREAM_QUICK", "TSTREAM_SHARD",
+                            "TSTREAM_CELL_RETRIES", "TSTREAM_JOBS"})
+        ::unsetenv(var);
+
+    ASSERT_EQ(err, "");
+    EXPECT_FALSE(opts.quick);
+    EXPECT_EQ(opts.budgets.warmup, kPaperBudgets.warmupInstructions);
+    EXPECT_EQ(opts.budgets.measure, kPaperBudgets.measureInstructions);
+    EXPECT_EQ(opts.shard.index, 0u);
+    EXPECT_EQ(opts.shard.count, 1u);
+    EXPECT_EQ(opts.cellRetries, 3u);
+    EXPECT_EQ(opts.jobs, 0u);
+    EXPECT_EQ(defaultJobs, hw);
 }
 
 TEST(BenchArgsDeathTest, RejectsUnknownFlags)
 {
     // A typo must not silently fall back to paper-scale budgets.
-    const char *argv[] = {"bench", "--qiuck"};
-    EXPECT_EXIT(
-        parseBenchArgs(2, const_cast<char **>(argv), "bench"),
-        testing::ExitedWithCode(2), "unknown option: --qiuck");
+    bench::BenchOptions opts;
+    EXPECT_TRUE(rejects(parse({"--qiuck", "fig2"}, opts),
+                        "unknown option: --qiuck"));
+    EXPECT_TRUE(rejects(parse({"fig9"}, opts), "unknown bench: fig9"));
+    EXPECT_TRUE(rejects(parse({"--quick"}, opts),
+                        "needs at least one bench name"));
 }
 
 TEST(BenchArgsDeathTest, RejectsBadShard)
 {
-    const char *argv[] = {"bench", "--shard", "4/4"};
-    EXPECT_EXIT(parseBenchArgs(3, const_cast<char **>(argv), "bench"),
-                testing::ExitedWithCode(2), "--shard wants k/N");
+    bench::BenchOptions opts;
+    EXPECT_TRUE(rejects(parse({"--shard", "4/4", "fig2"}, opts),
+                        "--shard wants k/N"));
+    EXPECT_TRUE(rejects(parse({"--shard", "0/4294967296", "fig2"}, opts),
+                        "--shard wants k/N"));
 }
 
 TEST(BenchArgsDeathTest, RejectsMissingValue)
 {
-    const char *argv[] = {"bench", "--jobs"};
-    EXPECT_EXIT(parseBenchArgs(2, const_cast<char **>(argv), "bench"),
-                testing::ExitedWithCode(2), "missing value");
+    bench::BenchOptions opts;
+    EXPECT_TRUE(rejects(parse({"fig2", "--jobs"}, opts),
+                        "missing value for --jobs"));
 }
 
-// ---- claiming / retry flags -------------------------------------------------
+// A value that overflows its field is an error, not a wrap to 0 (the
+// hardware default for --jobs, zero attempts for --cell-retries) or a
+// silent saturation.
+
+TEST(BenchArgsTest, RejectsOverflowingJobs)
+{
+    bench::BenchOptions opts;
+    EXPECT_TRUE(rejects(parse({"--jobs", "4294967296", "fig2"}, opts),
+                        "--jobs wants a positive integer"));
+    ASSERT_EQ(parse({"--jobs", "4294967295", "fig2"}, opts), "");
+    EXPECT_EQ(opts.jobs, 4294967295u);
+}
+
+TEST(BenchArgsTest, RejectsOverflowingCellRetries)
+{
+    bench::BenchOptions opts;
+    EXPECT_TRUE(
+        rejects(parse({"--cell-retries", "4294967296", "fig2"}, opts),
+                "--cell-retries wants a positive integer"));
+}
+
+TEST(BenchArgsTest, RejectsOverflowingClaimTtl)
+{
+    bench::BenchOptions opts;
+    EXPECT_TRUE(rejects(
+        parse({"--claim-ttl", "9223372036854775808", "fig2"}, opts),
+        "--claim-ttl wants a positive integer"));
+}
+
+TEST(BenchArgsTest, RejectsOverflowingHeartbeat)
+{
+    bench::BenchOptions opts;
+    EXPECT_TRUE(rejects(
+        parse({"--heartbeat", "99999999999999999999", "fig2"}, opts),
+        "--heartbeat wants a non-negative integer"));
+}
+
+TEST(BenchArgsTest, RejectsOverflowingCellTimeout)
+{
+    bench::BenchOptions opts;
+    EXPECT_TRUE(rejects(
+        parse({"--cell-timeout", "9223372036854775808", "fig2"}, opts),
+        "--cell-timeout wants a non-negative integer"));
+}
+
+TEST(BenchArgsTest, ExtFlagsNeedTheExtView)
+{
+    bench::BenchOptions opts;
+    EXPECT_TRUE(rejects(parse({"--policy", "fixed", "fig2"}, opts),
+                        "apply only to the ext view"));
+    EXPECT_TRUE(rejects(parse({"--budget-sweep", "fig2"}, opts),
+                        "apply only to the ext view"));
+    ASSERT_EQ(parse({"--policy", "fixed,adaptive", "--replay-depth", "4",
+                     "--budget-sweep", "ext"},
+                    opts),
+              "");
+    EXPECT_EQ(opts.ext.policies,
+              (std::vector<std::string>{"fixed", "adaptive"}));
+    EXPECT_EQ(opts.ext.replayDepth, 4u);
+    EXPECT_TRUE(opts.ext.budgetSweep);
+    EXPECT_EQ(parse({"--policy", "hybrid", "all"}, opts), "");
+
+    EXPECT_TRUE(rejects(parse({"--policy", "nosuch", "ext"}, opts),
+                        "unknown policy 'nosuch'"));
+    EXPECT_TRUE(rejects(
+        parse({"--policy", "fixed", "--replay-depth", "0", "ext"}, opts),
+        "--replay-depth wants a positive integer"));
+    EXPECT_TRUE(rejects(parse({"--replay-depth", "4", "ext"}, opts),
+                        "--replay-depth needs --policy"));
+    EXPECT_TRUE(rejects(parse({"--budget-sweep", "--resume", "-o",
+                               "r.json", "ext"},
+                              opts),
+                        "--resume are mutually exclusive"));
+}
+
+TEST(BenchArgsTest, ResumeNeedsAReport)
+{
+    bench::BenchOptions opts;
+    EXPECT_TRUE(rejects(parse({"--resume", "fig2"}, opts),
+                        "--resume needs -o PATH"));
+    EXPECT_TRUE(rejects(parse({"--workload", "a.conf", "--phases",
+                               "kv duration=1", "fig2"},
+                              opts),
+                        "mutually exclusive"));
+}
+
+// ---- claiming / retry / fleet flags -----------------------------------------
 
 class ClaimArgsTest : public ::testing::Test
 {
@@ -253,13 +398,6 @@ class ClaimArgsTest : public ::testing::Test
     SetUp() override
     {
         ::unsetenv("TSTREAM_TRACE_CACHE");
-        ::unsetenv("TSTREAM_CLAIM_SESSION");
-        ::unsetenv("TSTREAM_CLAIM_TTL_MS");
-        ::unsetenv("TSTREAM_HEARTBEAT_MS");
-        ::unsetenv("TSTREAM_CELL_TIMEOUT_MS");
-        ::unsetenv("TSTREAM_CELL_RETRIES");
-        ::unsetenv("TSTREAM_SHARD");
-        ::unsetenv("TSTREAM_QUICK");
     }
 
     void
@@ -274,115 +412,104 @@ using ClaimArgsDeathTest = ClaimArgsTest;
 TEST_F(ClaimArgsTest, ParsesClaimAndRetryFlags)
 {
     ::setenv("TSTREAM_TRACE_CACHE", "/tmp/tstream-cache", 1);
-    const char *argv[] = {"bench",        "--claim-session", "sweep1",
-                          "--claim-ttl",  "5000",            "--heartbeat",
-                          "250",          "--cell-timeout",  "2000",
-                          "--cell-retries", "5"};
-    const BenchOptions opts = parseBenchArgs(
-        11, const_cast<char **>(argv), "bench_under_test");
+    bench::BenchOptions opts;
+    ASSERT_EQ(parse({"--claim-session", "sweep1", "--claim-ttl", "5000",
+                     "--heartbeat", "250", "--cell-timeout", "2000",
+                     "--cell-retries", "5", "fig2"},
+                    opts),
+              "");
     EXPECT_EQ(opts.claimSession, "sweep1");
     EXPECT_EQ(opts.claimTtlMs, 5000);
     EXPECT_EQ(opts.heartbeatMs, 250);
     EXPECT_EQ(opts.cellTimeoutMs, 2000);
     EXPECT_EQ(opts.cellRetries, 5u);
-    EXPECT_EQ(opts.claimDir(),
-              "/tmp/tstream-cache/claims/sweep1/bench_under_test");
 
     // The driver options carry the whole claiming + retry surface.
-    const DriverOptions d = opts.driver();
+    const DriverOptions d = opts.driver("bench_under_test");
     EXPECT_TRUE(d.claim.enabled());
     EXPECT_EQ(d.claim.session, "sweep1");
-    EXPECT_EQ(d.claim.dir, opts.claimDir());
+    EXPECT_EQ(d.claim.dir,
+              "/tmp/tstream-cache/claims/sweep1/bench_under_test");
     EXPECT_EQ(d.claim.ttlMs, 5000);
     EXPECT_EQ(d.claim.heartbeatMs, 250);
     EXPECT_EQ(d.retry.maxAttempts, 5u);
     EXPECT_EQ(d.retry.timeoutMs, 2000);
 }
 
-TEST_F(ClaimArgsTest, ClaimEnvFallbacks)
-{
-    ::setenv("TSTREAM_TRACE_CACHE", "/tmp/tstream-cache", 1);
-    ::setenv("TSTREAM_CLAIM_SESSION", "env-sweep", 1);
-    ::setenv("TSTREAM_CLAIM_TTL_MS", "7000", 1);
-    ::setenv("TSTREAM_HEARTBEAT_MS", "0", 1);
-    ::setenv("TSTREAM_CELL_TIMEOUT_MS", "0", 1);
-    ::setenv("TSTREAM_CELL_RETRIES", "2", 1);
-    const char *argv[] = {"bench"};
-    const BenchOptions opts =
-        parseBenchArgs(1, const_cast<char **>(argv), "bench");
-    EXPECT_EQ(opts.claimSession, "env-sweep");
-    EXPECT_EQ(opts.claimTtlMs, 7000);
-    EXPECT_EQ(opts.heartbeatMs, 0);
-    EXPECT_EQ(opts.cellTimeoutMs, 0);
-    EXPECT_EQ(opts.cellRetries, 2u);
-}
-
 TEST_F(ClaimArgsTest, ClaimingDisabledByDefault)
 {
-    const char *argv[] = {"bench"};
-    const BenchOptions opts =
-        parseBenchArgs(1, const_cast<char **>(argv), "bench");
+    bench::BenchOptions opts;
+    ASSERT_EQ(parse({"fig2"}, opts), "");
     EXPECT_TRUE(opts.claimSession.empty());
-    EXPECT_EQ(opts.claimDir(), "");
-    EXPECT_FALSE(opts.driver().claim.enabled());
+    const DriverOptions d = opts.driver("fig2_stream_fraction");
+    EXPECT_FALSE(d.claim.enabled());
+    EXPECT_EQ(d.claim.dir, "");
     EXPECT_EQ(opts.cellRetries, 3u);
     EXPECT_EQ(opts.cellTimeoutMs, 0);
 }
 
+TEST_F(ClaimArgsTest, FleetWorkersRepeatTheSharedFlags)
+{
+    ::setenv("TSTREAM_TRACE_CACHE", "/tmp/tstream-cache", 1);
+    bench::BenchOptions opts;
+    ASSERT_EQ(parse({"--fleet", "hosts.txt", "--fleet-kill-after", "1",
+                     "--quick", "--claim-ttl", "2000", "--telemetry-out",
+                     "tele", "--slowest", "0", "-o", "out.json",
+                     "--policy", "fixed", "ext"},
+                    opts),
+              "");
+    EXPECT_EQ(opts.fleetFile, "hosts.txt");
+    EXPECT_EQ(opts.fleetKillAfter, 1);
+    EXPECT_EQ(opts.workerArgs,
+              (std::vector<std::string>{"--quick", "--claim-ttl", "2000",
+                                        "--policy", "fixed", "ext"}));
+
+    EXPECT_TRUE(rejects(parse({"--fleet", "hosts.txt", "fig2"}, opts),
+                        "--fleet needs -o PATH"));
+    EXPECT_TRUE(rejects(parse({"--fleet", "hosts.txt", "--claim-session",
+                               "s", "-o", "o.json", "fig2"},
+                              opts),
+                        "drop --claim-session"));
+    EXPECT_TRUE(rejects(parse({"--fleet-kill-after", "1", "fig2"}, opts),
+                        "--fleet-kill-after needs --fleet"));
+}
+
 TEST_F(ClaimArgsDeathTest, ClaimSessionNeedsTraceCache)
 {
-    const char *argv[] = {"bench", "--claim-session", "s"};
-    EXPECT_EXIT(parseBenchArgs(3, const_cast<char **>(argv), "bench"),
-                testing::ExitedWithCode(2),
-                "--claim-session needs TSTREAM_TRACE_CACHE");
+    bench::BenchOptions opts;
+    EXPECT_TRUE(rejects(parse({"--claim-session", "s", "fig2"}, opts),
+                        "--claim-session needs TSTREAM_TRACE_CACHE"));
 }
 
 TEST_F(ClaimArgsDeathTest, ClaimSessionExcludesShard)
 {
     ::setenv("TSTREAM_TRACE_CACHE", "/tmp/tstream-cache", 1);
-    const char *argv[] = {"bench", "--claim-session", "s", "--shard",
-                          "0/2"};
-    EXPECT_EXIT(parseBenchArgs(5, const_cast<char **>(argv), "bench"),
-                testing::ExitedWithCode(2),
-                "--claim-session and --shard are mutually exclusive");
+    bench::BenchOptions opts;
+    EXPECT_TRUE(rejects(
+        parse({"--claim-session", "s", "--shard", "0/2", "fig2"}, opts),
+        "--claim-session and --shard are mutually exclusive"));
 }
 
 TEST_F(ClaimArgsDeathTest, ClaimSessionExcludesResume)
 {
     ::setenv("TSTREAM_TRACE_CACHE", "/tmp/tstream-cache", 1);
-    const char *argv[] = {"bench", "--claim-session", "s", "--resume",
-                          "--json", "out.json"};
-    EXPECT_EXIT(parseBenchArgs(6, const_cast<char **>(argv), "bench"),
-                testing::ExitedWithCode(2),
-                "--claim-session and --resume are mutually exclusive");
+    bench::BenchOptions opts;
+    EXPECT_TRUE(rejects(parse({"--claim-session", "s", "--resume", "-o",
+                               "out.json", "fig2"},
+                              opts),
+                        "--claim-session and --resume are mutually "
+                        "exclusive"));
 }
 
 TEST_F(ClaimArgsDeathTest, RejectsNonNumericKnobs)
 {
-    const char *ttl[] = {"bench", "--claim-ttl", "0"};
-    EXPECT_EXIT(parseBenchArgs(3, const_cast<char **>(ttl), "bench"),
-                testing::ExitedWithCode(2),
-                "--claim-ttl wants a positive integer");
-
-    const char *retries[] = {"bench", "--cell-retries", "-1"};
-    EXPECT_EXIT(
-        parseBenchArgs(3, const_cast<char **>(retries), "bench"),
-        testing::ExitedWithCode(2),
-        "--cell-retries wants a positive integer");
-
-    const char *timeout[] = {"bench", "--cell-timeout", "2s"};
-    EXPECT_EXIT(
-        parseBenchArgs(3, const_cast<char **>(timeout), "bench"),
-        testing::ExitedWithCode(2),
-        "--cell-timeout wants a non-negative integer");
-
-    // Bad *environment* values die too — a typo in a fleet wrapper
-    // must not silently fall back to defaults.
-    ::setenv("TSTREAM_CELL_RETRIES", "many", 1);
-    const char *plain[] = {"bench"};
-    EXPECT_EXIT(parseBenchArgs(1, const_cast<char **>(plain), "bench"),
-                testing::ExitedWithCode(2),
-                "TSTREAM_CELL_RETRIES wants a positive integer");
+    bench::BenchOptions opts;
+    EXPECT_TRUE(rejects(parse({"--claim-ttl", "0", "fig2"}, opts),
+                        "--claim-ttl wants a positive integer"));
+    EXPECT_TRUE(rejects(parse({"--cell-retries", "-1", "fig2"}, opts),
+                        "--cell-retries wants a positive integer"));
+    EXPECT_TRUE(rejects(parse({"--cell-timeout", "2s", "fig2"}, opts),
+                        "--cell-timeout wants a non-negative integer"));
 }
 
 class DriverRunTest : public ::testing::Test
@@ -393,8 +520,6 @@ class DriverRunTest : public ::testing::Test
     {
         // Keep these tests hermetic from any user-level cache.
         ::unsetenv("TSTREAM_TRACE_CACHE");
-        ::unsetenv("TSTREAM_SHARD");
-        ::unsetenv("TSTREAM_QUICK");
     }
 };
 

@@ -58,9 +58,6 @@ class FleetFaultTest : public ::testing::Test
         // Hermetic from user-level caches and any leaked fault knobs.
         ::unsetenv("TSTREAM_TRACE_CACHE");
         ::unsetenv("TSTREAM_CLAIM_DIE_AFTER");
-        ::unsetenv("TSTREAM_SHARD");
-        ::unsetenv("TSTREAM_QUICK");
-        ::unsetenv("TSTREAM_JOBS");
     }
 };
 

@@ -1,5 +1,5 @@
-# Gates over an `ext_prefetcher --policy ... --budget-sweep --json`
-# report (ISSUE acceptance, paper Sections 4.4/4.5):
+# Gates over a `tstream-bench run --policy ... --budget-sweep -o`
+# report of the ext view (paper Sections 4.4/4.5):
 #
 #  1. Budget monotonicity: within every (cell, policy) series of the
 #     "prefetcher_budget" table, coverage_pct must be non-decreasing

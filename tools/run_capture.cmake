@@ -1,6 +1,6 @@
 # Run a command and capture its stdout to a file, failing the test if
 # the command fails. Used by the bench e2e tests so that a bench's
-# printed table can be compared against its --json report
+# printed table can be compared against its -o report
 # (`tstream-bench check-stdout`).
 #
 # Usage:

@@ -7,10 +7,10 @@
  * merges shard/worker outputs back into unsharded reports, and checks
  * the invariants the driver promises. Subcommands:
  *
- *   run          run views in order, sharing one cell memo so each
- *                distinct cell is simulated and analyzed once, and
- *                bundle their reports into one combined JSON
- *                document; with --fleet HOSTS.txt, fan one
+ *   run          run views in order (src/bench/run.hh), sharing one
+ *                cell memo so each distinct cell is simulated and
+ *                analyzed once, and bundle their reports into one
+ *                combined JSON document; with --fleet HOSTS.txt, fan one
  *                dynamic-claiming session out to N
  *                workers (local processes or ssh hosts) sharing one
  *                TSTREAM_TRACE_CACHE, collect the per-worker reports
@@ -63,15 +63,15 @@
 #include <thread>
 #include <vector>
 
-#include "bench/views.hh"
-#include "obs/telemetry.hh"
+#include "bench/run.hh"
 #include "sim/bench_report.hh"
 #include "util/claim_file.hh"
 #include "util/logging.hh"
 
 using namespace tstream;
-using bench::findView;
 using bench::kViews;
+using bench::printSlowestCells;
+using bench::writeDocs;
 
 namespace
 {
@@ -83,14 +83,7 @@ usage(const char *msg)
         std::fprintf(stderr, "tstream-bench: %s\n\n", msg);
     std::fprintf(stderr,
         "usage:\n"
-        "  tstream-bench run [--quick] [--jobs N] [--shard k/N]\n"
-        "                [--resume] [--workload FILE] [--phases SPEC]\n"
-        "                [--claim-session ID] [--claim-ttl MS]\n"
-        "                [--heartbeat MS] [--cell-timeout MS]\n"
-        "                [--cell-retries N] [--fleet HOSTS.txt]\n"
-        "                [--fleet-kill-after N]\n"
-        "                [--telemetry-out BASE] [--slowest N]\n"
-        "                -o OUT.json BENCH...\n"
+        "  tstream-bench run [FLAGS] BENCH...\n"
         "  tstream-bench status [--claim-dir DIR | --session ID\n"
         "                [--bench BINARY]] [--grid N] [--ttl MS]\n"
         "                [--now MS]\n"
@@ -104,55 +97,48 @@ usage(const char *msg)
         "  tstream-bench print REPORT.json\n"
         "  tstream-bench list\n"
         "\n"
+        "run flags:\n");
+    std::fputs(bench::kRunFlagsHelp, stderr);
+    std::fprintf(stderr,
+        "\n"
         "run executes each named bench (see `list`; `paper` =\n"
         "fig1-fig4 + tables, `all` adds the ablations and the\n"
-        "prefetcher extension) in this process with the bench flags\n"
-        "--quick/--jobs/--shard and the claim/timeout knobs, analyzes\n"
-        "each distinct cell once for all of them, and bundles their\n"
-        "reports into one combined document. Shard or fleet-worker\n"
-        "reports from separate processes/machines are reassembled\n"
-        "with merge, which fails if any grid cell is missing (a cell\n"
-        "recorded as failed covers its index and is kept). With\n"
-        "--fleet HOSTS.txt (one `local` or ssh host per line), run\n"
-        "launches one dynamic-claiming worker per line against a\n"
-        "shared TSTREAM_TRACE_CACHE, writes OUT.workerK.json/.log per\n"
-        "worker, tolerates dead workers (their cells are reclaimed by\n"
-        "the survivors after --claim-ttl), and merges the parts;\n"
-        "--fleet-kill-after N makes worker 0 SIGKILL itself after its\n"
-        "N-th claim (fault-injection for tests/CI). check-equal\n"
-        "ignores wall time, cache hits and shard geometry, so\n"
-        "`merge(shard 0/2, shard 1/2)` and a merged fleet run must\n"
+        "prefetcher extension) in this process, analyzes each distinct\n"
+        "cell once for all of them, and bundles their reports into one\n"
+        "combined document; every bench_<view> binary is an alias of\n"
+        "`run <view>`. Shard or fleet-worker reports from separate\n"
+        "processes/machines are reassembled with merge, which fails if\n"
+        "any grid cell is missing (a cell recorded as failed covers its\n"
+        "index and is kept). With --fleet, run launches one\n"
+        "dynamic-claiming worker per hosts line against a shared\n"
+        "TSTREAM_TRACE_CACHE, writes OUT.workerK.json/.log per worker,\n"
+        "tolerates dead workers (their cells are reclaimed by the\n"
+        "survivors after --claim-ttl), and merges the parts.\n"
+        "check-equal ignores wall time, cache hits and shard geometry,\n"
+        "so `merge(shard 0/2, shard 1/2)` and a merged fleet run must\n"
         "check-equal the unsharded run; missing cells, failed cells\n"
         "and metric mismatches are reported distinctly and none\n"
         "passes. With --subset, every cell of A must match its\n"
         "same-id cell in B (B may hold more — e.g. a --workload\n"
-        "config run against the full compiled-in sweep). run applies\n"
-        "--workload/--phases to every named bench, restricting each to\n"
-        "the configured workload. With --resume, cells already present in\n"
-        "the existing OUT.json are reused instead of re-run; the run\n"
-        "fails if that report's schema version or any cell's config\n"
-        "hash mismatches. compare reads Google Benchmark JSON\n"
-        "(cpu_time per benchmark, best repetition) or tstream-bench\n"
-        "reports (wall_seconds per cell) and fails when a gated\n"
-        "series is slower than baseline*R or absent; ratio == R\n"
-        "still passes, and current-only series are reported but\n"
-        "never gated. trend aligns the same series across an ordered\n"
-        "report sequence and prints each one's trajectory; with\n"
-        "--max-regress it fails when last/first exceeds R or a\n"
-        "--series name is absent from the newest report. With\n"
-        "--telemetry-out BASE, run writes each bench's metrics and\n"
-        "Chrome trace to BASE.<binary>.json (fleet workers write\n"
-        "BASE.workerK.<binary>.json); a cell shared by several benches\n"
-        "is charged to the first that runs it. After every\n"
-        "sweep run prints the --slowest N cells by wall time (default\n"
-        "5, 0 disables). status scans a claim directory — by default\n"
-        "$TSTREAM_TRACE_CACHE/claims, or one session via --session ID\n"
-        "(plus --bench BINARY), or any directory via --claim-dir —\n"
-        "and prints per-worker held/done/failed counts with\n"
-        "last-heartbeat ages (stale when older than --ttl MS, default\n"
-        "30000) and, given the grid size via --grid N, an ETA from\n"
-        "the done markers' completion stamps; --now MS pins the clock\n"
-        "(tests). Recipes: docs/BENCHMARKING.md and\n"
+        "config run against the full compiled-in sweep). compare reads\n"
+        "Google Benchmark JSON (cpu_time per benchmark, best\n"
+        "repetition) or tstream-bench reports (wall_seconds per cell)\n"
+        "and fails when a gated series is slower than baseline*R or\n"
+        "absent; ratio == R still passes, and current-only series are\n"
+        "reported but never gated. trend aligns the same series across\n"
+        "an ordered report sequence and prints each one's trajectory;\n"
+        "with --max-regress it fails when last/first exceeds R or a\n"
+        "--series name is absent from the newest report. A cell shared\n"
+        "by several benches is charged to the first that runs it in\n"
+        "the telemetry files (fleet workers write\n"
+        "BASE.workerK.<binary>.json). status scans a claim directory —\n"
+        "by default $TSTREAM_TRACE_CACHE/claims, or one session via\n"
+        "--session ID (plus --bench BINARY), or any directory via\n"
+        "--claim-dir — and prints per-worker held/done/failed counts\n"
+        "with last-heartbeat ages (stale when older than --ttl MS,\n"
+        "default 30000) and, given the grid size via --grid N, an ETA\n"
+        "from the done markers' completion stamps; --now MS pins the\n"
+        "clock (tests). Recipes: docs/BENCHMARKING.md and\n"
         "docs/OBSERVABILITY.md.\n");
     return 2;
 }
@@ -172,20 +158,6 @@ shellQuote(const std::string &s)
 }
 
 // ---- report documents -------------------------------------------------------
-
-/** Write @p docs to @p path: one bench document, or a combined report
- *  when there are several. */
-bool
-writeDocs(const std::vector<BenchDoc> &docs, const std::string &path)
-{
-    std::string err;
-    if (docs.size() == 1
-            ? writeBenchDoc(docs[0], path, err)
-            : json::writeFile(combinedReportToJson(docs), path, err))
-        return true;
-    std::fprintf(stderr, "tstream-bench: %s\n", err.c_str());
-    return false;
-}
 
 /** Merge shard/worker documents bench by bench, in first-seen bench
  *  order (mergeBenchDocs checks each bench's exact cover). */
@@ -230,253 +202,23 @@ failedCells(const std::vector<BenchDoc> &docs)
     return n;
 }
 
-// ---- run --------------------------------------------------------------------
+// ---- run ------------------------------------------------------------------
 
-/** Everything `run` parsed; shared with the fleet fan-out. */
-struct RunOptions
-{
-    /** The bench flags, verbatim: every view (and every fleet worker)
-     *  parses and validates them with parseBenchArgs(). */
-    std::vector<std::string> benchArgs;
-    bool resume = false;
-    std::string shard;
-    std::string claimSession;
-    std::string fleetFile;
-    long fleetKillAfter = 0;
-    std::string telemetryOut; ///< per-bench files BASE.<binary>.json
-    long slowest = 5;         ///< top-N slowest cells; 0 = off
-    std::string out;
-    std::vector<std::string> names;
-};
-
-int runFleet(const RunOptions &opts, const char *argv0);
-
-/**
- * Print the top-@p n cells by wall time across @p docs (stderr, after
- * every sweep) — the quick answer to "where did that sweep spend its
- * time" without opening the telemetry trace.
- */
-void
-printSlowestCells(const std::vector<BenchDoc> &docs, long n)
-{
-    if (n <= 0)
-        return;
-    struct SlowCell
-    {
-        double wallSeconds;
-        const BenchDoc *doc;
-        const BenchCell *cell;
-    };
-    std::vector<SlowCell> all;
-    for (const BenchDoc &doc : docs)
-        for (const BenchCell &cell : doc.cells)
-            all.push_back({cell.wallSeconds, &doc, &cell});
-    if (all.empty())
-        return;
-    std::stable_sort(all.begin(), all.end(),
-                     [](const SlowCell &a, const SlowCell &b) {
-                         return a.wallSeconds > b.wallSeconds;
-                     });
-    const std::size_t top =
-        std::min(all.size(), static_cast<std::size_t>(n));
-    logf(LogLevel::Info, "[tstream-bench] slowest %zu of %zu cells:",
-         top, all.size());
-    for (std::size_t i = 0; i < top; ++i) {
-        const SlowCell &s = all[i];
-        logf(LogLevel::Info, "[tstream-bench]   %6.2fs  %s/%s%s%s",
-             s.wallSeconds, s.doc->bench.c_str(), s.cell->id.c_str(),
-             s.cell->cacheHit ? "  (cache hit)" : "",
-             s.cell->failed ? "  (FAILED)" : "");
-    }
-}
+int runFleet(const bench::BenchOptions &opts, const char *argv0);
 
 int
 cmdRun(int argc, char **argv, const char *argv0)
 {
-    RunOptions o;
-
-    for (int i = 0; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        auto value = [&](const char *what) -> const char * {
-            if (i + 1 >= argc) {
-                usage((std::string("missing value for ") + what)
-                          .c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        auto number = [&](const char *what, long lo) -> long {
-            const char *v = value(what);
-            char *end = nullptr;
-            const long n = std::strtol(v, &end, 10);
-            if (!end || *end != '\0' || n < lo) {
-                usage((std::string(what) + " wants an integer >= " +
-                       std::to_string(lo))
-                          .c_str());
-                std::exit(2);
-            }
-            return n;
-        };
-        if (arg == "--quick") {
-            o.benchArgs.emplace_back(arg);
-        } else if (arg == "--jobs" || arg == "--shard" ||
-                   arg == "--workload" || arg == "--phases" ||
-                   arg == "--claim-ttl" || arg == "--heartbeat" ||
-                   arg == "--cell-timeout" || arg == "--cell-retries") {
-            o.benchArgs.emplace_back(arg);
-            o.benchArgs.emplace_back(value(argv[i]));
-            if (arg == "--shard")
-                o.shard = o.benchArgs.back();
-        } else if (arg == "--resume") {
-            o.resume = true;
-        } else if (arg == "--claim-session") {
-            o.claimSession = value("--claim-session");
-        } else if (arg == "--fleet") {
-            o.fleetFile = value("--fleet");
-        } else if (arg == "--fleet-kill-after") {
-            o.fleetKillAfter = number("--fleet-kill-after", 1);
-        } else if (arg == "--telemetry-out") {
-            o.telemetryOut = value("--telemetry-out");
-        } else if (arg == "--slowest") {
-            o.slowest = number("--slowest", 0);
-        } else if (arg == "-o" || arg == "--output") {
-            o.out = value("-o");
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage(
-                ("unknown run option: " + std::string(arg)).c_str());
-        } else {
-            if (arg == "paper") {
-                for (const char *n :
-                     {"fig1", "fig2", "fig3", "fig4", "table3",
-                      "table4", "table5"})
-                    o.names.push_back(n);
-            } else if (arg == "all") {
-                for (const bench::ViewEntry &v : kViews)
-                    o.names.push_back(v.alias);
-            } else {
-                o.names.push_back(std::string(arg));
-            }
-        }
+    bench::BenchOptions opts;
+    const std::string err = bench::parseRunArgs(argc, argv, opts);
+    if (!err.empty())
+        return usage(err.c_str());
+    if (opts.help) {
+        usage(nullptr);
+        return 0;
     }
-    if (o.out.empty())
-        return usage("run needs -o OUT.json");
-    if (o.names.empty())
-        return usage("run needs at least one bench name (see list)");
-    for (const std::string &name : o.names)
-        if (!findView(name))
-            return usage(("unknown bench: " + name +
-                          " (see tstream-bench list)")
-                             .c_str());
-
-    const char *cache = std::getenv("TSTREAM_TRACE_CACHE");
-    const bool haveCache = cache && *cache;
-    if (!o.claimSession.empty() || !o.fleetFile.empty()) {
-        if (!haveCache)
-            return usage("--claim-session/--fleet need "
-                         "TSTREAM_TRACE_CACHE set (the claim "
-                         "directory lives in the shared cache)");
-        if (!o.shard.empty())
-            return usage("--shard is mutually exclusive with "
-                         "--claim-session/--fleet (dynamic claiming "
-                         "replaces static sharding)");
-        if (o.resume)
-            return usage("--resume is mutually exclusive with "
-                         "--claim-session/--fleet (claiming workers "
-                         "skip done cells via the claim directory)");
-    }
-    if (!o.fleetFile.empty() && !o.claimSession.empty())
-        return usage("--fleet generates its own claim session; drop "
-                     "--claim-session");
-    if (o.fleetKillAfter > 0 && o.fleetFile.empty())
-        return usage("--fleet-kill-after needs --fleet");
-
-    // Parse every view's flags and build every grid up front: that
-    // validates the bench flags before any work starts, and the memo
-    // needs every grid to know when no later view needs a cell.
-    std::vector<std::string> args = o.benchArgs;
-    if (!o.claimSession.empty()) {
-        args.emplace_back("--claim-session");
-        args.push_back(o.claimSession);
-    }
-    std::vector<bench::BenchView> views;
-    std::vector<BenchOptions> viewOpts;
-    std::vector<std::vector<Cell>> grids;
-    for (const std::string &name : o.names) {
-        const bench::ViewEntry &entry = *findView(name);
-        views.push_back(entry.make());
-        std::vector<char *> argv{const_cast<char *>(entry.binary)};
-        for (std::string &a : args)
-            argv.push_back(a.data());
-        viewOpts.push_back(parseBenchArgs(static_cast<int>(argv.size()),
-                                          argv.data(), entry.binary,
-                                          &views.back().extra));
-        grids.push_back(views.back().grid(viewOpts.back()));
-    }
-    if (!o.fleetFile.empty())
-        return runFleet(o, argv0);
-
-    // --resume: reuse cells recorded in the existing OUT.json; each
-    // view revalidates its prior document cell by cell.
-    std::vector<BenchDoc> priorDocs;
-    std::string err;
-    if (o.resume && std::filesystem::exists(o.out) &&
-        !readBenchDocs(o.out, priorDocs, err)) {
-        std::fprintf(stderr, "tstream-bench: --resume: %s\n",
-                     err.c_str());
-        return 1;
-    }
-
-    auto memo = std::make_shared<CellMemo>(grids);
-    if (!o.telemetryOut.empty())
-        telemetry::enable(""); // each view writes its own file below
-
-    std::vector<BenchDoc> docs;
-    std::size_t lastWritten = 0;
-    for (std::size_t i = 0; i < views.size(); ++i) {
-        const std::string &binary = viewOpts[i].benchName;
-        std::vector<BenchCell> prior;
-        for (const BenchDoc &doc : priorDocs)
-            if (doc.bench == binary &&
-                !resumeCells(doc, o.out, viewOpts[i].quick,
-                             viewOpts[i].budgets, grids[i], prior, err)) {
-                std::fprintf(stderr, "%s: --resume: %s\n",
-                             binary.c_str(), err.c_str());
-                return 1;
-            }
-
-        logf(LogLevel::Info, "[tstream-bench] %s", binary.c_str());
-        docs.push_back(bench::runView(views[i], viewOpts[i], grids[i],
-                                      std::move(prior), memo));
-        memo->finishView(i);
-        if (!o.telemetryOut.empty()) {
-            if (!telemetry::writeArtifacts(
-                    o.telemetryOut + "." + binary + ".json", err))
-                logWarn("telemetry: " + err);
-            telemetry::reset();
-        }
-
-        // Checkpoint OUT.json after every view, so a sweep that dies
-        // partway leaves the completed views behind for --resume.
-        // Under --resume, prior documents whose view this write does
-        // not yet hold are carried forward, so resuming a subset
-        // (e.g. just one failed table) never truncates the report.
-        std::vector<BenchDoc> flat = docs;
-        for (const BenchDoc &doc : priorDocs) {
-            bool fresh = false;
-            for (const BenchDoc &d : docs)
-                fresh = fresh || d.bench == doc.bench;
-            if (!fresh)
-                flat.push_back(doc);
-        }
-        if (!writeDocs(flat, o.out))
-            return 1;
-        lastWritten = flat.size();
-    }
-
-    printSlowestCells(docs, o.slowest);
-    logf(LogLevel::Info, "[tstream-bench] wrote %s (%zu benches)",
-         o.out.c_str(), lastWritten);
-    return 0;
+    return opts.fleetFile.empty() ? bench::runBench(opts)
+                                  : runFleet(opts, argv0);
 }
 
 // ---- fleet ------------------------------------------------------------------
@@ -504,7 +246,7 @@ selfPath(const char *argv0)
  * nothing was lost.
  */
 int
-runFleet(const RunOptions &opts, const char *argv0)
+runFleet(const bench::BenchOptions &opts, const char *argv0)
 {
     std::ifstream in(opts.fleetFile);
     if (!in) {
@@ -535,10 +277,8 @@ runFleet(const RunOptions &opts, const char *argv0)
     const std::string self = shellQuote(selfPath(argv0));
 
     std::string inner = "run --claim-session " + shellQuote(session);
-    for (const std::string &arg : opts.benchArgs)
+    for (const std::string &arg : opts.workerArgs)
         inner += " " + shellQuote(arg);
-    for (const std::string &name : opts.names)
-        inner += " " + shellQuote(name);
 
     logf(LogLevel::Info,
          "[tstream-bench] fleet: %zu worker(s), session %s",
