@@ -6,7 +6,7 @@
  * detection, the full stream-analysis pipeline, and the
  * scenario-subsystem hot paths (KV slab/LRU, broker append/replay).
  * BENCH_baseline.json at the repo root records these series;
- * `tstream-bench compare` gates regressions against it
+ * `tstream-bench trend` gates regressions against it
  * (docs/BENCHMARKING.md).
  */
 

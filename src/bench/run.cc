@@ -1,16 +1,14 @@
 #include "bench/run.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
-#include <limits>
 #include <memory>
-#include <type_traits>
 
 #include "core/prefetch_policy.hh"
 #include "obs/telemetry.hh"
 #include "util/logging.hh"
+#include "util/parse_number.hh"
 #include "util/work_pool.hh"
 
 namespace tstream::bench
@@ -78,29 +76,6 @@ contains(const List &list, std::string_view s)
 {
     return std::find(std::begin(list), std::end(list), s) !=
            std::end(list);
-}
-
-/**
- * Parse all of @p text into @p out when it is an integer in [@p lo,
- * @p hi]; a value that overflows @p out's type fails like any other
- * out-of-range one. Returns "" or the diagnostic for @p flag.
- */
-template <typename T>
-std::string
-parseInt(std::string_view flag, std::string_view text, T &out,
-         std::common_type_t<T> lo,
-         std::common_type_t<T> hi = std::numeric_limits<T>::max())
-{
-    T v{};
-    const char *end = text.data() + text.size();
-    const auto [p, ec] = std::from_chars(text.data(), end, v);
-    if (ec == std::errc() && p == end && v >= lo && v <= hi) {
-        out = v;
-        return {};
-    }
-    return std::string(flag) + " wants a " +
-           (lo == 0 ? "non-negative" : "positive") +
-           " integer no larger than " + std::to_string(hi);
 }
 
 std::vector<std::string>

@@ -30,8 +30,13 @@
  *    (prefetcher-in-the-loop mode).
  *
  * Both drive the same per-CPU FIFO prefetch buffer with the same
- * demand-check-then-train step, so offline scores and in-the-loop
- * trace thinning agree by construction.
+ * demand-check-then-train step, so the engine's stats equal
+ * evaluatePolicy() over the miss stream the engine observed. That
+ * stream is not the recorded trace: the engine also sees, and trains
+ * on, the setup and warm-up misses, which are never recorded. So the
+ * loop removes more misses from a trace than evaluatePolicy() covers
+ * when it scores the recorded trace of an un-hooked run
+ * (tests/prefetch_policy_test.cc pins the equality).
  *
  * Concrete policies:
  *
@@ -45,7 +50,7 @@
  *                         is the paper's Section 4.3 synergy).
  *
  * makePrefetchPolicy() is the registry every future prefetcher idea
- * plugs into; bench/ext_prefetcher's --policy flag resolves through it.
+ * plugs into; `tstream-bench run ext --policy` resolves through it.
  */
 
 #ifndef TSTREAM_CORE_PREFETCH_POLICY_HH

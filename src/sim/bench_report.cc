@@ -714,7 +714,7 @@ benchDocIsSubset(const BenchDoc &sub, const BenchDoc &full,
 }
 
 // ---------------------------------------------------------------------------
-// Perf-series comparison
+// Perf series and trend
 // ---------------------------------------------------------------------------
 
 bool
@@ -799,101 +799,17 @@ loadPerfSeries(const std::string &path, std::vector<PerfSample> &out,
     return true;
 }
 
-PerfComparison
-comparePerfSeries(const std::vector<PerfSample> &base,
-                  const std::vector<PerfSample> &current,
-                  const PerfGateOptions &opts)
-{
-    const bool filtered = !opts.series.empty();
-    auto gated = [&](const std::string &name) {
-        if (!filtered)
-            return true;
-        for (const std::string &s : opts.series)
-            if (s == name)
-                return true;
-        return false;
-    };
-    auto findIn = [](const std::vector<PerfSample> &v,
-                     const std::string &name) -> const PerfSample * {
-        for (const PerfSample &s : v)
-            if (s.name == name)
-                return &s;
-        return nullptr;
-    };
-
-    PerfComparison cmp;
-    for (const PerfSample &b : base) {
-        if (!gated(b.name))
-            continue;
-        PerfDelta d;
-        d.name = b.name;
-        d.baseNs = b.timeNs;
-        if (const PerfSample *c = findIn(current, b.name)) {
-            d.currentNs = c->timeNs;
-            d.ratio = b.timeNs > 0 ? c->timeNs / b.timeNs : 0.0;
-            if (d.ratio > opts.maxRegress) {
-                d.status = PerfDelta::Status::Regressed;
-                ++cmp.regressed;
-                cmp.pass = false;
-            } else if (opts.maxRegress > 0 &&
-                       d.ratio < 1.0 / opts.maxRegress) {
-                d.status = PerfDelta::Status::Improved;
-            } else {
-                d.status = PerfDelta::Status::Ok;
-            }
-        } else {
-            d.status = PerfDelta::Status::Missing;
-            ++cmp.missing;
-            cmp.pass = false;
-        }
-        cmp.rows.push_back(std::move(d));
-    }
-
-    // Series named in the gate but absent from the baseline: a typo
-    // must not silently disable the gate.
-    if (filtered)
-        for (const std::string &name : opts.series)
-            if (!findIn(base, name)) {
-                PerfDelta d;
-                d.name = name;
-                if (const PerfSample *c = findIn(current, name))
-                    d.currentNs = c->timeNs;
-                d.status = PerfDelta::Status::Missing;
-                ++cmp.missing;
-                cmp.pass = false;
-                cmp.rows.push_back(std::move(d));
-            }
-
-    for (const PerfSample &c : current) {
-        if (filtered)
-            break; // gated-but-absent names were reported Missing above
-        if (findIn(base, c.name))
-            continue;
-        PerfDelta d;
-        d.name = c.name;
-        d.currentNs = c.timeNs;
-        d.status = PerfDelta::Status::Fresh;
-        ++cmp.fresh;
-        cmp.rows.push_back(std::move(d));
-    }
-    return cmp;
-}
-
 TrendTable
 computeTrend(const std::vector<std::string> &labels,
              const std::vector<std::vector<PerfSample>> &series,
-             const std::vector<std::string> &filter)
+             const std::vector<std::string> &filter, double maxRegress)
 {
     TrendTable table;
     table.labels = labels;
 
     auto wanted = [&](const std::string &name) {
-        if (filter.empty())
-            return true;
-        for (const std::string &f : filter)
-            if (f == name)
-                return true;
-        return false;
+        return filter.empty() || std::find(filter.begin(), filter.end(),
+                                           name) != filter.end();
     };
     auto rowFor = [&](const std::string &name) -> TrendSeries & {
         for (TrendSeries &r : table.rows)
@@ -905,8 +821,7 @@ computeTrend(const std::vector<std::string> &labels,
         return table.rows.back();
     };
 
-    const std::size_t n =
-        std::min(labels.size(), series.size());
+    const std::size_t n = std::min(labels.size(), series.size());
     for (std::size_t i = 0; i < n; ++i)
         for (const PerfSample &s : series[i])
             if (wanted(s.name))
@@ -924,7 +839,30 @@ computeTrend(const std::vector<std::string> &labels,
             ++points;
         }
         r.lastVsFirst = points >= 2 && first > 0 ? last / first : 0.0;
+
+        if (maxRegress <= 0)
+            continue;
+        const bool inOldest = r.timesNs.front() > 0;
+        r.gated = !filter.empty() || inOldest;
+        if (!r.gated)
+            continue;
+        if (!inOldest || r.timesNs.back() <= 0) {
+            r.verdict = TrendSeries::Verdict::Missing;
+            ++table.missing;
+        } else if (r.lastVsFirst > maxRegress) {
+            r.verdict = TrendSeries::Verdict::Regressed;
+            ++table.regressed;
+        }
     }
+
+    for (const std::string &name : filter)
+        if (std::none_of(table.rows.begin(), table.rows.end(),
+                         [&](const TrendSeries &r) {
+                             return r.name == name;
+                         }))
+            table.unknownSeries.push_back(name);
+    table.pass = table.unknownSeries.empty() && table.regressed == 0 &&
+                 table.missing == 0;
     return table;
 }
 

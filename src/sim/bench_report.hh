@@ -204,8 +204,8 @@ bool writeQueryDoc(const QueryDoc &doc, const std::string &path,
                    std::string &err);
 
 // ---------------------------------------------------------------------------
-// Perf-series comparison — the primitive behind `tstream-bench
-// compare` and the CI perf-regression gate (docs/BENCHMARKING.md).
+// Perf series — what `tstream-bench trend` and the CI perf-regression
+// gate read from a report (docs/BENCHMARKING.md).
 // ---------------------------------------------------------------------------
 
 /** One named perf measurement. Time in nanoseconds; lower is better. */
@@ -232,75 +232,30 @@ struct PerfSample
 bool loadPerfSeries(const std::string &path,
                     std::vector<PerfSample> &out, std::string &err);
 
-/** One row of a perf comparison. */
-struct PerfDelta
-{
-    enum class Status : std::uint8_t
-    {
-        Ok,        ///< within threshold in both directions
-        Improved,  ///< faster than 1/maxRegress
-        Regressed, ///< slower than maxRegress — gate failure
-        Missing,   ///< in the baseline but not the current report
-        Fresh,     ///< in the current report only — not gated
-    };
-
-    std::string name;
-    double baseNs = 0.0;
-    double currentNs = 0.0;
-    double ratio = 0.0; ///< current / base (0 when either is absent)
-    Status status = Status::Ok;
-};
-
-/** Gate parameters for comparePerfSeries(). */
-struct PerfGateOptions
-{
-    /**
-     * A series regresses when current/base is strictly greater than
-     * this ratio (ratio == threshold still passes).
-     */
-    double maxRegress = 1.25;
-
-    /**
-     * Gate only these series (exact names). Empty = every baseline
-     * series is gated. A named series absent from the baseline is
-     * reported Missing, so a typo cannot silently disable the gate.
-     */
-    std::vector<std::string> series;
-};
-
-/** Result of a perf comparison. */
-struct PerfComparison
-{
-    std::vector<PerfDelta> rows; ///< baseline order, then Fresh rows
-    std::size_t regressed = 0;
-    std::size_t missing = 0;
-    std::size_t fresh = 0;
-    bool pass = true; ///< no gated series Regressed or Missing
-};
-
-/**
- * Compare @p current against @p base: every (gated) baseline series
- * must be present and within opts.maxRegress; series only in
- * @p current are reported Fresh and never fail the gate.
- */
-PerfComparison comparePerfSeries(const std::vector<PerfSample> &base,
-                                 const std::vector<PerfSample> &current,
-                                 const PerfGateOptions &opts);
-
 // ---------------------------------------------------------------------------
-// Perf trend — `tstream-bench trend`: one series' trajectory across an
-// ordered sequence of archived reports (e.g. BENCH_perf.json artifacts
-// from successive commits).
+// Perf trend and gate — `tstream-bench trend`: each series' trajectory
+// across an ordered sequence of reports (e.g. BENCH_perf.json artifacts
+// from successive commits), optionally gated oldest -> newest.
 // ---------------------------------------------------------------------------
 
 /** One series across the report sequence. */
 struct TrendSeries
 {
+    /** Gate verdict; always Ok for a series that is not gated. */
+    enum class Verdict : std::uint8_t
+    {
+        Ok,
+        Regressed, ///< newest/oldest strictly above maxRegress
+        Missing,   ///< gated but absent from the oldest or newest report
+    };
+
     std::string name;
     /** Aligned with TrendTable::labels; 0 = absent from that report. */
     std::vector<double> timesNs;
     /** last present value / first present value; 0 with <2 points. */
     double lastVsFirst = 0.0;
+    bool gated = false;
+    Verdict verdict = Verdict::Ok;
 };
 
 /** The trend of every (filtered) series across the inputs. */
@@ -308,19 +263,36 @@ struct TrendTable
 {
     std::vector<std::string> labels; ///< one per input report, in order
     std::vector<TrendSeries> rows;   ///< first-appearance order
+    /** Filter names found in no report (a typo); they have no row. */
+    std::vector<std::string> unknownSeries;
+    std::size_t regressed = 0;
+    std::size_t missing = 0;
+    /** No unknown filter name and no gated series Regressed/Missing. */
+    bool pass = true;
 };
 
 /**
  * Align the per-report sample sets of an ordered sequence of reports
  * (@p labels names them, typically file paths or commit ids) into one
  * table. @p filter restricts to exact series names (empty = all).
+ *
+ * With @p maxRegress > 0 the table is also the perf gate, applied
+ * oldest -> newest: a series named in @p filter is gated (with no
+ * filter, every series of the oldest report is); a gated series
+ * absent from the oldest or the newest report is Missing; one whose
+ * newest/oldest ratio is strictly greater than @p maxRegress is
+ * Regressed (a ratio equal to it passes). A series that first
+ * appears in a later report is listed but not gated. A filter name
+ * found in no report fails the table with or without a gate.
+ *
  * Pure over already-loaded samples so it unit-tests without files;
  * `tstream-bench trend` feeds it one loadPerfSeries() result per
- * report and optionally gates lastVsFirst against --max-regress.
+ * report and prints the result.
  */
 TrendTable computeTrend(const std::vector<std::string> &labels,
                         const std::vector<std::vector<PerfSample>> &series,
-                        const std::vector<std::string> &filter);
+                        const std::vector<std::string> &filter,
+                        double maxRegress = 0.0);
 
 } // namespace tstream
 

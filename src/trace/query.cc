@@ -8,9 +8,12 @@
 #include <iterator>
 
 #include "core/stream_analysis.hh"
+#include "trace/byte_io.hh"
 
 namespace tstream
 {
+
+using namespace byte_io;
 
 namespace
 {
@@ -338,8 +341,8 @@ buildStreamRows(const TraceMeta &meta,
                    100.0 * s.newStream / tot,
                    100.0 * s.recurringStream / tot,
                    100.0 * s.inStreamFraction());
-    // Metric names and value expressions match
-    // bench/fig2_stream_fraction.cc exactly, so an offline query row
+    // Metric names and value expressions match fig2Rows in
+    // src/bench/figures.cc exactly, so an offline query row
     // over the same records is bit-identical to the live bench row
     // (the tools e2e chain asserts it through the JSON layer).
     row.metrics = {
@@ -521,59 +524,11 @@ runQuery(TraceReader &reader, const QuerySpec &spec)
 namespace
 {
 
-using FilePtr = std::unique_ptr<std::FILE, int (*)(std::FILE *)>;
-
-void
-putU16(std::vector<unsigned char> &out, std::uint16_t v)
-{
-    out.push_back(static_cast<unsigned char>(v & 0xFF));
-    out.push_back(static_cast<unsigned char>(v >> 8));
-}
-
-void
-putU32(std::vector<unsigned char> &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<unsigned char>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<unsigned char> &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<unsigned char>(v >> (8 * i)));
-}
-
-std::uint16_t
-getU16(const unsigned char *p)
-{
-    return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t
-getU32(const unsigned char *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-        v = (v << 8) | p[i];
-    return v;
-}
-
-std::uint64_t
-getU64(const unsigned char *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | p[i];
-    return v;
-}
-
 std::vector<unsigned char>
 buildArchiveHeader(std::uint32_t memberCount,
                    std::uint64_t catalogOffset)
 {
-    std::vector<unsigned char> h;
-    h.insert(h.end(), kArchiveMagic, kArchiveMagic + 4);
+    std::vector<unsigned char> h(kArchiveMagic, kArchiveMagic + 4);
     putU32(h, kArchiveVersion);
     putU32(h, memberCount);
     putU32(h, 0); // flags, reserved

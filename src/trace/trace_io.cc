@@ -12,8 +12,12 @@
 #include <unistd.h>
 #endif
 
+#include "trace/byte_io.hh"
+
 namespace tstream
 {
+
+using namespace byte_io;
 
 namespace
 {
@@ -87,53 +91,6 @@ constexpr std::uint64_t kV1ChunkRecords = 1 << 20;
  * so oversized --chunk-records requests cannot wrap them.
  */
 constexpr std::uint32_t kMaxChunkRecords = 1 << 24;
-
-// ---- little-endian scalar helpers ------------------------------------------
-
-void
-putU16(std::vector<unsigned char> &out, std::uint16_t v)
-{
-    out.push_back(static_cast<unsigned char>(v & 0xFF));
-    out.push_back(static_cast<unsigned char>(v >> 8));
-}
-
-void
-putU32(std::vector<unsigned char> &out, std::uint32_t v)
-{
-    for (int i = 0; i < 4; ++i)
-        out.push_back(static_cast<unsigned char>(v >> (8 * i)));
-}
-
-void
-putU64(std::vector<unsigned char> &out, std::uint64_t v)
-{
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<unsigned char>(v >> (8 * i)));
-}
-
-std::uint16_t
-getU16(const unsigned char *p)
-{
-    return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
-}
-
-std::uint32_t
-getU32(const unsigned char *p)
-{
-    std::uint32_t v = 0;
-    for (int i = 3; i >= 0; --i)
-        v = (v << 8) | p[i];
-    return v;
-}
-
-std::uint64_t
-getU64(const unsigned char *p)
-{
-    std::uint64_t v = 0;
-    for (int i = 7; i >= 0; --i)
-        v = (v << 8) | p[i];
-    return v;
-}
 
 // ---- varint / zigzag --------------------------------------------------------
 
@@ -234,8 +191,6 @@ decodeChunk(const unsigned char *p, std::size_t bytes, std::size_t n,
 }
 
 // ---- stdio helpers ----------------------------------------------------------
-
-using FilePtr = std::unique_ptr<std::FILE, int (*)(std::FILE *)>;
 
 bool
 writeAll(std::FILE *f, const unsigned char *p, std::size_t n)

@@ -1,11 +1,11 @@
 /**
  * @file
- * Tests for the perf-series comparison behind `tstream-bench compare`
+ * Tests for the perf series behind `tstream-bench trend`
  * (sim/bench_report.hh): loading Google Benchmark JSON and
- * tstream-bench reports into a named series, and the regression gate
- * semantics — improvement vs. regression vs. missing series, the
- * exact threshold boundary, series filtering, and malformed-report
- * rejection.
+ * tstream-bench reports into a named series, malformed-report
+ * rejection, the trend table, and the regression gate semantics —
+ * improvement vs. regression vs. missing series, the exact threshold
+ * boundary, and series filtering.
  */
 
 #include <gtest/gtest.h>
@@ -151,90 +151,156 @@ TEST(PerfSeriesLoad, RejectsMalformedReports)
 }
 
 // ---- gate semantics --------------------------------------------------------
+//
+// The two-report computeTrend() gate at the default 1.25 threshold:
+// each case keeps the decision the pairwise gate has always made.
+
+constexpr double kGate = 1.25;
+
+TrendTable
+gate(const std::vector<PerfSample> &base,
+     const std::vector<PerfSample> &current,
+     const std::vector<std::string> &filter = {})
+{
+    return computeTrend({"base", "current"}, {base, current}, filter,
+                        kGate);
+}
 
 TEST(PerfCompare, ImprovementPasses)
 {
-    const auto cmp = comparePerfSeries(
-        {sample("a", 1000.0)}, {sample("a", 500.0)}, PerfGateOptions{});
-    ASSERT_EQ(cmp.rows.size(), 1u);
-    EXPECT_EQ(cmp.rows[0].status, PerfDelta::Status::Improved);
-    EXPECT_DOUBLE_EQ(cmp.rows[0].ratio, 0.5);
-    EXPECT_TRUE(cmp.pass);
+    const auto t = gate({sample("a", 1000.0)}, {sample("a", 500.0)});
+    ASSERT_EQ(t.rows.size(), 1u);
+    EXPECT_TRUE(t.rows[0].gated);
+    EXPECT_EQ(t.rows[0].verdict, TrendSeries::Verdict::Ok);
+    EXPECT_DOUBLE_EQ(t.rows[0].lastVsFirst, 0.5);
+    EXPECT_TRUE(t.pass);
 }
 
 TEST(PerfCompare, RegressionBeyondThresholdFails)
 {
-    const auto cmp = comparePerfSeries(
-        {sample("a", 1000.0)}, {sample("a", 1300.0)},
-        PerfGateOptions{});
-    ASSERT_EQ(cmp.rows.size(), 1u);
-    EXPECT_EQ(cmp.rows[0].status, PerfDelta::Status::Regressed);
-    EXPECT_EQ(cmp.regressed, 1u);
-    EXPECT_FALSE(cmp.pass);
+    const auto t = gate({sample("a", 1000.0)}, {sample("a", 1300.0)});
+    ASSERT_EQ(t.rows.size(), 1u);
+    EXPECT_EQ(t.rows[0].verdict, TrendSeries::Verdict::Regressed);
+    EXPECT_EQ(t.regressed, 1u);
+    EXPECT_FALSE(t.pass);
 }
 
 TEST(PerfCompare, ThresholdBoundaryPasses)
 {
     // ratio == maxRegress exactly (both sides representable): passes.
-    const auto at = comparePerfSeries(
-        {sample("a", 100.0)}, {sample("a", 125.0)}, PerfGateOptions{});
-    EXPECT_EQ(at.rows[0].status, PerfDelta::Status::Ok);
+    const auto at = gate({sample("a", 100.0)}, {sample("a", 125.0)});
+    EXPECT_EQ(at.rows[0].verdict, TrendSeries::Verdict::Ok);
     EXPECT_TRUE(at.pass);
 
     // The next representable step beyond fails.
-    const auto over = comparePerfSeries(
-        {sample("a", 100.0)}, {sample("a", 125.1)}, PerfGateOptions{});
-    EXPECT_EQ(over.rows[0].status, PerfDelta::Status::Regressed);
+    const auto over = gate({sample("a", 100.0)}, {sample("a", 125.1)});
+    EXPECT_EQ(over.rows[0].verdict, TrendSeries::Verdict::Regressed);
     EXPECT_FALSE(over.pass);
 }
 
 TEST(PerfCompare, MissingBaselineSeriesFails)
 {
-    const auto cmp = comparePerfSeries(
-        {sample("a", 100.0), sample("gone", 100.0)},
-        {sample("a", 100.0)}, PerfGateOptions{});
-    ASSERT_EQ(cmp.rows.size(), 2u);
-    EXPECT_EQ(cmp.rows[1].status, PerfDelta::Status::Missing);
-    EXPECT_EQ(cmp.missing, 1u);
-    EXPECT_FALSE(cmp.pass);
+    const auto t = gate({sample("a", 100.0), sample("gone", 100.0)},
+                        {sample("a", 100.0)});
+    ASSERT_EQ(t.rows.size(), 2u);
+    EXPECT_EQ(t.rows[1].name, "gone");
+    EXPECT_TRUE(t.rows[1].gated);
+    EXPECT_EQ(t.rows[1].verdict, TrendSeries::Verdict::Missing);
+    EXPECT_EQ(t.missing, 1u);
+    EXPECT_FALSE(t.pass);
 }
 
 TEST(PerfCompare, FreshSeriesIsReportedButNotGated)
 {
-    const auto cmp = comparePerfSeries(
-        {sample("a", 100.0)},
-        {sample("a", 100.0), sample("brand-new", 9e9)},
-        PerfGateOptions{});
-    ASSERT_EQ(cmp.rows.size(), 2u);
-    EXPECT_EQ(cmp.rows[1].status, PerfDelta::Status::Fresh);
-    EXPECT_EQ(cmp.fresh, 1u);
-    EXPECT_TRUE(cmp.pass);
+    const auto t =
+        gate({sample("a", 100.0)},
+             {sample("a", 100.0), sample("brand-new", 9e9)});
+    ASSERT_EQ(t.rows.size(), 2u);
+    EXPECT_EQ(t.rows[1].name, "brand-new");
+    EXPECT_FALSE(t.rows[1].gated);
+    EXPECT_EQ(t.rows[1].verdict, TrendSeries::Verdict::Ok);
+    EXPECT_TRUE(t.pass);
 }
 
 TEST(PerfCompare, SeriesFilterGatesOnlyNamedSeries)
 {
-    PerfGateOptions opts;
-    opts.series = {"gated"};
     // "other" regresses wildly but is not gated (and not listed).
-    const auto cmp = comparePerfSeries(
-        {sample("gated", 100.0), sample("other", 100.0)},
-        {sample("gated", 110.0), sample("other", 9000.0)}, opts);
-    ASSERT_EQ(cmp.rows.size(), 1u);
-    EXPECT_EQ(cmp.rows[0].name, "gated");
-    EXPECT_EQ(cmp.rows[0].status, PerfDelta::Status::Ok);
-    EXPECT_TRUE(cmp.pass);
+    const auto t = gate({sample("gated", 100.0), sample("other", 100.0)},
+                        {sample("gated", 110.0), sample("other", 9000.0)},
+                        {"gated"});
+    ASSERT_EQ(t.rows.size(), 1u);
+    EXPECT_EQ(t.rows[0].name, "gated");
+    EXPECT_EQ(t.rows[0].verdict, TrendSeries::Verdict::Ok);
+    EXPECT_TRUE(t.pass);
 }
 
 TEST(PerfCompare, FilterNameAbsentFromBaselineFails)
 {
-    PerfGateOptions opts;
-    opts.series = {"tpyo"};
-    const auto cmp = comparePerfSeries(
-        {sample("real", 100.0)}, {sample("real", 100.0)}, opts);
-    ASSERT_EQ(cmp.rows.size(), 1u);
-    EXPECT_EQ(cmp.rows[0].name, "tpyo");
-    EXPECT_EQ(cmp.rows[0].status, PerfDelta::Status::Missing);
-    EXPECT_FALSE(cmp.pass);
+    // Named, present only in the newest report: gated and Missing.
+    const auto t = gate({sample("real", 100.0)},
+                        {sample("real", 100.0), sample("late", 100.0)},
+                        {"late"});
+    ASSERT_EQ(t.rows.size(), 1u);
+    EXPECT_EQ(t.rows[0].name, "late");
+    EXPECT_TRUE(t.rows[0].gated);
+    EXPECT_EQ(t.rows[0].verdict, TrendSeries::Verdict::Missing);
+    EXPECT_FALSE(t.pass);
+
+    // Named, present in no report at all: no row, and still a failure.
+    const auto typo = gate({sample("real", 100.0)},
+                           {sample("real", 100.0)}, {"tpyo"});
+    EXPECT_TRUE(typo.rows.empty());
+    ASSERT_EQ(typo.unknownSeries.size(), 1u);
+    EXPECT_EQ(typo.unknownSeries[0], "tpyo");
+    EXPECT_FALSE(typo.pass);
+}
+
+TEST(PerfGate, SeriesVanishedFromNewestFailsWithoutFilter)
+{
+    // Present in the oldest and a middle report, gone from the newest:
+    // lastVsFirst still spans the present points, but the gate fails.
+    const auto t = computeTrend(
+        {"r0", "r1", "r2"},
+        {{sample("a", 100.0), sample("b", 100.0)},
+         {sample("a", 100.0), sample("b", 100.0)},
+         {sample("a", 100.0)}},
+        {}, 1.01);
+    ASSERT_EQ(t.rows.size(), 2u);
+    EXPECT_EQ(t.rows[0].verdict, TrendSeries::Verdict::Ok);
+    EXPECT_EQ(t.rows[1].verdict, TrendSeries::Verdict::Missing);
+    EXPECT_DOUBLE_EQ(t.rows[1].lastVsFirst, 1.0);
+    EXPECT_EQ(t.missing, 1u);
+    EXPECT_FALSE(t.pass);
+}
+
+TEST(PerfGate, GatesNewestAgainstOldestAcrossMiddleGaps)
+{
+    // The middle report's spike and absence do not matter; only
+    // newest/oldest does.
+    const auto t = computeTrend(
+        {"r0", "r1", "r2", "r3"},
+        {{sample("a", 100.0)}, {sample("a", 900.0)}, {},
+         {sample("a", 120.0)}},
+        {}, 1.25);
+    ASSERT_EQ(t.rows.size(), 1u);
+    EXPECT_EQ(t.rows[0].verdict, TrendSeries::Verdict::Ok);
+    EXPECT_TRUE(t.pass);
+}
+
+TEST(PerfGate, NoThresholdGatesNothing)
+{
+    // maxRegress == 0 is the informational table: a vanished or
+    // slower series never fails it.
+    const auto t = computeTrend(
+        {"r0", "r1"},
+        {{sample("slow", 1.0), sample("gone", 1.0)}, {sample("slow", 9.0)}},
+        {});
+    ASSERT_EQ(t.rows.size(), 2u);
+    for (const TrendSeries &r : t.rows) {
+        EXPECT_FALSE(r.gated);
+        EXPECT_EQ(r.verdict, TrendSeries::Verdict::Ok);
+    }
+    EXPECT_TRUE(t.pass);
 }
 
 // ---- trend (`tstream-bench trend`) -----------------------------------------
@@ -294,11 +360,13 @@ TEST(PerfTrend, FilterRestrictsToNamedSeries)
 
 TEST(PerfTrend, FilteredNameAbsentEverywhereYieldsNoRow)
 {
-    // No row at all — `tstream-bench trend` detects the absence and
-    // fails loudly rather than printing a quiet empty row.
+    // No row at all, and the table fails even without a gate: a typo
+    // must never read as a quiet empty row.
     const auto t = computeTrend(
         {"r0"}, {{sample("real", 1.0)}}, {"tpyo"});
     EXPECT_TRUE(t.rows.empty());
+    ASSERT_EQ(t.unknownSeries.size(), 1u);
+    EXPECT_FALSE(t.pass);
 }
 
 } // namespace

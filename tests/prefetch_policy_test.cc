@@ -16,6 +16,8 @@
 
 #include "core/prefetch_policy.hh"
 #include "core/stride.hh"
+#include "kernel/kernel.hh"
+#include "sim/engine.hh"
 #include "sim/experiment.hh"
 #include "util/rng.hh"
 
@@ -516,6 +518,103 @@ TEST(PrefetchLoop, EngineStatsMatchOfflineShape)
     EXPECT_LE(res.prefetch.covered, res.prefetch.misses);
     EXPECT_LE(res.prefetchCoveredTraced, res.prefetch.covered);
     EXPECT_GT(res.prefetch.misses, 0u);
+}
+
+/**
+ * Captures every off-chip miss a loop engine would observe (setup and
+ * warm-up included, traced or not) and covers none of them.
+ */
+class RecordingLoopHook : public PrefetchLoopHook
+{
+  public:
+    bool
+    coverOffChipMiss(const MissRecord &m, bool) override
+    {
+        seen.misses.push_back(m);
+        return false;
+    }
+
+    MissTrace seen;
+};
+
+/** runExperiment()'s steps with the recording hook where the loop
+ *  engine would sit; returns the stream that hook observed. */
+MissTrace
+captureLoopStream(const ExperimentConfig &cfg)
+{
+    std::unique_ptr<MemorySystem> sys;
+    if (cfg.context == SystemContext::MultiChip)
+        sys = std::make_unique<MultiChipSystem>(cfg.multiChip);
+    else
+        sys = std::make_unique<SingleChipSystem>(cfg.singleChip);
+    Engine eng(std::move(sys), cfg.seed);
+    Kernel kern(eng);
+    RecordingLoopHook hook;
+    hook.seen.numCpus = eng.memory().numCpus();
+    eng.memory().setPrefetchHook(&hook);
+
+    WorkloadSpec spec;
+    spec.kind = cfg.workload;
+    spec.scale = cfg.scale;
+    spec.seed = cfg.seed;
+    auto workload = makeWorkload(spec);
+    workload->setup(kern);
+    eng.setTracing(false);
+    kern.run(cfg.warmupInstructions);
+    eng.setTracing(true);
+    kern.run(cfg.measureInstructions);
+    eng.finalizeTraces();
+    const std::size_t recorded = eng.memory().offChipTrace().misses.size();
+    EXPECT_GT(hook.seen.misses.size(), recorded)
+        << "setup and warm-up misses reach the hook but are not recorded";
+    return hook.seen;
+}
+
+/**
+ * The loop engine's stats equal evaluatePolicy() over the stream the
+ * engine observed — not over the recorded trace, which lacks the setup
+ * and warm-up misses the loop predictor also trains on.
+ */
+void
+expectLoopEqualsOfflineOverObservedStream(WorkloadKind w, SystemContext c)
+{
+    auto cfg = ExperimentConfig::quick(w, c);
+    const MissTrace observed = captureLoopStream(cfg);
+    for (const std::string &name : prefetchPolicyNames()) {
+        SCOPED_TRACE(name);
+        cfg.prefetchLoop.enabled = true;
+        cfg.prefetchLoop.policy = name;
+        const ExperimentResult loop = runExperiment(cfg);
+        ASSERT_TRUE(loop.prefetchEnabled);
+
+        PrefetchPolicyParams params;
+        params.ts = cfg.prefetchLoop.ts;
+        params.strideDegree = cfg.prefetchLoop.strideDegree;
+        auto policy = makePrefetchPolicy(name, params);
+        ASSERT_NE(policy, nullptr);
+        const TsPrefetcherStats offline = evaluatePolicy(
+            observed, *policy, cfg.prefetchLoop.ts.bufferBlocks);
+
+        EXPECT_EQ(loop.prefetch.misses, offline.misses);
+        EXPECT_EQ(loop.prefetch.covered, offline.covered);
+        EXPECT_EQ(loop.prefetch.issued, offline.issued);
+        EXPECT_EQ(loop.prefetch.useful, offline.useful);
+        EXPECT_EQ(loop.prefetch.evictions, offline.evictions);
+        EXPECT_EQ(loop.prefetch.streamLookups, offline.streamLookups);
+        EXPECT_GT(offline.covered, 0u);
+    }
+}
+
+TEST(PrefetchLoop, EngineEqualsOfflineOverObservedStreamMultiChip)
+{
+    expectLoopEqualsOfflineOverObservedStream(WorkloadKind::Oltp,
+                                              SystemContext::MultiChip);
+}
+
+TEST(PrefetchLoop, EngineEqualsOfflineOverObservedStreamSingleChip)
+{
+    expectLoopEqualsOfflineOverObservedStream(WorkloadKind::Apache,
+                                              SystemContext::SingleChip);
 }
 
 } // namespace

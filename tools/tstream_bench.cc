@@ -26,15 +26,10 @@
  *                each get their own diagnostic and none passes
  *   check-stdout verify every row of a report appears verbatim in a
  *                captured stdout file (the bit-identity guarantee)
- *   compare      diff the perf series of two reports (Google
- *                Benchmark JSON or tstream-bench documents), print
- *                per-series ratios, and exit non-zero when any gated
- *                series regresses beyond --max-regress or went
- *                missing — the CI perf-regression gate
- *   trend        tabulate the perf series of an ordered sequence of
- *                archived reports (e.g. BENCH_perf.json artifacts
- *                across commits); informational unless --max-regress
- *                gates last-vs-first
+ *   trend        tabulate the perf series of two or more reports,
+ *                oldest first; with --max-regress, print
+ *                computeTrend()'s verdicts and fail on a regressed or
+ *                missing series — the CI perf-regression gate
  *   status       read a live claim session's claim/heartbeat/done
  *                files and render per-worker progress: cells held /
  *                done / failed, last-heartbeat age (flagging stale
@@ -67,6 +62,7 @@
 #include "sim/bench_report.hh"
 #include "util/claim_file.hh"
 #include "util/logging.hh"
+#include "util/parse_number.hh"
 
 using namespace tstream;
 using bench::kViews;
@@ -90,8 +86,6 @@ usage(const char *msg)
         "  tstream-bench merge -o OUT.json IN.json...\n"
         "  tstream-bench check-equal [--subset] A.json B.json\n"
         "  tstream-bench check-stdout REPORT.json STDOUT.txt\n"
-        "  tstream-bench compare [--max-regress R] [--series NAME]...\n"
-        "                BASELINE.json CURRENT.json\n"
         "  tstream-bench trend [--max-regress R] [--series NAME]...\n"
         "                REPORT1.json REPORT2.json...\n"
         "  tstream-bench print REPORT.json\n"
@@ -120,15 +114,12 @@ usage(const char *msg)
         "and metric mismatches are reported distinctly and none\n"
         "passes. With --subset, every cell of A must match its\n"
         "same-id cell in B (B may hold more — e.g. a --workload\n"
-        "config run against the full compiled-in sweep). compare reads\n"
-        "Google Benchmark JSON (cpu_time per benchmark, best\n"
-        "repetition) or tstream-bench reports (wall_seconds per cell)\n"
-        "and fails when a gated series is slower than baseline*R or\n"
-        "absent; ratio == R still passes, and current-only series are\n"
-        "reported but never gated. trend aligns the same series across\n"
-        "an ordered report sequence and prints each one's trajectory;\n"
-        "with --max-regress it fails when last/first exceeds R or a\n"
-        "--series name is absent from the newest report. A cell shared\n"
+        "config run against the full compiled-in sweep). trend prints\n"
+        "each perf series (Google Benchmark cpu_time or report\n"
+        "wall_seconds) across the reports, oldest first; with\n"
+        "--max-regress R, a series of the oldest report (or each\n"
+        "--series) fails when newest/oldest > R or when it is absent\n"
+        "from the oldest or newest report. A cell shared\n"
         "by several benches is charged to the first that runs it in\n"
         "the telemetry files (fleet workers write\n"
         "BASE.workerK.<binary>.json). status scans a claim directory —\n"
@@ -429,7 +420,17 @@ cmdMerge(int argc, char **argv)
     return 0;
 }
 
-// ---- compare ----------------------------------------------------------------
+/** The value of flag argv[i], advancing @p i; a missing value is a
+ *  usage error (exit 2). */
+const char *
+flagValue(int argc, char **argv, int &i)
+{
+    if (i + 1 >= argc) {
+        usage(("missing value for " + std::string(argv[i])).c_str());
+        std::exit(2);
+    }
+    return argv[++i];
+}
 
 std::string
 fmtTime(double ns)
@@ -448,84 +449,6 @@ fmtTime(double ns)
     return buf;
 }
 
-int
-cmdCompare(int argc, char **argv)
-{
-    PerfGateOptions opts;
-    std::vector<std::string> paths;
-    for (int i = 0; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        auto value = [&](const char *what) -> const char * {
-            if (i + 1 >= argc) {
-                usage((std::string("missing value for ") + what)
-                          .c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        if (arg == "--max-regress") {
-            const char *v = value("--max-regress");
-            char *end = nullptr;
-            opts.maxRegress = std::strtod(v, &end);
-            if (!end || *end != '\0' || opts.maxRegress <= 0.0)
-                return usage("--max-regress wants a positive ratio");
-        } else if (arg == "--series") {
-            opts.series.emplace_back(value("--series"));
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage(
-                ("unknown compare option: " + std::string(arg))
-                    .c_str());
-        } else {
-            paths.emplace_back(arg);
-        }
-    }
-    if (paths.size() != 2)
-        return usage("compare takes exactly two reports "
-                     "(BASELINE.json CURRENT.json)");
-
-    std::vector<PerfSample> base, cur;
-    std::string err;
-    if (!loadPerfSeries(paths[0], base, err) ||
-        !loadPerfSeries(paths[1], cur, err)) {
-        std::fprintf(stderr, "tstream-bench: %s\n", err.c_str());
-        return 2;
-    }
-
-    const PerfComparison cmp = comparePerfSeries(base, cur, opts);
-
-    std::size_t width = 6;
-    for (const PerfDelta &d : cmp.rows)
-        width = std::max(width, d.name.size());
-    std::printf("%-*s  %12s  %12s  %7s\n", static_cast<int>(width),
-                "series", "baseline", "current", "ratio");
-    for (const PerfDelta &d : cmp.rows) {
-        const char *status = "";
-        switch (d.status) {
-          case PerfDelta::Status::Ok: status = "ok"; break;
-          case PerfDelta::Status::Improved: status = "improved"; break;
-          case PerfDelta::Status::Regressed:
-            status = "REGRESSED";
-            break;
-          case PerfDelta::Status::Missing: status = "MISSING"; break;
-          case PerfDelta::Status::Fresh: status = "new"; break;
-        }
-        char ratio[16];
-        if (d.ratio > 0)
-            std::snprintf(ratio, sizeof ratio, "%.3f", d.ratio);
-        else
-            std::snprintf(ratio, sizeof ratio, "--");
-        std::printf("%-*s  %12s  %12s  %7s  %s\n",
-                    static_cast<int>(width), d.name.c_str(),
-                    fmtTime(d.baseNs).c_str(),
-                    fmtTime(d.currentNs).c_str(), ratio, status);
-    }
-    std::printf("compare: %zu series, %zu regressed, %zu missing, "
-                "%zu new (threshold %.2fx): %s\n",
-                cmp.rows.size(), cmp.regressed, cmp.missing, cmp.fresh,
-                opts.maxRegress, cmp.pass ? "PASS" : "FAIL");
-    return cmp.pass ? 0 : 1;
-}
-
 // ---- trend ------------------------------------------------------------------
 
 int
@@ -536,22 +459,14 @@ cmdTrend(int argc, char **argv)
     std::vector<std::string> paths;
     for (int i = 0; i < argc; ++i) {
         const std::string_view arg = argv[i];
-        auto value = [&](const char *what) -> const char * {
-            if (i + 1 >= argc) {
-                usage((std::string("missing value for ") + what)
-                          .c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
+        auto value = [&] { return flagValue(argc, argv, i); };
         if (arg == "--max-regress") {
-            const char *v = value("--max-regress");
-            char *end = nullptr;
-            maxRegress = std::strtod(v, &end);
-            if (!end || *end != '\0' || maxRegress <= 0.0)
-                return usage("--max-regress wants a positive ratio");
+            const std::string err =
+                parsePositiveReal(arg, value(), maxRegress);
+            if (!err.empty())
+                return usage(err.c_str());
         } else if (arg == "--series") {
-            filter.emplace_back(value("--series"));
+            filter.emplace_back(value());
         } else if (!arg.empty() && arg[0] == '-') {
             return usage(
                 ("unknown trend option: " + std::string(arg)).c_str());
@@ -573,23 +488,12 @@ cmdTrend(int argc, char **argv)
         series.push_back(std::move(samples));
     }
 
-    const TrendTable table = computeTrend(paths, series, filter);
-
-    // A filtered name matching no report at all is a typo, not a
-    // quiet empty row.
-    bool pass = true;
-    for (const std::string &name : filter) {
-        bool found = false;
-        for (const TrendSeries &r : table.rows)
-            found = found || r.name == name;
-        if (!found) {
-            std::fprintf(stderr,
-                         "tstream-bench: series %s absent from every "
-                         "report\n",
-                         name.c_str());
-            pass = false;
-        }
-    }
+    const TrendTable table =
+        computeTrend(paths, series, filter, maxRegress);
+    for (const std::string &name : table.unknownSeries)
+        std::fprintf(stderr,
+                     "tstream-bench: series %s absent from every report\n",
+                     name.c_str());
 
     std::size_t width = 6;
     for (const TrendSeries &r : table.rows)
@@ -604,31 +508,25 @@ cmdTrend(int argc, char **argv)
         std::printf("%-*s", static_cast<int>(width), r.name.c_str());
         for (double t : r.timesNs)
             std::printf("  %12s", fmtTime(t).c_str());
-        char ratio[16];
         if (r.lastVsFirst > 0)
-            std::snprintf(ratio, sizeof ratio, "%.3f", r.lastVsFirst);
+            std::printf("  %10.3f", r.lastVsFirst);
         else
-            std::snprintf(ratio, sizeof ratio, "--");
-        bool gatedFail = false;
-        if (maxRegress > 0) {
-            if (r.lastVsFirst > maxRegress)
-                gatedFail = true;
-            // A named series that vanished from the newest report is
-            // a gate failure too — missing must never pass silently.
-            for (const std::string &name : filter)
-                if (name == r.name && r.timesNs.back() <= 0)
-                    gatedFail = true;
-        }
-        std::printf("  %10s%s\n", ratio,
-                    gatedFail ? "  REGRESSED" : "");
-        pass = pass && !gatedFail;
+            std::printf("  %10s", "--");
+        std::printf("%s\n",
+                    r.verdict == TrendSeries::Verdict::Regressed
+                        ? "  REGRESSED"
+                    : r.verdict == TrendSeries::Verdict::Missing
+                        ? "  MISSING"
+                        : "");
     }
-    std::printf("trend: %zu series over %zu reports%s\n",
-                table.rows.size(), table.labels.size(),
-                maxRegress > 0
-                    ? (pass ? ": PASS" : ": FAIL")
-                    : "");
-    return pass ? 0 : 1;
+    std::printf("trend: %zu series over %zu reports", table.rows.size(),
+                table.labels.size());
+    if (maxRegress > 0)
+        std::printf(", %zu regressed, %zu missing (threshold %.2fx): %s",
+                    table.regressed, table.missing, maxRegress,
+                    table.pass ? "PASS" : "FAIL");
+    std::printf("\n");
+    return table.pass ? 0 : 1;
 }
 
 // ---- status -----------------------------------------------------------------
@@ -662,43 +560,27 @@ cmdStatus(int argc, char **argv)
     long long nowOverride = -1;
     for (int i = 0; i < argc; ++i) {
         const std::string_view arg = argv[i];
-        auto value = [&](const char *what) -> const char * {
-            if (i + 1 >= argc) {
-                usage((std::string("missing value for ") + what)
-                          .c_str());
-                std::exit(2);
-            }
-            return argv[++i];
-        };
-        auto number = [&](const char *what, long long lo) -> long long {
-            const char *v = value(what);
-            char *end = nullptr;
-            const long long n = std::strtoll(v, &end, 10);
-            if (!end || *end != '\0' || n < lo) {
-                usage((std::string(what) + " wants an integer >= " +
-                       std::to_string(lo))
-                          .c_str());
-                std::exit(2);
-            }
-            return n;
-        };
+        auto value = [&] { return flagValue(argc, argv, i); };
+        std::string err;
         if (arg == "--claim-dir") {
-            claimDir = value("--claim-dir");
+            claimDir = value();
         } else if (arg == "--session") {
-            session = value("--session");
+            session = value();
         } else if (arg == "--bench") {
-            bench = value("--bench");
+            bench = value();
         } else if (arg == "--grid") {
-            grid = static_cast<long>(number("--grid", 1));
+            err = parseInt(arg, value(), grid, 1);
         } else if (arg == "--ttl") {
-            ttlMs = number("--ttl", 1);
+            err = parseInt(arg, value(), ttlMs, 1);
         } else if (arg == "--now") {
-            nowOverride = number("--now", 0);
+            err = parseInt(arg, value(), nowOverride, 0);
         } else {
             return usage(
                 ("unknown status option: " + std::string(arg))
                     .c_str());
         }
+        if (!err.empty())
+            return usage(err.c_str());
     }
     if (!claimDir.empty() && !session.empty())
         return usage("--claim-dir and --session are mutually "
@@ -1027,8 +909,6 @@ main(int argc, char **argv)
                 "check-stdout takes a report and a stdout capture");
         return cmdCheckStdout(argv[2], argv[3]);
     }
-    if (cmd == "compare")
-        return cmdCompare(argc - 2, argv + 2);
     if (cmd == "trend")
         return cmdTrend(argc - 2, argv + 2);
     if (cmd == "status")

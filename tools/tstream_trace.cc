@@ -29,6 +29,7 @@
  */
 
 #include <algorithm>
+#include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
@@ -44,6 +45,7 @@
 #include "stats/histogram.hh"
 #include "trace/query.hh"
 #include "trace/trace_io.hh"
+#include "util/parse_number.hh"
 
 using namespace tstream;
 
@@ -194,7 +196,12 @@ cmdRecord(int argc, char **argv)
         auto value = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
         };
+        // A number flag without a value fails its parse like a bad one.
+        auto number = [&] {
+            return std::string_view(i + 1 < argc ? argv[++i] : "");
+        };
         const char *v;
+        std::string err;
         if (arg == "--workload") {
             if (!(v = value()))
                 return usage("missing --workload value");
@@ -238,30 +245,19 @@ cmdRecord(int argc, char **argv)
             cfg.measureInstructions = kQuickBudgets.measureInstructions;
             cfg.scale = kQuickBudgets.scale;
         } else if (arg == "--warmup") {
-            if (!(v = value()))
-                return usage("missing --warmup value");
-            cfg.warmupInstructions = std::strtoull(v, nullptr, 10);
+            err = parseInt(arg, number(), cfg.warmupInstructions, 0);
         } else if (arg == "--measure") {
-            if (!(v = value()))
-                return usage("missing --measure value");
-            cfg.measureInstructions = std::strtoull(v, nullptr, 10);
+            err = parseInt(arg, number(), cfg.measureInstructions, 1);
         } else if (arg == "--scale") {
-            if (!(v = value()))
-                return usage("missing --scale value");
-            cfg.scale = std::strtod(v, nullptr);
+            err = parsePositiveReal(arg, number(), cfg.scale);
         } else if (arg == "--seed") {
-            if (!(v = value()))
-                return usage("missing --seed value");
-            cfg.seed = std::strtoull(v, nullptr, 10);
+            err = parseInt(arg, number(), cfg.seed, 0);
         } else if (arg == "--codec") {
             if (!(v = value()) || !codecByName(v))
                 return usage("unknown --codec (try lz4 or none)");
             opts.codec = codecByName(v)->id();
         } else if (arg == "--chunk-records") {
-            if (!(v = value()))
-                return usage("missing --chunk-records value");
-            opts.chunkRecords =
-                static_cast<std::uint32_t>(std::strtoul(v, nullptr, 10));
+            err = parseInt(arg, number(), opts.chunkRecords, 1);
         } else if (arg == "--prefetch-policy") {
             if (!(v = value()))
                 return usage("missing --prefetch-policy value");
@@ -278,15 +274,8 @@ cmdRecord(int argc, char **argv)
             cfg.prefetchLoop.enabled = true;
             cfg.prefetchLoop.policy = v;
         } else if (arg == "--prefetch-depth") {
-            if (!(v = value()))
-                return usage("missing --prefetch-depth value");
-            char *end = nullptr;
-            const long n = std::strtol(v, &end, 10);
-            if (!end || *end != '\0' || n <= 0 || n > 1024)
-                return usage("--prefetch-depth wants a positive "
-                             "integer (<= 1024)");
-            cfg.prefetchLoop.ts.replayDepth =
-                static_cast<unsigned>(n);
+            err = parseInt(arg, number(), cfg.prefetchLoop.ts.replayDepth,
+                           1, 1024);
             prefetchDepthSet = true;
         } else if (arg == "-o" || arg == "--output") {
             if (!(v = value()))
@@ -296,6 +285,8 @@ cmdRecord(int argc, char **argv)
             return usage(("unknown record option: " + std::string(arg))
                              .c_str());
         }
+        if (!err.empty())
+            return usage(err.c_str());
     }
     if (!haveWorkload || !haveContext || out.empty())
         return usage("record needs --workload, --context and -o");
@@ -487,6 +478,9 @@ cmdDump(const std::string &path, std::uint64_t limit, long onlyChunk)
 bool
 parseU64(const char *s, std::uint64_t &v)
 {
+    // strtoull would take a sign (wrapping "-1") or leading blanks.
+    if (!std::isdigit(static_cast<unsigned char>(*s)))
+        return false;
     char *end = nullptr;
     v = std::strtoull(s, &end, 0);
     return end != nullptr && end != s && *end == '\0';
@@ -960,14 +954,14 @@ main(int argc, char **argv)
         long chunk = -1;
         for (int i = 2; i < argc; ++i) {
             const std::string_view arg = argv[i];
+            auto number = [&] {
+                return std::string_view(i + 1 < argc ? argv[++i] : "");
+            };
+            std::string err;
             if (arg == "--limit") {
-                if (i + 1 >= argc)
-                    return usage("missing value for --limit");
-                limit = std::strtoull(argv[++i], nullptr, 10);
+                err = parseInt(arg, number(), limit, 0);
             } else if (arg == "--chunk") {
-                if (i + 1 >= argc)
-                    return usage("missing value for --chunk");
-                chunk = std::strtol(argv[++i], nullptr, 10);
+                err = parseInt(arg, number(), chunk, 0);
             } else if (!arg.empty() && arg[0] == '-') {
                 // Reject anything unrecognized (same contract as the
                 // bench binaries since the strict-args change).
@@ -979,6 +973,8 @@ main(int argc, char **argv)
             } else {
                 return usage("dump takes exactly one trace file");
             }
+            if (!err.empty())
+                return usage(err.c_str());
         }
         if (path.empty())
             return usage("dump needs a trace file");
