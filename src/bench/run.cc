@@ -33,12 +33,6 @@ const char *const kRunFlagsHelp =
     "                 TSTREAM_TRACE_CACHE; excludes --shard, --resume)\n"
     "  --claim-ttl MS heartbeat staleness before a claim may be stolen\n"
     "                 (default 30000)\n"
-    "  --heartbeat MS heartbeat period for held claims (default ttl/3)\n"
-    "  --cell-timeout MS\n"
-    "                 per-attempt cell timeout; 0 = none (default)\n"
-    "  --cell-retries N\n"
-    "                 attempts per cell before it becomes a failure row\n"
-    "                 (default 3)\n"
     "  --telemetry-out BASE\n"
     "                 write each view's metrics and Chrome trace to\n"
     "                 BASE.<binary>.json and BASE.<binary>.trace.json\n"
@@ -58,11 +52,10 @@ namespace
 
 /** Flags that take a value argument. */
 constexpr std::string_view kValueFlags[] = {
-    "--jobs",          "--shard",        "-o",
-    "--output",        "--workload",     "--phases",
-    "--claim-session", "--claim-ttl",    "--heartbeat",
-    "--cell-timeout",  "--cell-retries", "--telemetry-out",
-    "--slowest",       "--fleet",        "--fleet-kill-after",
+    "--jobs",          "--shard",     "-o",
+    "--output",        "--workload",  "--phases",
+    "--claim-session", "--claim-ttl", "--telemetry-out",
+    "--slowest",       "--fleet",     "--fleet-kill-after",
     "--policy",        "--replay-depth"};
 
 /** Flags a fleet worker does not repeat: the fleet sets its own. */
@@ -127,8 +120,7 @@ validateExt(const BenchOptions &opts, bool depthGiven)
  * owns are executed on the driver pool, except those in @p prior (the
  * already-validated cells of a --resume report), which are reused
  * verbatim. Under --claim-session the claim protocol decides which
- * cells this worker runs. A cell that exhausted its retries becomes a
- * failure row.
+ * cells this worker runs. A cell that threw becomes a failure row.
  */
 BenchDoc
 runView(const BenchView &view, const std::string &binary,
@@ -191,9 +183,6 @@ BenchOptions::driver(const std::string &binary) const
         d.claim.dir =
             std::string(cache) + "/claims/" + claimSession + "/" + binary;
     d.claim.ttlMs = claimTtlMs;
-    d.claim.heartbeatMs = heartbeatMs;
-    d.retry.maxAttempts = cellRetries;
-    d.retry.timeoutMs = cellTimeoutMs;
     return d;
 }
 
@@ -234,12 +223,6 @@ parseRunArgs(int argc, const char *const *argv, BenchOptions &opts)
             opts.claimSession = v;
         } else if (arg == "--claim-ttl") {
             err = parseInt(arg, v, opts.claimTtlMs, 1);
-        } else if (arg == "--heartbeat") {
-            err = parseInt(arg, v, opts.heartbeatMs, 0);
-        } else if (arg == "--cell-timeout") {
-            err = parseInt(arg, v, opts.cellTimeoutMs, 0);
-        } else if (arg == "--cell-retries") {
-            err = parseInt(arg, v, opts.cellRetries, 1);
         } else if (arg == "--telemetry-out") {
             opts.telemetryOut = v;
         } else if (arg == "--slowest") {

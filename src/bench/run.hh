@@ -51,9 +51,6 @@ struct BenchOptions
      *  `$TSTREAM_TRACE_CACHE/claims/<ID>/<binary>`. */
     std::string claimSession;
     std::int64_t claimTtlMs = 30'000; ///< --claim-ttl MS
-    std::int64_t heartbeatMs = 0;     ///< --heartbeat MS; 0 = ttl/3
-    std::int64_t cellTimeoutMs = 0;   ///< --cell-timeout MS; 0 = none
-    unsigned cellRetries = 3;         ///< --cell-retries N (attempts)
     /** --telemetry-out BASE: metrics and Chrome trace per view at
      *  BASE.<binary>.json and BASE.<binary>.trace.json. */
     std::string telemetryOut;

@@ -4,6 +4,8 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <set>
 
 namespace tstream
 {
@@ -43,7 +45,6 @@ makeBenchCell(const CellResult &res, std::vector<BenchRow> rows)
     c.cacheHit = res.cacheHit;
     c.wallSeconds = res.wallSeconds;
     c.instructions = res.instructions;
-    c.attempts = res.attempts;
     c.failed = res.failed;
     c.failureCause = res.failureCause;
     c.rows = std::move(rows);
@@ -82,13 +83,9 @@ resumeCells(const BenchDoc &prior, const std::string &path, bool quick,
         return false;
     }
 
-    std::vector<bool> seen(grid.size(), false);
+    // benchDocFromJson() already rejected out-of-range and repeated
+    // indexes, and the grid sizes agree.
     for (const BenchCell &cell : prior.cells) {
-        if (cell.index >= grid.size() || seen[cell.index]) {
-            err = path + ": duplicate or out-of-range cell index " +
-                  std::to_string(cell.index);
-            return false;
-        }
         const Cell &cur = grid[cell.index];
         if (cell.id != cur.id) {
             err = path + ": cell " + std::to_string(cell.index) +
@@ -106,7 +103,6 @@ resumeCells(const BenchDoc &prior, const std::string &path, bool quick,
                   "report or drop --resume";
             return false;
         }
-        seen[cell.index] = true;
         if (cell.failed) {
             // A failure row is not a result to reuse: resume re-runs
             // the cell (that is the whole point of resuming).
@@ -159,7 +155,6 @@ benchDocToJson(const BenchDoc &doc)
         jc["cache_hit"] = json::Value(c.cacheHit);
         jc["wall_seconds"] = json::Value(c.wallSeconds);
         jc["instructions"] = json::Value(c.instructions);
-        jc["attempts"] = json::Value(c.attempts);
         if (c.failed) {
             json::Value failed = json::Value::object();
             failed["cause"] = json::Value(c.failureCause);
@@ -251,6 +246,7 @@ benchDocFromJson(const json::Value &v, BenchDoc &out, std::string &err)
     if (const json::Value *jobs = v.find("jobs"))
         out.jobs = static_cast<unsigned>(jobs->asUint());
 
+    std::set<std::size_t> indexes;
     for (const json::Value &jc : cells->items()) {
         BenchCell c;
         const json::Value *index = need(jc, "index", err);
@@ -261,6 +257,17 @@ benchDocFromJson(const json::Value &v, BenchDoc &out, std::string &err)
             return false;
         c.index = static_cast<std::size_t>(index->asUint());
         c.id = id->asString();
+        const std::string where =
+            "cell " + c.id + ": index " + std::to_string(c.index);
+        if (c.index >= out.gridCells) {
+            err = where + " is out of range (grid_cells " +
+                  std::to_string(out.gridCells) + ")";
+            return false;
+        }
+        if (!indexes.insert(c.index).second) {
+            err = where + " is repeated";
+            return false;
+        }
         if (const json::Value *w = jc.find("workload"))
             c.workload = w->asString();
         if (const json::Value *ctx = jc.find("context"))
@@ -275,8 +282,6 @@ benchDocFromJson(const json::Value &v, BenchDoc &out, std::string &err)
             c.wallSeconds = f->asDouble();
         if (const json::Value *f = jc.find("instructions"))
             c.instructions = f->asUint();
-        if (const json::Value *f = jc.find("attempts"))
-            c.attempts = static_cast<unsigned>(f->asUint());
         if (const json::Value *f = jc.find("failed")) {
             c.failed = true;
             if (const json::Value *cause = f->find("cause"))
@@ -495,8 +500,7 @@ cellsEqual(const BenchCell &a, const BenchCell &b, std::string &why)
         const BenchCell &f = a.failed ? a : b;
         why = "cell " + a.id + " (index " + std::to_string(a.index) +
               ") failed in the " + (a.failed ? "first" : "second") +
-              " report (cause=" + f.failureCause + ", attempts=" +
-              std::to_string(f.attempts) +
+              " report (cause=" + f.failureCause +
               ") but succeeded in the other";
         return false;
     }
@@ -597,26 +601,37 @@ mergeBenchDocs(const std::vector<BenchDoc> &docs, BenchDoc &out,
                   return a.index < b.index;
               });
 
+    if (!out.cells.empty() && out.cells.back().index >= out.gridCells) {
+        err = "bench " + out.bench + ": cell " + out.cells.back().id +
+              ": index " + std::to_string(out.cells.back().index) +
+              " is out of range";
+        return false;
+    }
+
+    // Name the first kNamed absent indexes and count the rest, so the
+    // diagnostic stays short however large grid_cells is.
+    constexpr std::size_t kNamed = 16;
     std::string missing;
+    std::size_t nMissing = 0;
     std::size_t next = 0;
+    auto skipTo = [&](std::size_t end) {
+        for (; next < end && nMissing < kNamed; ++next, ++nMissing)
+            missing += (missing.empty() ? "" : ", ") + std::to_string(next);
+        nMissing += end - next;
+        next = end;
+    };
     for (const BenchCell &c : out.cells) {
-        for (; next < c.index; ++next)
-            missing += (missing.empty() ? "" : ", ") +
-                       std::to_string(next);
+        skipTo(c.index);
         next = c.index + 1;
     }
-    for (; next < out.gridCells; ++next)
-        missing +=
-            (missing.empty() ? "" : ", ") + std::to_string(next);
-    if (!missing.empty()) {
+    skipTo(out.gridCells);
+    if (nMissing > 0) {
         err = "bench " + out.bench +
               ": merged shards do not cover the grid; missing cell "
               "indexes: " +
               missing;
-        return false;
-    }
-    if (out.cells.size() != out.gridCells) {
-        err = "bench " + out.bench + ": cell indexes out of range";
+        if (nMissing > kNamed)
+            err += ", ... (" + std::to_string(nMissing) + " missing)";
         return false;
     }
     return true;
@@ -629,27 +644,19 @@ benchDocsEquivalent(const BenchDoc &a, const BenchDoc &b,
     if (!headersCompatible(a, b, why))
         return false;
 
-    // Walk the union of cell indexes so "missing" names the exact
-    // cell rather than collapsing into a bare count mismatch, and so
-    // a failure row on either side gets its own diagnostic.
-    auto findByIndex = [](const BenchDoc &doc,
-                          std::size_t index) -> const BenchCell * {
-        for (const BenchCell &c : doc.cells)
-            if (c.index == index)
-                return &c;
-        return nullptr;
-    };
-    std::size_t maxIndex = 0;
+    // Walk the union of the cell indexes both documents hold, so
+    // "missing" names the exact cell rather than collapsing into a
+    // bare count mismatch, and so a failure row on either side gets
+    // its own diagnostic.
+    std::map<std::size_t, std::pair<const BenchCell *, const BenchCell *>>
+        cells;
     for (const BenchCell &c : a.cells)
-        maxIndex = std::max(maxIndex, c.index + 1);
+        cells[c.index].first = &c;
     for (const BenchCell &c : b.cells)
-        maxIndex = std::max(maxIndex, c.index + 1);
+        cells[c.index].second = &c;
 
-    for (std::size_t i = 0; i < maxIndex; ++i) {
-        const BenchCell *ca = findByIndex(a, i);
-        const BenchCell *cb = findByIndex(b, i);
-        if (!ca && !cb)
-            continue;
+    for (const auto &[i, pair] : cells) {
+        const auto [ca, cb] = pair;
         if (!ca || !cb) {
             const BenchCell &have = ca ? *ca : *cb;
             why = "cell " + have.id + " (index " + std::to_string(i) +

@@ -11,13 +11,13 @@
  * rows — each row holds both the exact printed table line (`text`)
  * and the named numeric metrics behind it, so a JSON report is
  * bit-identical to the printed table and still machine-comparable. A
- * cell whose execution exhausted its retries is recorded as a
- * *failure row*: `failed.cause` + `attempts`, with no table rows —
- * the sweep keeps going and the failure travels through merge and
- * check-equal instead of disappearing. Shard/worker documents of the
- * same bench merge into the unsharded document (exact cover of the
- * grid is verified; a *failed* cell covers its index, a *missing*
- * cell is still an error — the two are never conflated); equivalence
+ * cell whose execution threw is recorded as a *failure row*:
+ * `failed.cause`, with no table rows — the sweep keeps going and the
+ * failure travels through merge and check-equal instead of
+ * disappearing. Shard/worker documents of the same bench merge into
+ * the unsharded document (exact cover of the grid is verified; a
+ * *failed* cell covers its index, a *missing* cell is still an error —
+ * the two are never conflated); equivalence
  * ignores non-deterministic fields (wall time, cache hits, jobs,
  * shard) so "merged fleet run equals unsharded run" is a checkable
  * invariant. Several bench documents bundle into a *combined report*
@@ -30,11 +30,13 @@
  * (which reuses stored rows verbatim) from silently mixing row
  * shapes across binaries.
  *
- * v2 -> v3 (fleet PR): cells gained `attempts` and the optional
- * `failed` object, and a cell with a failure row deliberately has no
- * table rows — a v2 consumer would misread such a cell as "ran fine,
- * produced nothing", so the version was bumped. Old reports are
- * rejected with a schema error; re-run the bench to regenerate.
+ * v2 -> v3 (fleet claiming): cells gained the optional `failed` object, and
+ * a cell with a failure row deliberately has no table rows — a v2
+ * consumer would misread such a cell as "ran fine, produced nothing",
+ * so the version was bumped. Old reports are rejected with a schema
+ * error; re-run the bench to regenerate. v3 cells also carried an
+ * `attempts` count while cells could be retried; cells now run once,
+ * so it is no longer written and the loader ignores it.
  *
  * Field-by-field schema documentation: docs/BENCHMARKING.md.
  */
@@ -83,9 +85,8 @@ struct BenchCell
     bool cacheHit = false;
     double wallSeconds = 0.0;
     std::uint64_t instructions = 0;
-    unsigned attempts = 1; ///< execution attempts consumed
-    /** Failure row: the cell exhausted its retries; rows is empty and
-     *  failureCause says why (e.g. "timeout after 500ms"). */
+    /** Failure row: the cell threw; rows is empty and failureCause
+     *  says why (e.g. "exception: <what>"). */
     bool failed = false;
     std::string failureCause;
     std::vector<BenchRow> rows;
@@ -131,7 +132,11 @@ bool resumeCells(const BenchDoc &prior, const std::string &path,
 
 json::Value benchDocToJson(const BenchDoc &doc);
 
-/** Parse one bench document; false + @p err on schema mismatch. */
+/**
+ * Parse one bench document; false + @p err on a schema mismatch, a
+ * missing field, or a cell index that is out of range (>= grid_cells)
+ * or repeated.
+ */
 bool benchDocFromJson(const json::Value &v, BenchDoc &out,
                       std::string &err);
 
@@ -154,8 +159,9 @@ bool readBenchDocs(const std::string &path, std::vector<BenchDoc> &out,
  * document: headers (bench, quick, budgets, grid size) must agree and
  * the union must cover every grid index exactly. A *failed* cell
  * covers its index (the failure row is carried into the merged
- * document); a *missing* cell is an error naming the absent indexes —
- * the two are distinct outcomes and neither is dropped silently.
+ * document); a *missing* cell is an error naming the absent indexes
+ * (the first 16, then a count) — the two are distinct outcomes and
+ * neither is dropped silently.
  * Duplicate cells: a successful copy beats a failed one (another
  * worker recovered the cell), two successful copies must be
  * equivalent, and of two failed copies the first is kept (causes may
@@ -168,7 +174,7 @@ bool mergeBenchDocs(const std::vector<BenchDoc> &docs, BenchDoc &out,
  * Deterministic-content equivalence: bench, quick, budgets, grid
  * size, and every cell's (index, id, workload, context, configHash,
  * instructions, rows) must match exactly; wallSeconds, cacheHit,
- * attempts, jobs and shard are execution details and ignored. A cell
+ * jobs and shard are execution details and ignored. A cell
  * present on one side only, a cell that failed on either side, and a
  * metric mismatch each produce a distinct diagnostic in @p why naming
  * the cell — a failure row is never silently "equal" to anything.

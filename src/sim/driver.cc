@@ -226,32 +226,19 @@ runCell(const Cell &cell, const DriverOptions &opts)
     return finish();
 }
 
-/** What one bounded attempt produced. */
-struct AttemptOutcome
+/**
+ * Run @p cell once inside a "cell" trace span. A throwing cell becomes
+ * a failure result instead of aborting the sweep; it is not run again,
+ * because a cell is a deterministic function of its configHash() and
+ * would throw again. A successful cell is stored in the run's memo.
+ */
+CellResult
+runCellOnce(const Cell &cell, const DriverOptions &opts)
 {
-    bool ok = false;
-    std::string error;
-    CellResult result;
-};
-
-/** Shared between the driver and a timed attempt thread: the thread
- *  may be abandoned on timeout, so it publishes into shared_ptr state
- *  instead of the driver's stack. */
-struct AttemptShared
-{
-    std::mutex mu;
-    std::condition_variable cv;
-    bool done = false;
-    AttemptOutcome out;
-};
-
-AttemptOutcome
-attemptCell(const Cell &cell, const DriverOptions &opts,
-            unsigned attempt)
-{
-    // One trace span per attempt: the whole cell — cache probe,
-    // simulation, analysis — with enough args to find it from the
-    // report row. Inner "simulate"/"analyze" spans nest under it.
+    const auto t0 = std::chrono::steady_clock::now();
+    // The whole cell — cache probe, simulation, analysis — with enough
+    // args to find it from the report row. Inner "simulate"/"analyze"
+    // spans nest under it.
     telemetry::Span span("cell", "driver");
     if (span.active()) {
         span.arg("id", cell.id);
@@ -261,129 +248,38 @@ attemptCell(const Cell &cell, const DriverOptions &opts,
                                cell.cfg.warmupInstructions));
         span.arg("measure", static_cast<std::int64_t>(
                                 cell.cfg.measureInstructions));
-        span.arg("attempt", static_cast<std::int64_t>(attempt));
     }
-    AttemptOutcome out;
+    CellResult out;
     try {
         if (opts.testCellHook)
-            opts.testCellHook(cell, attempt);
-        out.result = runCell(cell, opts);
-        out.ok = true;
+            opts.testCellHook(cell);
+        out = runCell(cell, opts);
     } catch (const std::exception &e) {
-        out.error = std::string("exception: ") + e.what();
+        out.failed = true;
+        out.failureCause = std::string("exception: ") + e.what();
     } catch (...) {
-        out.error = "exception: unknown";
+        out.failed = true;
+        out.failureCause = "exception: unknown";
     }
     if (span.active()) {
-        span.arg("ok", static_cast<std::int64_t>(out.ok));
-        if (out.ok)
-            span.arg("cache_hit", static_cast<std::int64_t>(
-                                      out.result.cacheHit));
+        span.arg("ok", static_cast<std::int64_t>(!out.failed));
+        if (!out.failed)
+            span.arg("cache_hit", static_cast<std::int64_t>(out.cacheHit));
     }
+    if (!out.failed) {
+        if (opts.memo)
+            opts.memo->store(cell.cfg, out.analysis);
+        return out;
+    }
+
+    out.cell = cell;
+    out.wallSeconds = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    telemetry::count("driver.cell_failures");
+    logf(LogLevel::Error, "driver: cell %s FAILED: %s", cell.id.c_str(),
+         out.failureCause.c_str());
     return out;
-}
-
-/**
- * Run one cell under the options' RetryPolicy: each attempt is bounded
- * by retry.timeoutMs (enforced by running it on a dedicated thread and
- * abandoning the thread past the deadline — the simulator has no
- * cancellation points, so a stuck attempt keeps running detached and
- * publishes into shared state nobody reads); failures back off and
- * retry up to maxAttempts, then surface as a failure result.
- */
-CellResult
-runCellWithRetry(const Cell &cell, const DriverOptions &opts)
-{
-    const auto t0 = std::chrono::steady_clock::now();
-    RetryState retry(opts.retry);
-
-    for (;;) {
-        const unsigned attempt = retry.beginAttempt(wallClockMs());
-
-        AttemptOutcome out;
-        if (opts.retry.timeoutMs <= 0) {
-            out = attemptCell(cell, opts, attempt);
-        } else {
-            auto shared = std::make_shared<AttemptShared>();
-            // Copy cell + opts: on timeout the thread outlives this
-            // frame (and possibly the whole runCells call).
-            std::thread worker(
-                [shared, cell, opts, attempt] {
-                    AttemptOutcome r = attemptCell(cell, opts, attempt);
-                    std::lock_guard<std::mutex> lk(shared->mu);
-                    shared->out = std::move(r);
-                    shared->done = true;
-                    shared->cv.notify_all();
-                });
-            std::unique_lock<std::mutex> lk(shared->mu);
-            const bool finished = shared->cv.wait_for(
-                lk, std::chrono::milliseconds(opts.retry.timeoutMs),
-                [&] { return shared->done; });
-            if (finished) {
-                out = std::move(shared->out);
-                lk.unlock();
-                worker.join();
-            } else {
-                lk.unlock();
-                worker.detach();
-            }
-        }
-
-        const std::int64_t now = wallClockMs();
-        RetryState::Decision d;
-        if (out.ok) {
-            d = retry.onSuccess(now);
-        } else if (!out.error.empty()) {
-            d = retry.onFailure(std::move(out.error), now);
-        } else {
-            d = retry.onTimeout(now);
-            if (d.kind == RetryState::Decision::Kind::None)
-                // Clock granularity: the wait expired but the ms clock
-                // has not visibly passed the deadline yet.
-                d = retry.onFailure(
-                    "timeout after " +
-                        std::to_string(opts.retry.timeoutMs) + "ms",
-                    now);
-        }
-
-        switch (d.kind) {
-          case RetryState::Decision::Kind::Done:
-            out.result.attempts = retry.attempts();
-            if (opts.memo)
-                opts.memo->store(cell.cfg, out.result.analysis);
-            return out.result;
-          case RetryState::Decision::Kind::RetryAt: {
-            logf(LogLevel::Warn,
-                 "driver: cell %s attempt %u failed (%s); retrying",
-                 cell.id.c_str(), attempt,
-                 retry.failureCause().c_str());
-            const std::int64_t delay = d.retryAtMs - wallClockMs();
-            if (delay > 0)
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(delay));
-            break;
-          }
-          case RetryState::Decision::Kind::Failed: {
-            CellResult fail;
-            fail.cell = cell;
-            fail.failed = true;
-            fail.failureCause = retry.failureCause();
-            fail.attempts = retry.attempts();
-            fail.wallSeconds =
-                std::chrono::duration<double>(
-                    std::chrono::steady_clock::now() - t0)
-                    .count();
-            telemetry::count("driver.cell_failures");
-            logf(LogLevel::Error,
-                 "driver: cell %s FAILED after %u attempts: %s",
-                 cell.id.c_str(), fail.attempts,
-                 fail.failureCause.c_str());
-            return fail;
-          }
-          case RetryState::Decision::Kind::None:
-            break; // unreachable; loop again defensively
-        }
-    }
 }
 
 /** Claim key for a cell: grid index + config hash, so a stale claim
@@ -398,11 +294,12 @@ claimKeyFor(const Cell &cell)
 }
 
 /**
- * Dynamic-claiming executor: opts.jobs worker threads race (with every
- * other process sharing the claim directory) to claim cells, run each
- * claimed cell under retry/timeout, and publish done markers. A
- * background thread heartbeats all actively running claims. Returns
- * only the cells this worker executed, in grid order.
+ * Dynamic-claiming executor: opts.jobs sweep loops on a WorkPool race
+ * (with every other process sharing the claim directory) to claim
+ * cells, run each claimed cell once, and publish done markers. A
+ * background thread heartbeats all actively running claims every
+ * ttlMs / 3. Returns only the cells this worker executed, in grid
+ * order.
  */
 std::vector<CellResult>
 runCellsClaiming(const std::vector<Cell> &grid,
@@ -414,10 +311,7 @@ runCellsClaiming(const std::vector<Cell> &grid,
     copts.ttlMs = opts.claim.ttlMs;
     ClaimDir claims(copts);
 
-    const std::int64_t beatMs =
-        opts.claim.heartbeatMs > 0
-            ? opts.claim.heartbeatMs
-            : std::max<std::int64_t>(1, opts.claim.ttlMs / 3);
+    const std::int64_t beatMs = std::max<std::int64_t>(1, opts.claim.ttlMs / 3);
     const std::int64_t pollMs =
         std::clamp<std::int64_t>(opts.claim.ttlMs / 4, 50, 500);
 
@@ -484,7 +378,6 @@ runCellsClaiming(const std::vector<Cell> &grid,
                     fail.cell = cell;
                     fail.failed = true;
                     fail.failureCause = "claim error: " + why;
-                    fail.attempts = 0;
                     std::lock_guard<std::mutex> lk(resMu);
                     results.push_back(std::move(fail));
                     progress = true;
@@ -505,7 +398,7 @@ runCellsClaiming(const std::vector<Cell> &grid,
                     std::lock_guard<std::mutex> lk(hbMu);
                     active.push_back(key);
                 }
-                CellResult res = runCellWithRetry(cell, opts);
+                CellResult res = runCellOnce(cell, opts);
                 {
                     std::lock_guard<std::mutex> lk(hbMu);
                     active.erase(std::remove(active.begin(),
@@ -531,12 +424,10 @@ runCellsClaiming(const std::vector<Cell> &grid,
     unsigned jobs = opts.jobs ? opts.jobs : WorkPool::defaultJobs();
     jobs = static_cast<unsigned>(std::min<std::size_t>(
         std::max<std::size_t>(1, grid.size()), jobs));
-    std::vector<std::thread> workers;
-    workers.reserve(jobs);
+    WorkPool pool(jobs);
     for (unsigned i = 0; i < jobs; ++i)
-        workers.emplace_back(workerLoop);
-    for (std::thread &w : workers)
-        w.join();
+        pool.submit(workerLoop);
+    pool.wait();
 
     {
         std::lock_guard<std::mutex> lk(hbMu);
@@ -578,7 +469,7 @@ runCells(const std::vector<Cell> &grid, const DriverOptions &opts)
                     "driver.queue_wait_ms",
                     static_cast<double>(startUs - submitUs) / 1e3);
             }
-            out[i] = runCellWithRetry(grid[i], opts);
+            out[i] = runCellOnce(grid[i], opts);
         });
     }
     pool.wait();

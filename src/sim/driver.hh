@@ -19,11 +19,12 @@
  *    after the heartbeat TTL, so the sweep completes without
  *    pre-partitioning. `tstream-bench run --fleet` builds on this.
  *
- * Cells additionally run under a per-attempt timeout with bounded
- * retry/backoff (util/retry.hh); a cell that exhausts its attempts
- * becomes a structured *failure result* (cause, attempts, wall time)
- * in the report instead of aborting the sweep. All shards/workers can
- * point at one TSTREAM_TRACE_CACHE directory (cells are keyed on
+ * A cell runs exactly once. It is a deterministic function of its
+ * configHash() (the memo, the trace cache and check-equal all rely on
+ * that), so a cell that threw would throw again if re-run: it becomes
+ * a structured *failure result* (cause, wall time) in the report
+ * instead of aborting the sweep. All shards/workers can point at one
+ * TSTREAM_TRACE_CACHE directory (cells are keyed on
  * configHash(); stores are temp+rename atomic). Results always come
  * back in deterministic grid order, independent of the job count, so
  * printed tables and -o reports (sim/bench_report.hh) are
@@ -53,7 +54,6 @@
 #include "core/module_profile.hh"
 #include "core/stream_analysis.hh"
 #include "sim/experiment.hh"
-#include "util/retry.hh"
 
 namespace tstream
 {
@@ -150,13 +150,12 @@ struct CellResult
     /** Served from TSTREAM_TRACE_CACHE or from the run's CellMemo. */
     bool cacheHit = false;
     /**
-     * Attempts exhausted (timeouts and/or exceptions): runs is empty
-     * and the cell becomes a structured failure row in the report
-     * instead of aborting the sweep.
+     * The cell threw (or could not be claimed): runs is empty and the
+     * cell becomes a structured failure row in the report instead of
+     * aborting the sweep.
      */
     bool failed = false;
-    std::string failureCause; ///< last failure, e.g. "timeout after 500ms"
-    unsigned attempts = 1;    ///< attempts consumed (1 = first try)
+    std::string failureCause; ///< e.g. "exception: <what>"
 
     /** The analyzed runs; empty when the cell failed. */
     const std::vector<RunOutput> &runs() const;
@@ -201,9 +200,8 @@ struct ClaimOptions
     /** Claim directory, e.g.
      *  `$TSTREAM_TRACE_CACHE/claims/<session>/<bench>`. */
     std::string dir;
-    std::int64_t ttlMs = 30'000; ///< stale-claim steal threshold
-    /** Heartbeat period; 0 = ttlMs / 3. */
-    std::int64_t heartbeatMs = 0;
+    /** Stale-claim steal threshold; held claims beat every ttlMs / 3. */
+    std::int64_t ttlMs = 30'000;
     std::string owner; ///< "" = ClaimDir::defaultOwner()
 
     bool
@@ -219,20 +217,15 @@ struct DriverOptions
     unsigned jobs = 0; ///< 0 = hardware concurrency
     /** When enabled, workers race on claim files for the cells. */
     ClaimOptions claim;
-    /** Per-attempt timeout / bounded retry for every cell. The default
-     *  (timeoutMs = 0) never times out and never retries in practice
-     *  because a cell only "fails" on exception or timeout. */
-    RetryPolicy retry;
     /**
-     * Test seam: invoked at the start of every attempt with the cell
-     * and the 1-based attempt ordinal, before simulation. A throwing
-     * hook makes the attempt fail with "exception: <what>" — used by
-     * the fault-injection tests to exercise retry and failure rows
+     * Test seam: invoked with the cell before it runs. A throwing hook
+     * makes the cell a failure row with "exception: <what>" — used by
+     * the fault-injection tests to exercise failure rows
      * deterministically.
      */
-    std::function<void(const Cell &, unsigned attempt)> testCellHook;
-    /** The run's shared analyses (null = none): looked up inside each
-     *  attempt before the trace cache; successful cells are stored. */
+    std::function<void(const Cell &)> testCellHook;
+    /** The run's shared analyses (null = none): looked up before the
+     *  trace cache; successful cells are stored. */
     std::shared_ptr<CellMemo> memo;
 };
 

@@ -1,13 +1,19 @@
 /**
  * @file
  * Tests for the versioned bench reports (sim/bench_report.hh): JSON
- * round-trips, shard merging with the exact-cover guarantee, and the
- * content-equivalence check behind `tstream-bench check-equal`.
+ * round-trips, shard merging with the exact-cover guarantee, the
+ * content-equivalence check behind `tstream-bench check-equal`, and a
+ * bit-flip/truncation fuzz of the loader over the committed golden
+ * reports.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
+#include <fstream>
+#include <random>
 
 #include "sim/bench_report.hh"
 
@@ -308,6 +314,48 @@ TEST(BenchReportTest, MergeFailsOnMissingCells)
         << err;
 }
 
+TEST(BenchReportTest, MergeNamesAFewMissingIndexesOfAHugeGrid)
+{
+    // One cell of a 10^12-cell grid: the diagnostic names the first 16
+    // absent indexes and counts the rest instead of listing them all.
+    BenchDoc doc = makeDoc(1);
+    doc.gridCells = 1'000'000'000'000;
+
+    BenchDoc merged;
+    std::string err;
+    EXPECT_FALSE(mergeBenchDocs({doc}, merged, err));
+    EXPECT_NE(err.find("missing cell indexes: 1, 2, 3, 4, 5, 6, 7, 8, 9, "
+                       "10, 11, 12, 13, 14, 15, 16, ... (999999999999 "
+                       "missing)"),
+              std::string::npos)
+        << err;
+    EXPECT_LT(err.size(), 200u);
+}
+
+TEST(BenchReportTest, RejectsOutOfRangeOrRepeatedCellIndex)
+{
+    const json::Value good = benchDocToJson(makeDoc(2));
+    BenchDoc doc;
+    std::string err;
+    json::Value shrunk = good;
+    shrunk["grid_cells"] = json::Value(1u);
+    EXPECT_FALSE(benchDocFromJson(shrunk, doc, err));
+    EXPECT_NE(err.find("cell cell-1: index 1 is out of range "
+                       "(grid_cells 1)"),
+              std::string::npos)
+        << err;
+
+    json::Value twice = good;
+    json::Value cells = json::Value::array();
+    cells.push(good.find("cells")->items()[0]);
+    cells.push(good.find("cells")->items()[0]);
+    twice["cells"] = std::move(cells);
+    EXPECT_FALSE(benchDocFromJson(twice, doc, err));
+    EXPECT_NE(err.find("cell cell-0: index 0 is repeated"),
+              std::string::npos)
+        << err;
+}
+
 TEST(BenchReportTest, MergeFailsOnIncompatibleHeaders)
 {
     BenchDoc a = makeDoc(2);
@@ -388,13 +436,11 @@ TEST(BenchReportTest, EquivalenceCatchesContentDrift)
 // ---- failure rows -----------------------------------------------------------
 
 BenchCell
-makeFailedCell(std::size_t index, const std::string &cause,
-               unsigned attempts)
+makeFailedCell(std::size_t index, const std::string &cause)
 {
     BenchCell c = makeCell(index, 0.0);
     c.failed = true;
     c.failureCause = cause;
-    c.attempts = attempts;
     c.rows.clear(); // a failure row never carries table rows
     c.instructions = 0;
     return c;
@@ -403,7 +449,7 @@ makeFailedCell(std::size_t index, const std::string &cause,
 TEST(FailureRowTest, RoundTripsThroughJson)
 {
     BenchDoc doc = makeDoc(3);
-    doc.cells[1] = makeFailedCell(1, "timeout after 500ms", 3);
+    doc.cells[1] = makeFailedCell(1, "timeout after 500ms");
 
     json::Value reparsed;
     std::string err;
@@ -413,12 +459,14 @@ TEST(FailureRowTest, RoundTripsThroughJson)
     BenchDoc back;
     ASSERT_TRUE(benchDocFromJson(reparsed, back, err)) << err;
 
+    // Cells run once, so no attempt count is written.
+    EXPECT_EQ(reparsed.find("cells")->items()[1].find("attempts"),
+              nullptr);
+
     ASSERT_EQ(back.cells.size(), 3u);
     EXPECT_FALSE(back.cells[0].failed);
-    EXPECT_EQ(back.cells[0].attempts, 1u);
     EXPECT_TRUE(back.cells[1].failed);
     EXPECT_EQ(back.cells[1].failureCause, "timeout after 500ms");
-    EXPECT_EQ(back.cells[1].attempts, 3u);
     EXPECT_TRUE(back.cells[1].rows.empty());
 }
 
@@ -427,7 +475,7 @@ TEST(FailureRowTest, MergeDistinguishesFailedFromMissing)
     // A failed cell *covers* its grid index: merge succeeds and
     // carries the failure row through.
     BenchDoc withFailure = makeDoc(3);
-    withFailure.cells[1] = makeFailedCell(1, "exception: boom", 2);
+    withFailure.cells[1] = makeFailedCell(1, "exception: boom");
     BenchDoc merged;
     std::string err;
     ASSERT_TRUE(mergeBenchDocs({withFailure}, merged, err)) << err;
@@ -447,7 +495,7 @@ TEST(FailureRowTest, MergeSuccessBeatsFailureEitherOrder)
 {
     const BenchDoc good = makeDoc(2);
     BenchDoc bad = makeDoc(2);
-    bad.cells[0] = makeFailedCell(0, "timeout after 500ms", 3);
+    bad.cells[0] = makeFailedCell(0, "timeout after 500ms");
 
     for (const auto &docs :
          {std::vector<BenchDoc>{good, bad},
@@ -465,9 +513,9 @@ TEST(FailureRowTest, MergeSuccessBeatsFailureEitherOrder)
 TEST(FailureRowTest, MergeKeepsFirstOfTwoFailures)
 {
     BenchDoc a = makeDoc(2);
-    a.cells[0] = makeFailedCell(0, "timeout after 500ms", 3);
+    a.cells[0] = makeFailedCell(0, "timeout after 500ms");
     BenchDoc b = makeDoc(2);
-    b.cells[0] = makeFailedCell(0, "exception: boom", 2);
+    b.cells[0] = makeFailedCell(0, "exception: boom");
 
     BenchDoc merged;
     std::string err;
@@ -481,14 +529,14 @@ TEST(FailureRowTest, EquivalenceNeverTreatsFailureAsEqual)
 {
     const BenchDoc good = makeDoc(2);
 
-    // Failed on one side: named diagnostic with cause and attempts.
+    // Failed on one side: named diagnostic with the cause.
     BenchDoc oneFailed = good;
-    oneFailed.cells[1] = makeFailedCell(1, "timeout after 500ms", 3);
+    oneFailed.cells[1] = makeFailedCell(1, "timeout after 500ms");
     std::string why;
     EXPECT_FALSE(benchDocsEquivalent(good, oneFailed, why));
     EXPECT_NE(why.find("cell cell-1 (index 1) failed in the second "
-                       "report (cause=timeout after 500ms, attempts=3)"
-                       " but succeeded in the other"),
+                       "report (cause=timeout after 500ms) but "
+                       "succeeded in the other"),
               std::string::npos)
         << why;
 
@@ -509,7 +557,7 @@ TEST(FailureRowTest, SubsetCheckRejectsFailures)
     std::string why;
     ASSERT_TRUE(benchDocIsSubset(sub, full, why)) << why;
 
-    sub.cells[0] = makeFailedCell(1, "exception: boom", 1);
+    sub.cells[0] = makeFailedCell(1, "exception: boom");
     EXPECT_FALSE(benchDocIsSubset(sub, full, why));
     EXPECT_NE(why.find("failed"), std::string::npos) << why;
 }
@@ -517,7 +565,7 @@ TEST(FailureRowTest, SubsetCheckRejectsFailures)
 TEST(FailureRowTest, PerfSeriesSkipsFailedCells)
 {
     BenchDoc doc = makeDoc(3);
-    doc.cells[2] = makeFailedCell(2, "timeout after 500ms", 3);
+    doc.cells[2] = makeFailedCell(2, "timeout after 500ms");
     const std::string path =
         testing::TempDir() + "/bench_failed_perf.json";
     std::string err;
@@ -531,6 +579,87 @@ TEST(FailureRowTest, PerfSeriesSkipsFailedCells)
     for (const PerfSample &s : samples)
         EXPECT_EQ(s.name.find("fig2_stream_fraction/cell-2"),
                   std::string::npos);
+    std::remove(path.c_str());
+}
+
+// ---- loader fuzz ------------------------------------------------------------
+
+/** Every committed golden report, in name order. */
+std::vector<std::filesystem::path>
+goldenReports()
+{
+    std::vector<std::filesystem::path> out;
+    for (const auto &e : std::filesystem::directory_iterator(
+             TSTREAM_GOLDEN_REPORTS_DIR))
+        if (e.path().extension() == ".json")
+            out.push_back(e.path());
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+/**
+ * Write @p bytes to @p path and load it. A mutant must either fail to
+ * load with a diagnostic, or load into documents that compare with
+ * themselves and merge alone without crashing or hanging.
+ */
+void
+checkMutant(const std::string &bytes, const std::string &path,
+            const std::string &label)
+{
+    std::ofstream(path, std::ios::binary | std::ios::trunc) << bytes;
+    std::vector<BenchDoc> docs;
+    std::string err;
+    if (!readBenchDocs(path, docs, err)) {
+        EXPECT_FALSE(err.empty()) << label;
+        return;
+    }
+    for (const BenchDoc &doc : docs) {
+        // A failure row is never equal to anything, itself included.
+        const bool anyFailed =
+            std::any_of(doc.cells.begin(), doc.cells.end(),
+                        [](const BenchCell &c) { return c.failed; });
+        std::string why;
+        EXPECT_EQ(benchDocsEquivalent(doc, doc, why), !anyFailed)
+            << label << ": " << why;
+        BenchDoc merged;
+        if (mergeBenchDocs({doc}, merged, err))
+            EXPECT_EQ(merged.cells.size(), doc.gridCells) << label;
+        else
+            EXPECT_FALSE(err.empty()) << label;
+    }
+}
+
+TEST(BenchReportFuzz, MutatedGoldenReportsLoadOrFailCleanly)
+{
+    const auto reports = goldenReports();
+    ASSERT_GE(reports.size(), 6u); // eq_bad_index.json among them
+    const std::string path =
+        testing::TempDir() + "/bench_report_fuzz.json";
+    std::mt19937_64 rng(2008);
+    for (const auto &report : reports) {
+        std::ifstream in(report, std::ios::binary);
+        const std::string base((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+        ASSERT_FALSE(base.empty()) << report;
+        const std::string name = report.filename().string();
+        checkMutant(base, path, name);
+        // 192 single-bit flips and 64 truncations per file.
+        for (int i = 0; i < 256; ++i) {
+            std::string m = base;
+            std::string label = name;
+            if (i % 4 == 3) {
+                m.resize(rng() % m.size());
+                label += " truncated to " + std::to_string(m.size());
+            } else {
+                const std::size_t at = rng() % m.size();
+                const unsigned bit = rng() % 8;
+                m[at] = static_cast<char>(m[at] ^ (1u << bit));
+                label += " bit " + std::to_string(bit) + " of byte " +
+                         std::to_string(at);
+            }
+            checkMutant(m, path, label);
+        }
+    }
     std::remove(path.c_str());
 }
 

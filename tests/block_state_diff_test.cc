@@ -22,6 +22,7 @@
 #include "mem/multichip.hh"
 #include "mem/singlechip.hh"
 #include "mem/writer_tracker.hh"
+#include "writer_tracker_wrapper.hh"
 
 namespace tstream
 {

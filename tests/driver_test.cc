@@ -255,14 +255,12 @@ TEST(BenchArgsTest, EnvironmentDoesNotChangeTheGrid)
     // variable may change what a worker runs.
     ::setenv("TSTREAM_QUICK", "1", 1);
     ::setenv("TSTREAM_SHARD", "1/2", 1);
-    ::setenv("TSTREAM_CELL_RETRIES", "9", 1);
     ::setenv("TSTREAM_JOBS", "7", 1);
     bench::BenchOptions opts;
     const std::string err = parse({"fig2"}, opts);
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     const unsigned defaultJobs = WorkPool::defaultJobs();
-    for (const char *var : {"TSTREAM_QUICK", "TSTREAM_SHARD",
-                            "TSTREAM_CELL_RETRIES", "TSTREAM_JOBS"})
+    for (const char *var : {"TSTREAM_QUICK", "TSTREAM_SHARD", "TSTREAM_JOBS"})
         ::unsetenv(var);
 
     ASSERT_EQ(err, "");
@@ -271,7 +269,6 @@ TEST(BenchArgsTest, EnvironmentDoesNotChangeTheGrid)
     EXPECT_EQ(opts.budgets.measure, kPaperBudgets.measureInstructions);
     EXPECT_EQ(opts.shard.index, 0u);
     EXPECT_EQ(opts.shard.count, 1u);
-    EXPECT_EQ(opts.cellRetries, 3u);
     EXPECT_EQ(opts.jobs, 0u);
     EXPECT_EQ(defaultJobs, hw);
 }
@@ -304,8 +301,7 @@ TEST(BenchArgsDeathTest, RejectsMissingValue)
 }
 
 // A value that overflows its field is an error, not a wrap to 0 (the
-// hardware default for --jobs, zero attempts for --cell-retries) or a
-// silent saturation.
+// hardware default for --jobs) or a silent saturation.
 
 TEST(BenchArgsTest, RejectsOverflowingJobs)
 {
@@ -316,14 +312,6 @@ TEST(BenchArgsTest, RejectsOverflowingJobs)
     EXPECT_EQ(opts.jobs, 4294967295u);
 }
 
-TEST(BenchArgsTest, RejectsOverflowingCellRetries)
-{
-    bench::BenchOptions opts;
-    EXPECT_TRUE(
-        rejects(parse({"--cell-retries", "4294967296", "fig2"}, opts),
-                "--cell-retries wants a positive integer"));
-}
-
 TEST(BenchArgsTest, RejectsOverflowingClaimTtl)
 {
     bench::BenchOptions opts;
@@ -332,12 +320,24 @@ TEST(BenchArgsTest, RejectsOverflowingClaimTtl)
         "--claim-ttl wants a positive integer"));
 }
 
+// Cells run once (sim/driver.hh), so the retry, timeout and heartbeat
+// knobs are gone: each is an unknown option, so even an overflowing value
+// is refused rather than silently ignored.
+
+TEST(BenchArgsTest, RejectsOverflowingCellRetries)
+{
+    bench::BenchOptions opts;
+    EXPECT_TRUE(
+        rejects(parse({"--cell-retries", "4294967296", "fig2"}, opts),
+                "unknown option: --cell-retries"));
+}
+
 TEST(BenchArgsTest, RejectsOverflowingHeartbeat)
 {
     bench::BenchOptions opts;
     EXPECT_TRUE(rejects(
         parse({"--heartbeat", "99999999999999999999", "fig2"}, opts),
-        "--heartbeat wants a non-negative integer"));
+        "unknown option: --heartbeat"));
 }
 
 TEST(BenchArgsTest, RejectsOverflowingCellTimeout)
@@ -345,7 +345,7 @@ TEST(BenchArgsTest, RejectsOverflowingCellTimeout)
     bench::BenchOptions opts;
     EXPECT_TRUE(rejects(
         parse({"--cell-timeout", "9223372036854775808", "fig2"}, opts),
-        "--cell-timeout wants a non-negative integer"));
+        "unknown option: --cell-timeout"));
 }
 
 TEST(BenchArgsTest, ExtFlagsNeedTheExtView)
@@ -389,7 +389,7 @@ TEST(BenchArgsTest, ResumeNeedsAReport)
                         "mutually exclusive"));
 }
 
-// ---- claiming / retry / fleet flags -----------------------------------------
+// ---- claiming / fleet flags -------------------------------------------------
 
 class ClaimArgsTest : public ::testing::Test
 {
@@ -409,31 +409,24 @@ class ClaimArgsTest : public ::testing::Test
 
 using ClaimArgsDeathTest = ClaimArgsTest;
 
-TEST_F(ClaimArgsTest, ParsesClaimAndRetryFlags)
+TEST_F(ClaimArgsTest, ParsesClaimFlags)
 {
     ::setenv("TSTREAM_TRACE_CACHE", "/tmp/tstream-cache", 1);
     bench::BenchOptions opts;
     ASSERT_EQ(parse({"--claim-session", "sweep1", "--claim-ttl", "5000",
-                     "--heartbeat", "250", "--cell-timeout", "2000",
-                     "--cell-retries", "5", "fig2"},
+                     "fig2"},
                     opts),
               "");
     EXPECT_EQ(opts.claimSession, "sweep1");
     EXPECT_EQ(opts.claimTtlMs, 5000);
-    EXPECT_EQ(opts.heartbeatMs, 250);
-    EXPECT_EQ(opts.cellTimeoutMs, 2000);
-    EXPECT_EQ(opts.cellRetries, 5u);
 
-    // The driver options carry the whole claiming + retry surface.
+    // The driver options carry the whole claiming surface.
     const DriverOptions d = opts.driver("bench_under_test");
     EXPECT_TRUE(d.claim.enabled());
     EXPECT_EQ(d.claim.session, "sweep1");
     EXPECT_EQ(d.claim.dir,
               "/tmp/tstream-cache/claims/sweep1/bench_under_test");
     EXPECT_EQ(d.claim.ttlMs, 5000);
-    EXPECT_EQ(d.claim.heartbeatMs, 250);
-    EXPECT_EQ(d.retry.maxAttempts, 5u);
-    EXPECT_EQ(d.retry.timeoutMs, 2000);
 }
 
 TEST_F(ClaimArgsTest, ClaimingDisabledByDefault)
@@ -444,8 +437,6 @@ TEST_F(ClaimArgsTest, ClaimingDisabledByDefault)
     const DriverOptions d = opts.driver("fig2_stream_fraction");
     EXPECT_FALSE(d.claim.enabled());
     EXPECT_EQ(d.claim.dir, "");
-    EXPECT_EQ(opts.cellRetries, 3u);
-    EXPECT_EQ(opts.cellTimeoutMs, 0);
 }
 
 TEST_F(ClaimArgsTest, FleetWorkersRepeatTheSharedFlags)
@@ -506,10 +497,8 @@ TEST_F(ClaimArgsDeathTest, RejectsNonNumericKnobs)
     bench::BenchOptions opts;
     EXPECT_TRUE(rejects(parse({"--claim-ttl", "0", "fig2"}, opts),
                         "--claim-ttl wants a positive integer"));
-    EXPECT_TRUE(rejects(parse({"--cell-retries", "-1", "fig2"}, opts),
-                        "--cell-retries wants a positive integer"));
-    EXPECT_TRUE(rejects(parse({"--cell-timeout", "2s", "fig2"}, opts),
-                        "--cell-timeout wants a non-negative integer"));
+    EXPECT_TRUE(rejects(parse({"--claim-ttl", "2s", "fig2"}, opts),
+                        "--claim-ttl wants a positive integer"));
 }
 
 class DriverRunTest : public ::testing::Test
@@ -714,8 +703,7 @@ TEST_F(CellMemoTest, FailedCellIsNotStoredAndRunsAgain)
     DriverOptions failing;
     failing.jobs = 1;
     failing.memo = memo;
-    failing.retry.maxAttempts = 1;
-    failing.testCellHook = [](const Cell &cell, unsigned) {
+    failing.testCellHook = [](const Cell &cell) {
         if (cell.index == 0)
             throw std::runtime_error("injected fault");
     };

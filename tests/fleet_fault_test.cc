@@ -5,9 +5,8 @@
  * mid-cell (after winning its first claim, via
  * TSTREAM_CLAIM_DIE_AFTER) leaves a stale claim that a surviving
  * worker reclaims after the TTL so the sweep still completes and
- * matches an unsharded run; a throwing cell hook exercises
- * retry-then-success; exhausted retries become a structured failure
- * row that survives makeBenchCell().
+ * matches an unsharded run; a throwing cell hook runs once and the
+ * cell becomes a structured failure row that survives makeBenchCell().
  */
 
 #include <gtest/gtest.h>
@@ -137,45 +136,25 @@ TEST_F(FleetFaultTest, KilledWorkerCellIsReclaimedAndSweepCompletes)
     EXPECT_EQ(covered.size(), grid.size());
 }
 
-TEST_F(FleetFaultTest, ThrowingHookRetriesThenSucceeds)
-{
-    auto grid = standardGrid({WorkloadKind::Oltp}, tinyBudgets());
-    grid.resize(1); // multi-chip cell only
-
-    DriverOptions opts;
-    opts.jobs = 1;
-    opts.retry.maxAttempts = 3;
-    opts.retry.backoffBaseMs = 1; // keep the retry sleep negligible
-    opts.testCellHook = [](const Cell &, unsigned attempt) {
-        if (attempt == 1)
-            throw std::runtime_error("injected transient fault");
-    };
-
-    const auto results = runCells(grid, opts);
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_FALSE(results[0].failed);
-    EXPECT_EQ(results[0].attempts, 2u);
-    EXPECT_FALSE(results[0].runs().empty());
-}
-
-TEST_F(FleetFaultTest, ExhaustedRetriesBecomeFailureRow)
+TEST_F(FleetFaultTest, ThrowingCellBecomesFailureRowOnFirstAttempt)
 {
     auto grid = standardGrid({WorkloadKind::Oltp}, tinyBudgets());
     grid.resize(1);
 
     DriverOptions opts;
     opts.jobs = 1;
-    opts.retry.maxAttempts = 2;
-    opts.retry.backoffBaseMs = 1;
-    opts.testCellHook = [](const Cell &, unsigned) {
+    int calls = 0;
+    opts.testCellHook = [&calls](const Cell &) {
+        ++calls;
         throw std::runtime_error("persistent fault");
     };
 
     const auto results = runCells(grid, opts);
+    // A cell is deterministic, so it is never run a second time.
+    EXPECT_EQ(calls, 1);
     ASSERT_EQ(results.size(), 1u);
     const CellResult &res = results[0];
     EXPECT_TRUE(res.failed);
-    EXPECT_EQ(res.attempts, 2u);
     EXPECT_EQ(res.failureCause, "exception: persistent fault");
     EXPECT_TRUE(res.runs().empty());
     EXPECT_GE(res.wallSeconds, 0.0);
@@ -185,7 +164,6 @@ TEST_F(FleetFaultTest, ExhaustedRetriesBecomeFailureRow)
     const BenchCell cell = makeBenchCell(res, {});
     EXPECT_TRUE(cell.failed);
     EXPECT_EQ(cell.failureCause, "exception: persistent fault");
-    EXPECT_EQ(cell.attempts, 2u);
     EXPECT_TRUE(cell.rows.empty());
     EXPECT_EQ(cell.id, res.cell.id);
 }
@@ -196,20 +174,25 @@ TEST_F(FleetFaultTest, FailureUnderClaimingIsMarkedDoneNotRetriedForever)
     grid.resize(1);
     const std::string dir = freshClaimDir("claimfail");
 
-    DriverOptions opts = claimingOptions(dir, 30'000, "worker-a");
-    opts.retry.maxAttempts = 1;
-    opts.testCellHook = [](const Cell &, unsigned) {
+    int calls = 0;
+    auto doomed = [&calls](const Cell &) {
+        ++calls;
         throw std::runtime_error("doomed cell");
     };
+    DriverOptions opts = claimingOptions(dir, 30'000, "worker-a");
+    opts.testCellHook = doomed;
     const auto first = runCells(grid, opts);
     ASSERT_EQ(first.size(), 1u);
     EXPECT_TRUE(first[0].failed);
+    EXPECT_EQ(calls, 1);
 
     // A second worker joining the same session sees the done marker
     // and does not re-run (or hang on) the failed cell.
     DriverOptions again = claimingOptions(dir, 30'000, "worker-b");
+    again.testCellHook = doomed;
     const auto second = runCells(grid, again);
     EXPECT_TRUE(second.empty());
+    EXPECT_EQ(calls, 1);
 }
 
 } // namespace

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "mem/writer_tracker.hh"
+#include "writer_tracker_wrapper.hh"
 
 namespace tstream
 {

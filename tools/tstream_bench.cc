@@ -414,9 +414,9 @@ cmdMerge(int argc, char **argv)
                 if (c.failed)
                     std::fprintf(stderr,
                                  "[tstream-bench]   failed: %s/%s "
-                                 "(cause=%s, attempts=%u)\n",
+                                 "(cause=%s)\n",
                                  doc.bench.c_str(), c.id.c_str(),
-                                 c.failureCause.c_str(), c.attempts);
+                                 c.failureCause.c_str());
     return 0;
 }
 
@@ -852,9 +852,8 @@ cmdPrint(const std::string &path)
         std::printf(") ==\n");
         for (const BenchCell &cell : doc.cells)
             if (cell.failed)
-                std::printf("!! FAILED cell %s: %s (attempts=%u)\n",
-                            cell.id.c_str(),
-                            cell.failureCause.c_str(), cell.attempts);
+                std::printf("!! FAILED cell %s: %s\n", cell.id.c_str(),
+                            cell.failureCause.c_str());
         // Rows grouped by table tag, cells in grid order inside each.
         std::vector<std::string> tables;
         for (const BenchCell &cell : doc.cells)
