@@ -26,7 +26,7 @@
 #include <unordered_map>
 
 #include "bench/common.hh"
-#include "stats/histogram.hh"
+#include "core/figure_columns.hh"
 
 namespace tstream::bench
 {
@@ -174,10 +174,6 @@ l2SweepRows(const CellResult &res)
     const double tot = std::max<double>(
         1.0, static_cast<double>(r.trace.misses.size()));
 
-    LogHistogram h(7, 1);
-    for (const auto &[dist, w] : r.streams.reuseWeighted)
-        h.add(dist == 0 ? 1 : dist, w);
-
     BenchRow row;
     row.table = "l2_sweep";
     row.trace = strprintf("%lluMB",
@@ -194,13 +190,11 @@ l2SweepRows(const CellResult &res)
         {"replacement_pct", 100.0 * cls[3] / tot},
         {"coherence_pct", 100.0 * cls[1] / tot},
     };
-    for (int d = 0; d < 7; ++d) {
-        const double frac =
-            100.0 * h.fraction(static_cast<std::size_t>(d));
-        row.text += strprintf("  %6.1f%%", frac);
-        row.metrics.emplace_back(
-            strprintf("decade_1e%d_1e%d_pct", d, d + 1), frac);
-    }
+    // The reuse-distance decades of Figure 4 (right).
+    FigureColumns reuse = reuseColumns(r.streams);
+    row.text += reuse.text;
+    row.metrics.insert(row.metrics.end(), reuse.metrics.begin(),
+                       reuse.metrics.end());
     return {std::move(row)};
 }
 
@@ -212,7 +206,7 @@ l2SweepPrint(const std::vector<BenchCell> &cells)
     rule();
     std::printf("%-10s %-5s %8s %8s %8s", "app", "L2", "mpki", "repl",
                 "coh");
-    for (int d = 0; d < 7; ++d)
+    for (int d = 0; d < kReuseDecades; ++d)
         std::printf("  1e%d-1e%d", d, d + 1);
     std::printf("\n");
     rule();

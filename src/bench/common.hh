@@ -9,12 +9,12 @@
 #ifndef TSTREAM_BENCH_COMMON_HH
 #define TSTREAM_BENCH_COMMON_HH
 
-#include <cstdarg>
 #include <cstdio>
 #include <string>
 #include <vector>
 
 #include "bench/run.hh"
+#include "util/strprintf.hh"
 
 namespace tstream::bench
 {
@@ -31,18 +31,6 @@ allWorkloads()
             WorkloadKind::DssQ2,   WorkloadKind::DssQ17,
             WorkloadKind::KvStore, WorkloadKind::Broker,
             WorkloadKind::PhasedMix};
-}
-
-/** printf into a std::string (for building BenchRow::text). */
-inline std::string
-strprintf(const char *fmt, ...)
-{
-    char buf[512];
-    std::va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof buf, fmt, ap);
-    va_end(ap);
-    return buf;
 }
 
 /** A row of @p table for run @p r, its text opened with the app and

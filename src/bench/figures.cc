@@ -34,11 +34,8 @@
  * just under 10^4 from bulk copies.
  */
 
-#include <algorithm>
-#include <numeric>
-
 #include "bench/common.hh"
-#include "stats/histogram.hh"
+#include "core/figure_columns.hh"
 
 namespace tstream::bench
 {
@@ -51,6 +48,17 @@ allWorkloadsGrid(const BenchOptions &opts, std::string &err)
     return benchGrid(allWorkloads(), opts, err);
 }
 
+/** A row of @p table for run @p r: the app/context prefix, then
+ *  @p cols. */
+BenchRow
+figureRow(const RunOutput &r, const char *table, FigureColumns cols)
+{
+    BenchRow row = runRow(r, table);
+    row.text += cols.text;
+    row.metrics = std::move(cols.metrics);
+    return row;
+}
+
 std::vector<BenchRow>
 fig1Rows(const CellResult &res)
 {
@@ -58,59 +66,22 @@ fig1Rows(const CellResult &res)
     for (const RunOutput &r : res.runs()) {
         // The class counts precede the intra-chip filter, so the
         // right panel keeps its Off-chip bar.
-        const std::uint64_t *cls = r.classMisses.data();
-        const std::uint64_t misses = std::accumulate(
-            r.classMisses.begin(), r.classMisses.end(), std::uint64_t{0});
-        const double tot =
-            std::max<double>(1.0, static_cast<double>(misses));
-        // MissTrace::mpki() over the unfiltered trace.
-        const double mpki =
-            r.trace.instructions == 0
-                ? 0.0
-                : 1000.0 * static_cast<double>(misses) /
-                      static_cast<double>(r.trace.instructions);
-        if (r.kind != TraceKind::IntraChip) {
-            BenchRow row = runRow(r, "offchip");
-            row.text += strprintf(
-                " %8.2f %9.1f%% %5.1f%% %7.1f%% %9.1f%% %10zu", mpki,
-                100.0 * cls[0] / tot, 100.0 * cls[2] / tot,
-                100.0 * cls[3] / tot, 100.0 * cls[1] / tot,
-                static_cast<std::size_t>(misses));
-            row.metrics = {
-                {"mpki", mpki},
-                {"compulsory_pct", 100.0 * cls[0] / tot},
-                {"io_coherence_pct", 100.0 * cls[2] / tot},
-                {"replacement_pct", 100.0 * cls[3] / tot},
-                {"coherence_pct", 100.0 * cls[1] / tot},
-                {"misses", static_cast<double>(misses)},
-            };
-            rows.push_back(std::move(row));
-        } else {
-            // Coherence share of on-chip-satisfied traffic (the
-            // paper's "one third to one half of all L2 and peer-L1
-            // accesses").
-            const double onchip = std::max<double>(
-                1.0, static_cast<double>(cls[0] + cls[1] + cls[2]));
-            const double cohShare =
-                100.0 * (cls[0] + cls[1]) / onchip;
-            BenchRow row;
-            row.table = "intra";
-            row.trace = std::string(traceKindName(r.kind));
-            row.text = strprintf(
-                "%-10s %8.2f %8.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%%",
-                std::string(workloadName(r.workload)).c_str(), mpki,
-                100.0 * cls[0] / tot, 100.0 * cls[1] / tot,
-                100.0 * cls[2] / tot, 100.0 * cls[3] / tot, cohShare);
-            row.metrics = {
-                {"mpki", mpki},
-                {"peer_l1_pct", 100.0 * cls[0] / tot},
-                {"coherence_l2_pct", 100.0 * cls[1] / tot},
-                {"replacement_l2_pct", 100.0 * cls[2] / tot},
-                {"offchip_pct", 100.0 * cls[3] / tot},
-                {"coherence_share_pct", cohShare},
-            };
-            rows.push_back(std::move(row));
+        const bool intra = r.kind == TraceKind::IntraChip;
+        FigureColumns cols =
+            missClassColumns(r.classMisses, r.trace.instructions, intra);
+        if (!intra) {
+            rows.push_back(figureRow(r, "offchip", std::move(cols)));
+            continue;
         }
+        // The right panel has no context column.
+        BenchRow row;
+        row.table = "intra";
+        row.trace = std::string(traceKindName(r.kind));
+        row.text = strprintf("%-10s",
+                             std::string(workloadName(r.workload)).c_str()) +
+                   cols.text;
+        row.metrics = std::move(cols.metrics);
+        rows.push_back(std::move(row));
     }
     return rows;
 }
@@ -145,25 +116,8 @@ std::vector<BenchRow>
 fig2Rows(const CellResult &res)
 {
     std::vector<BenchRow> rows;
-    for (const RunOutput &r : res.runs()) {
-        const StreamStats &s = r.streams;
-        const double tot = std::max<double>(
-            1.0, static_cast<double>(s.totalMisses));
-        const double nonRep = 100.0 * s.nonRepetitive / tot;
-        const double fresh = 100.0 * s.newStream / tot;
-        const double recurring = 100.0 * s.recurringStream / tot;
-        const double inStreams = 100.0 * s.inStreamFraction();
-        BenchRow row = runRow(r, "streams");
-        row.text += strprintf(" %9.1f%% %9.1f%% %11.1f%% %9.1f%%", nonRep,
-                              fresh, recurring, inStreams);
-        row.metrics = {
-            {"non_repetitive_pct", nonRep},
-            {"new_stream_pct", fresh},
-            {"recurring_stream_pct", recurring},
-            {"in_streams_pct", inStreams},
-        };
-        rows.push_back(std::move(row));
-    }
+    for (const RunOutput &r : res.runs())
+        rows.push_back(figureRow(r, "streams", streamColumns(r.streams)));
     return rows;
 }
 
@@ -186,31 +140,8 @@ std::vector<BenchRow>
 fig3Rows(const CellResult &res)
 {
     std::vector<BenchRow> rows;
-    for (const RunOutput &r : res.runs()) {
-        const StreamStats &s = r.streams;
-        const double tot = std::max<double>(
-            1.0, static_cast<double>(s.totalMisses));
-        const double strided =
-            100.0 * (s.stridedRepetitive + s.stridedNonRepetitive) /
-            tot;
-        const double repStr = 100.0 * s.stridedRepetitive / tot;
-        const double repNonStr = 100.0 * s.nonStridedRepetitive / tot;
-        const double nonRepStr = 100.0 * s.stridedNonRepetitive / tot;
-        const double nonRepNonStr =
-            100.0 * s.nonStridedNonRepetitive / tot;
-        BenchRow row = runRow(r, "strides");
-        row.text += strprintf(" %9.1f%% %9.1f%% %9.1f%% %9.1f%% %7.1f%%",
-                              repStr, repNonStr, nonRepStr,
-                              nonRepNonStr, strided);
-        row.metrics = {
-            {"strided_repetitive_pct", repStr},
-            {"non_strided_repetitive_pct", repNonStr},
-            {"strided_non_repetitive_pct", nonRepStr},
-            {"non_strided_non_repetitive_pct", nonRepNonStr},
-            {"strided_pct", strided},
-        };
-        rows.push_back(std::move(row));
-    }
+    for (const RunOutput &r : res.runs())
+        rows.push_back(figureRow(r, "strides", strideColumns(r.streams)));
     return rows;
 }
 
@@ -230,47 +161,14 @@ fig3Print(const std::vector<BenchCell> &cells)
                 "small outside DSS.\n");
 }
 
-constexpr std::uint64_t kLenPoints[] = {1,  2,  4,   8,   16,   32,
-                                        64, 128, 512, 1024, 4096};
-
 std::vector<BenchRow>
 fig4Rows(const CellResult &res)
 {
     std::vector<BenchRow> rows;
     for (const RunOutput &r : res.runs()) {
-        {
-            WeightedCdf cdf;
-            for (const auto &[len, w] : r.streams.lengthWeighted)
-                cdf.add(len, w);
-            BenchRow row = runRow(r, "length_cdf");
-            for (auto p : kLenPoints) {
-                row.text +=
-                    strprintf(" %6.1f%%", 100.0 * cdf.cumulativeAt(p));
-                row.metrics.emplace_back(
-                    strprintf("cdf_le_%llu",
-                              static_cast<unsigned long long>(p)),
-                    100.0 * cdf.cumulativeAt(p));
-            }
-            row.text += strprintf(" %6.0f",
-                                  r.streams.medianStreamLength());
-            row.metrics.emplace_back("median_length",
-                                     r.streams.medianStreamLength());
-            rows.push_back(std::move(row));
-        }
-        {
-            LogHistogram h(7, 1);
-            for (const auto &[dist, w] : r.streams.reuseWeighted)
-                h.add(dist == 0 ? 1 : dist, w);
-            BenchRow row = runRow(r, "reuse_pdf");
-            for (int d = 0; d < 7; ++d) {
-                const double frac =
-                    100.0 * h.fraction(static_cast<std::size_t>(d));
-                row.text += strprintf("  %6.1f%%", frac);
-                row.metrics.emplace_back(
-                    strprintf("decade_1e%d_1e%d_pct", d, d + 1), frac);
-            }
-            rows.push_back(std::move(row));
-        }
+        rows.push_back(
+            figureRow(r, "length_cdf", lengthCdfColumns(r.streams)));
+        rows.push_back(figureRow(r, "reuse_pdf", reuseColumns(r.streams)));
     }
     return rows;
 }
@@ -282,7 +180,7 @@ fig4Print(const std::vector<BenchCell> &cells)
                 "distribution, weighted by contribution\n");
     rule();
     std::printf("%-10s %-12s", "app", "context");
-    for (auto p : kLenPoints)
+    for (auto p : kStreamLengthPoints)
         std::printf(" <=%-5llu", static_cast<unsigned long long>(p));
     std::printf(" median\n");
     rule();
@@ -292,7 +190,7 @@ fig4Print(const std::vector<BenchCell> &cells)
                 "(weight = stream length),\nper-decade shares\n");
     rule();
     std::printf("%-10s %-12s", "app", "context");
-    for (int d = 0; d < 7; ++d)
+    for (int d = 0; d < kReuseDecades; ++d)
         std::printf("  1e%d-1e%d", d, d + 1);
     std::printf("\n");
     rule();

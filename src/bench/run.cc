@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
+#include <mutex>
 
 #include "core/prefetch_policy.hh"
 #include "obs/telemetry.hh"
@@ -96,16 +98,10 @@ validateExt(const BenchOptions &opts, bool depthGiven)
                   findView("ext")) == opts.views.end())
         return "--policy/--budget-sweep/--replay-depth apply only to "
                "the ext view (name ext or all)";
-    for (const std::string &name : ext.policies) {
-        const std::vector<std::string> known = prefetchPolicyNames();
-        if (std::find(known.begin(), known.end(), name) == known.end()) {
-            std::string diag = "--policy: unknown policy '" + name +
-                               "' (known:";
-            for (const std::string &k : known)
-                diag += " " + k;
-            return diag + ")";
-        }
-    }
+    for (const std::string &name : ext.policies)
+        if (std::string err = unknownPolicyError("--policy", name);
+            !err.empty())
+            return err;
     if (!scoring)
         return "--replay-depth needs --policy or --budget-sweep (the "
                "default depth-sweep columns are fixed)";
@@ -121,11 +117,15 @@ validateExt(const BenchOptions &opts, bool depthGiven)
  * already-validated cells of a --resume report), which are reused
  * verbatim. Under --claim-session the claim protocol decides which
  * cells this worker runs. A cell that threw becomes a failure row.
+ * Each cell's rows are built on its worker thread as it finishes; a
+ * non-null @p checkpoint is then handed the view's document so far,
+ * before a claimed cell's done marker is published.
  */
 BenchDoc
 runView(const BenchView &view, const std::string &binary,
         const BenchOptions &opts, const std::vector<Cell> &grid,
-        std::vector<BenchCell> prior, std::shared_ptr<CellMemo> memo)
+        std::vector<BenchCell> prior, std::shared_ptr<CellMemo> memo,
+        const std::function<void(const BenchDoc &)> &checkpoint)
 {
     // Keep only the reused cells this shard owns, so a resumed shard
     // run emits exactly what a fresh shard run would.
@@ -146,19 +146,6 @@ runView(const BenchView &view, const std::string &binary,
         if (!have[c.index])
             todo.push_back(c);
 
-    DriverOptions dopts = opts.driver(binary);
-    dopts.memo = std::move(memo);
-    std::vector<BenchCell> cells = std::move(prior);
-    for (const CellResult &res : runCells(todo, dopts))
-        cells.push_back(makeBenchCell(
-            res, res.failed ? std::vector<BenchRow>{} : view.rows(res)));
-    std::stable_sort(cells.begin(), cells.end(),
-                     [](const BenchCell &a, const BenchCell &b) {
-                         return a.index < b.index;
-                     });
-
-    view.print(cells);
-
     BenchDoc doc;
     doc.bench = binary;
     doc.quick = opts.quick;
@@ -166,7 +153,31 @@ runView(const BenchView &view, const std::string &binary,
     doc.gridCells = grid.size();
     doc.shard = opts.shard;
     doc.jobs = opts.jobs != 0 ? opts.jobs : WorkPool::defaultJobs();
-    doc.cells = std::move(cells);
+    doc.cells = std::move(prior);
+    auto byIndex = [](const BenchCell &a, const BenchCell &b) {
+        return a.index < b.index;
+    };
+    std::stable_sort(doc.cells.begin(), doc.cells.end(), byIndex);
+
+    std::mutex mu;
+    DriverOptions dopts = opts.driver(binary);
+    dopts.memo = std::move(memo);
+    dopts.cellDone = [&](const CellResult &res) {
+        BenchCell cell = makeBenchCell(
+            res, res.failed ? std::vector<BenchRow>{} : view.rows(res));
+        // The checkpoint runs under the lock: each write must hold
+        // every cell inserted so far, or a slower writer could replace
+        // a report that already holds a done cell.
+        std::lock_guard<std::mutex> lk(mu);
+        doc.cells.insert(std::upper_bound(doc.cells.begin(),
+                                          doc.cells.end(), cell, byIndex),
+                         std::move(cell));
+        if (checkpoint)
+            checkpoint(doc);
+    };
+    runCells(todo, dopts);
+
+    view.print(doc.cells);
     return doc;
 }
 
@@ -379,6 +390,31 @@ runBench(const BenchOptions &opts)
 
     std::vector<BenchDoc> docs;
     std::size_t lastWritten = 0;
+    // Write the report: the finished views, then @p current (the view
+    // in progress, if any). Under --resume, prior documents whose view
+    // this write does not yet hold are carried forward, so resuming a
+    // subset (e.g. just one failed table) never truncates the report.
+    auto writeReport = [&](const BenchDoc *current) {
+        std::vector<BenchDoc> flat = docs;
+        if (current)
+            flat.push_back(*current);
+        for (const BenchDoc &doc : priorDocs)
+            if (std::none_of(flat.begin(), flat.end(),
+                             [&](const BenchDoc &d) {
+                                 return d.bench == doc.bench;
+                             }))
+                flat.push_back(doc);
+        lastWritten = flat.size();
+        return writeDocs(flat, opts.out);
+    };
+    // A claiming worker checkpoints the report after every cell, before
+    // the cell's done marker goes up: the survivors skip done cells, so
+    // a worker killed later must already have reported them.
+    std::function<void(const BenchDoc &)> checkpoint;
+    if (!opts.claimSession.empty() && !opts.out.empty())
+        checkpoint = [&](const BenchDoc &current) {
+            writeReport(&current);
+        };
     for (std::size_t i = 0; i < views.size(); ++i) {
         const std::string binary = opts.views[i]->binary;
         std::vector<BenchCell> prior;
@@ -393,7 +429,7 @@ runBench(const BenchOptions &opts)
 
         logf(LogLevel::Info, "[tstream-bench] %s", binary.c_str());
         docs.push_back(runView(views[i], binary, opts, grids[i],
-                               std::move(prior), memo));
+                               std::move(prior), memo, checkpoint));
         memo->finishView(i);
         if (!opts.telemetryOut.empty()) {
             if (!telemetry::writeArtifacts(
@@ -406,19 +442,8 @@ runBench(const BenchOptions &opts)
 
         // Checkpoint the report after every view, so a sweep that dies
         // partway leaves the completed views behind for --resume.
-        // Under --resume, prior documents whose view this write does
-        // not yet hold are carried forward, so resuming a subset
-        // (e.g. just one failed table) never truncates the report.
-        std::vector<BenchDoc> flat = docs;
-        for (const BenchDoc &doc : priorDocs)
-            if (std::none_of(docs.begin(), docs.end(),
-                             [&](const BenchDoc &d) {
-                                 return d.bench == doc.bench;
-                             }))
-                flat.push_back(doc);
-        if (!writeDocs(flat, opts.out))
+        if (!writeReport(nullptr))
             return 1;
-        lastWritten = flat.size();
     }
 
     printSlowestCells(docs, opts.slowest);

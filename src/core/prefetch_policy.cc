@@ -291,6 +291,19 @@ prefetchPolicyNames()
     return names;
 }
 
+std::string
+unknownPolicyError(std::string_view flag, std::string_view name)
+{
+    const std::vector<std::string> &known = prefetchPolicyNames();
+    if (std::find(known.begin(), known.end(), name) != known.end())
+        return {};
+    std::string diag = std::string(flag) + ": unknown policy '" +
+                       std::string(name) + "' (known:";
+    for (const std::string &k : known)
+        diag += " " + k;
+    return diag + ")";
+}
+
 std::unique_ptr<PrefetchPolicy>
 makePrefetchPolicy(std::string_view name,
                    const PrefetchPolicyParams &params)

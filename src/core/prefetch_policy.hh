@@ -369,6 +369,14 @@ struct PrefetchPolicyParams
 const std::vector<std::string> &prefetchPolicyNames();
 
 /**
+ * "" when @p name is a registered policy, else the diagnostic the
+ * command lines print for command-line flag @p flag:
+ * "FLAG: unknown policy 'NAME' (known: fixed adaptive ...)".
+ */
+std::string unknownPolicyError(std::string_view flag,
+                               std::string_view name);
+
+/**
  * Build the policy registered under @p name ("fixed", "adaptive",
  * "stride", "hybrid") with @p params; nullptr for an unknown name.
  */

@@ -1,13 +1,12 @@
 #include "core/stream_analysis.hh"
 
 #include <algorithm>
-#include <functional>
 #include <unordered_map>
 
 #include "core/sequitur.hh"
+#include "core/stride.hh"
 #include "obs/telemetry.hh"
 #include "util/logging.hh"
-#include "util/work_pool.hh"
 
 namespace tstream
 {
@@ -46,7 +45,7 @@ struct RootOcc
 } // namespace
 
 StreamStats
-analyzeStreams(const MissTrace &trace, const StreamAnalysisConfig &cfg)
+analyzeStreams(const MissTrace &trace)
 {
     StreamStats out;
     out.totalMisses = trace.misses.size();
@@ -63,95 +62,34 @@ analyzeStreams(const MissTrace &trace, const StreamAnalysisConfig &cfg)
                   static_cast<std::int64_t>(trace.misses.size()));
 
     // ------------------------------------------------------------------
-    // 1. Project the trace per CPU: group miss indices by CPU. Stride
-    //    detection is per-CPU in every mode; the grammar projection
-    //    uses the same grouping in per-CPU mode and the global order
-    //    otherwise.
+    // 1. Project the trace per CPU: group miss indices by CPU.
     // ------------------------------------------------------------------
-    const unsigned ncpu = cfg.perCpu ? std::max(1u, trace.numCpus) : 1;
-
-    unsigned maxCpu = 0;
-    for (const MissRecord &m : trace.misses)
-        maxCpu = std::max(maxCpu, static_cast<unsigned>(m.cpu));
-    panicIf(cfg.perCpu && maxCpu >= ncpu,
-            "analyzeStreams: cpu out of range");
-
-    const unsigned ngroups =
-        std::max(cfg.perCpu ? ncpu : 1u, maxCpu + 1);
-    std::vector<std::vector<std::uint32_t>> byCpu(ngroups);
-    for (std::uint32_t i = 0; i < trace.misses.size(); ++i)
-        byCpu[trace.misses[i].cpu].push_back(i);
-
-    // The projection sections the grammar input concatenates: per-CPU
-    // groups, or the whole trace in global order.
-    std::vector<std::uint32_t> globalIdx;
-    if (!cfg.perCpu) {
-        globalIdx.resize(trace.misses.size());
-        for (std::uint32_t i = 0; i < trace.misses.size(); ++i)
-            globalIdx[i] = i;
-    }
-    auto section = [&](unsigned c) -> const std::vector<std::uint32_t> & {
-        return cfg.perCpu ? byCpu[c] : globalIdx;
-    };
-
-    // ------------------------------------------------------------------
-    // 2. Per-CPU phases, fanned out over the work pool: stride
-    //    labeling (each CPU's tracker table is independent — only the
-    //    relative observation order within a CPU matters, which the
-    //    grouping preserves) and per-section global-sequence
-    //    extraction for the reuse-distance bookkeeping. Every task
-    //    writes a disjoint slot, so the result does not depend on
-    //    scheduling.
-    // ------------------------------------------------------------------
-    std::vector<std::vector<bool>> strideFlags(ngroups);
-    std::vector<std::vector<std::uint64_t>> cpuSeqs(ncpu);
-
-    std::vector<std::function<void()>> tasks;
-    for (unsigned c = 0; c < ngroups; ++c) {
-        if (byCpu[c].empty())
-            continue;
-        tasks.push_back([&, c] {
-            StrideDetector det(cfg.stride);
-            const auto &idx = byCpu[c];
-            auto &flags = strideFlags[c];
-            flags.resize(idx.size());
-            for (std::size_t k = 0; k < idx.size(); ++k)
-                flags[k] = det.observe(trace.misses[idx[k]].cpu,
-                                       trace.misses[idx[k]].block);
-        });
-    }
-    for (unsigned c = 0; c < ncpu; ++c) {
-        tasks.push_back([&, c] {
-            const auto &idx = section(c);
-            cpuSeqs[c].reserve(idx.size());
-            for (std::uint32_t mi : idx)
-                cpuSeqs[c].push_back(trace.misses[mi].seq);
-        });
+    const unsigned ncpu = std::max(1u, trace.numCpus);
+    std::vector<std::vector<std::uint32_t>> byCpu(ncpu);
+    for (std::uint32_t i = 0; i < trace.misses.size(); ++i) {
+        const unsigned cpu = trace.misses[i].cpu;
+        panicIf(cpu >= ncpu, "analyzeStreams: cpu out of range");
+        byCpu[cpu].push_back(i);
     }
 
+    // ------------------------------------------------------------------
+    // 2. Stride labeling over each CPU's misses in order (each CPU's
+    //    tracker table is independent).
+    // ------------------------------------------------------------------
     {
         telemetry::Span span("analysis.stride_seq", "analysis");
-        const unsigned jobs = std::min<std::size_t>(
-            cfg.jobs > 0 ? cfg.jobs : WorkPool::defaultJobs(),
-            tasks.size());
-        if (jobs > 1) {
-            WorkPool pool(jobs);
-            for (auto &t : tasks)
-                pool.submit(std::move(t));
-            pool.wait();
-        } else {
-            for (auto &t : tasks)
-                t();
-        }
+        StrideDetector det;
+        for (const auto &idx : byCpu)
+            for (std::uint32_t mi : idx)
+                out.strided[mi] =
+                    det.observe(trace.misses[mi].cpu, trace.misses[mi].block);
     }
 
-    for (unsigned c = 0; c < ngroups; ++c)
-        for (std::size_t k = 0; k < byCpu[c].size(); ++k)
-            out.strided[byCpu[c][k]] = strideFlags[c][k];
-
     // ------------------------------------------------------------------
-    // 3. Build the concatenated per-CPU input with sentinels, interning
-    //    block ids densely, and remember per-position miss indices.
+    // 3. Build the concatenated per-CPU input, interning block ids
+    //    densely, and remember per-position miss indices. A unique
+    //    sentinel (bit 40 set; block ids stay far below 2^40)
+    //    ends each CPU section, so no rule spans two CPUs.
     // ------------------------------------------------------------------
     std::unordered_map<BlockId, std::uint64_t> intern;
     std::vector<std::uint64_t> input;
@@ -161,7 +99,7 @@ analyzeStreams(const MissTrace &trace, const StreamAnalysisConfig &cfg)
 
     std::uint64_t nextId = 0;
     for (unsigned c = 0; c < ncpu; ++c) {
-        for (std::uint32_t mi : section(c)) {
+        for (std::uint32_t mi : byCpu[c]) {
             auto [it, fresh] =
                 intern.try_emplace(trace.misses[mi].block, nextId);
             if (fresh)
@@ -169,15 +107,9 @@ analyzeStreams(const MissTrace &trace, const StreamAnalysisConfig &cfg)
             input.push_back(it->second);
             posToMiss.push_back(mi);
         }
-        // Unique sentinel ends each CPU section (also the last, so the
-        // position bookkeeping stays uniform).
         input.push_back(std::uint64_t{1} << 40 | nextId++);
         posToMiss.push_back(UINT32_MAX);
     }
-    // Keep sentinel ids disjoint from block ids by offsetting blocks
-    // into a separate tag space instead: simpler, re-tag sentinels.
-    // (Handled above: sentinels carry bit 40; block ids stay below the
-    // miss count, far under 2^40.)
 
     // ------------------------------------------------------------------
     // 4. Grammar construction.
@@ -305,28 +237,12 @@ analyzeStreams(const MissTrace &trace, const StreamAnalysisConfig &cfg)
     // ------------------------------------------------------------------
     {
         telemetry::Span span("analysis.reuse_dist", "analysis");
-        // Per-CPU prefix bookkeeping: for each position, which CPU and
-        // which per-CPU ordinal. Positions are already grouped by CPU,
-        // so a position's CPU and ordinal derive from section offsets.
-        std::vector<std::uint64_t> sectionStart(ncpu + 1, 0);
-        for (unsigned c = 0; c < ncpu; ++c)
-            sectionStart[c + 1] =
-                sectionStart[c] + section(c).size() + 1;
+        // Positions are grouped by CPU, so a position's per-CPU
+        // ordinal is its offset into its CPU's section.
+        std::vector<std::uint64_t> sectionStart(ncpu, 0);
+        for (unsigned c = 1; c < ncpu; ++c)
+            sectionStart[c] = sectionStart[c - 1] + byCpu[c - 1].size() + 1;
 
-        auto cpuOfPos = [&](std::uint64_t p) {
-            unsigned lo = 0, hi = ncpu;
-            while (lo + 1 < hi) {
-                const unsigned mid = (lo + hi) / 2;
-                if (sectionStart[mid] <= p)
-                    lo = mid;
-                else
-                    hi = mid;
-            }
-            return lo;
-        };
-
-        // cpuSeqs (computed in the parallel phase) translate a global
-        // time into "how many misses had CPU A seen by then".
         std::unordered_map<std::uint32_t, RootOcc> lastOcc;
         // Process occurrences in global-time order of their first miss.
         auto occs = rootOccs;
@@ -339,17 +255,20 @@ analyzeStreams(const MissTrace &trace, const StreamAnalysisConfig &cfg)
             auto it = lastOcc.find(occ.rule);
             if (it != lastOcc.end()) {
                 const RootOcc &prev = it->second;
-                const unsigned cpuA = cpuOfPos(prev.start);
+                const unsigned cpuA = trace.misses[posToMiss[prev.start]].cpu;
                 // Ordinal of the previous occurrence's last miss on A.
                 const std::uint64_t endOrdinal =
                     prev.start + prev.len - 1 - sectionStart[cpuA];
                 // Misses A has issued before this occurrence begins.
                 const std::uint64_t startSeq =
                     trace.misses[posToMiss[occ.start]].seq;
-                const auto &seqs = cpuSeqs[cpuA];
+                const auto &onA = byCpu[cpuA];
                 const std::uint64_t seenOnA = static_cast<std::uint64_t>(
-                    std::lower_bound(seqs.begin(), seqs.end(), startSeq) -
-                    seqs.begin());
+                    std::lower_bound(onA.begin(), onA.end(), startSeq,
+                                     [&](std::uint32_t mi, std::uint64_t t) {
+                                         return trace.misses[mi].seq < t;
+                                     }) -
+                    onA.begin());
                 const std::uint64_t dist =
                     seenOnA > endOrdinal + 1 ? seenOnA - endOrdinal - 1
                                              : 0;

@@ -3,7 +3,8 @@
  * Temporal-stream identification and statistics (paper Sections 4.2,
  * 4.4, 4.5 and the stream half of 4.3).
  *
- * The analysis follows the paper's methodology exactly:
+ * The analysis follows the paper's methodology exactly, and it is the
+ * only model: analyzeStreams() takes nothing but the trace.
  *
  *  - Miss traces are projected per CPU (streams live in per-processor
  *    miss order; recurrences may be on any processor) and the per-CPU
@@ -24,6 +25,11 @@
  *    intervening misses *on the first occurrence's CPU*, the storage-
  *    motivated definition of Section 4.5 (Figure 4 right, weighted by
  *    stream length).
+ *  - A miss is strided (Figure 3) when a default StrideDetector fed
+ *    its CPU's misses in order predicts it.
+ *
+ * Everything runs on the calling thread: the driver already runs one
+ * cell per pool worker (sim/driver.hh).
  */
 
 #ifndef TSTREAM_CORE_STREAM_ANALYSIS_HH
@@ -32,7 +38,6 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/stride.hh"
 #include "trace/record.hh"
 
 namespace tstream
@@ -94,33 +99,8 @@ struct StreamStats
     double medianStreamLength() const { return lengthPercentile(50.0); }
 };
 
-/** Options for analyzeStreams(). */
-struct StreamAnalysisConfig
-{
-    /**
-     * Project the trace per CPU before grammar construction (default,
-     * the paper's model). When false the global interleaved order is
-     * used as a single sequence.
-     */
-    bool perCpu = true;
-
-    /** Stride detector settings for the joint breakdown. */
-    StrideConfig stride;
-
-    /**
-     * Worker threads for the per-CPU projection phases (stride
-     * labeling and per-CPU sequence extraction — each CPU's state is
-     * independent, so they fan out over a util/work_pool). 0 = auto
-     * (WorkPool::defaultJobs(), i.e. the hardware concurrency), 1 =
-     * run inline. The result is bit-identical for any value; this only
-     * affects wall time.
-     */
-    unsigned jobs = 0;
-};
-
 /** Run the full temporal-stream analysis over @p trace. */
-StreamStats analyzeStreams(const MissTrace &trace,
-                           const StreamAnalysisConfig &cfg = {});
+StreamStats analyzeStreams(const MissTrace &trace);
 
 } // namespace tstream
 

@@ -64,14 +64,4 @@ StrideDetector::observe(CpuId cpu, BlockId blk)
     return false;
 }
 
-std::vector<bool>
-StrideDetector::labelTrace(const MissTrace &trace, const StrideConfig &cfg)
-{
-    StrideDetector det(cfg);
-    std::vector<bool> flags(trace.misses.size());
-    for (std::size_t i = 0; i < trace.misses.size(); ++i)
-        flags[i] = det.observe(trace.misses[i].cpu, trace.misses[i].block);
-    return flags;
-}
-
 } // namespace tstream

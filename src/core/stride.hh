@@ -54,14 +54,6 @@ class StrideDetector
      */
     bool observe(CpuId cpu, BlockId blk);
 
-    /**
-     * Convenience: label every miss of @p trace (processed in per-CPU
-     * program order).
-     * @return flags aligned with trace.misses.
-     */
-    static std::vector<bool> labelTrace(const MissTrace &trace,
-                                        const StrideConfig &cfg = {});
-
   private:
     struct Tracker
     {

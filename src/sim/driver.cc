@@ -137,6 +137,40 @@ CellMemo::size() const
     return cells_.size();
 }
 
+MissTrace
+onChipMisses(MissTrace intra)
+{
+    auto &m = intra.misses;
+    m.erase(std::remove_if(m.begin(), m.end(),
+                           [](const MissRecord &r) {
+                               return static_cast<IntraClass>(r.cls) ==
+                                      IntraClass::OffChip;
+                           }),
+            m.end());
+    m.shrink_to_fit();
+    return intra;
+}
+
+RunOutput
+analyzeRun(TraceKind kind, MissTrace trace,
+           const FunctionRegistry *registry)
+{
+    telemetry::Span span("analyze", "analysis");
+    if (span.active())
+        span.arg("kind", traceKindName(kind));
+    RunOutput r;
+    r.kind = kind;
+    for (const MissRecord &m : trace.misses)
+        if (m.cls < kNumMissClasses)
+            r.classMisses[m.cls]++;
+    r.trace = kind == TraceKind::IntraChip ? onChipMisses(std::move(trace))
+                                           : std::move(trace);
+    r.streams = analyzeStreams(r.trace);
+    if (registry)
+        r.modules = profileModules(r.trace, r.streams, *registry);
+    return r;
+}
+
 namespace
 {
 
@@ -184,44 +218,23 @@ runCell(const Cell &cell, const DriverOptions &opts)
     }
     auto analysis = std::make_shared<CellAnalysis>();
     analysis->instructions = out.instructions = res.instructions;
-
-    auto analyze = [&](std::array<std::uint64_t, kNumMissClasses> classes,
-                       MissTrace &&trace, TraceKind kind) {
-        telemetry::Span span("analyze", "analysis");
-        if (span.active()) {
-            span.arg("id", cell.id);
-            span.arg("kind", traceKindName(kind));
-        }
-        RunOutput r;
+    auto analyze = [&](TraceKind kind, MissTrace &&trace) {
+        RunOutput r = analyzeRun(kind, std::move(trace), &res.registry);
         r.workload = cell.cfg.workload;
-        r.kind = kind;
-        r.classMisses = classes;
-        r.trace = std::move(trace);
-        r.streams = analyzeStreams(r.trace);
-        r.modules = profileModules(r.trace, r.streams, res.registry);
-        analysis->runs.push_back(std::move(r));
+        return r;
     };
-    auto classCounts = [](const MissTrace &t) {
-        std::array<std::uint64_t, kNumMissClasses> n{};
-        for (const MissRecord &m : t.misses)
-            n[m.cls]++;
-        return n;
-    };
-
-    // Filter the intra-chip trace before any analysis runs and free
-    // the unfiltered one: no view reads it beyond its class counts.
-    const bool multi = cell.cfg.context == SystemContext::MultiChip;
-    std::array<std::uint64_t, kNumMissClasses> intraClasses{};
-    MissTrace onChip;
-    if (!multi) {
-        intraClasses = classCounts(res.intraChip);
-        onChip = res.intraChipOnChip();
-        res.intraChip = MissTrace{};
+    if (cell.cfg.context == SystemContext::MultiChip) {
+        analysis->runs.push_back(
+            analyze(TraceKind::MultiChip, std::move(res.offChip)));
+    } else {
+        // The intra-chip run goes first: its on-chip filter frees the
+        // unfiltered trace before the off-chip analysis runs.
+        RunOutput intra =
+            analyze(TraceKind::IntraChip, std::move(res.intraChip));
+        analysis->runs.push_back(
+            analyze(TraceKind::SingleChip, std::move(res.offChip)));
+        analysis->runs.push_back(std::move(intra));
     }
-    analyze(classCounts(res.offChip), std::move(res.offChip),
-            multi ? TraceKind::MultiChip : TraceKind::SingleChip);
-    if (!multi)
-        analyze(intraClasses, std::move(onChip), TraceKind::IntraChip);
     out.analysis = std::move(analysis);
     return finish();
 }
@@ -296,7 +309,8 @@ claimKeyFor(const Cell &cell)
 /**
  * Dynamic-claiming executor: opts.jobs sweep loops on a WorkPool race
  * (with every other process sharing the claim directory) to claim
- * cells, run each claimed cell once, and publish done markers. A
+ * cells, run each claimed cell once, hand it to opts.cellDone, and
+ * only then publish its done marker. A
  * background thread heartbeats all actively running claims every
  * ttlMs / 3. Returns only the cells this worker executed, in grid
  * order.
@@ -399,6 +413,8 @@ runCellsClaiming(const std::vector<Cell> &grid,
                     active.push_back(key);
                 }
                 CellResult res = runCellOnce(cell, opts);
+                if (opts.cellDone)
+                    opts.cellDone(res);
                 {
                     std::lock_guard<std::mutex> lk(hbMu);
                     active.erase(std::remove(active.begin(),
@@ -470,6 +486,8 @@ runCells(const std::vector<Cell> &grid, const DriverOptions &opts)
                     static_cast<double>(startUs - submitUs) / 1e3);
             }
             out[i] = runCellOnce(grid[i], opts);
+            if (opts.cellDone)
+                opts.cellDone(out[i]);
         });
     }
     pool.wait();

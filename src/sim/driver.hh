@@ -31,8 +31,10 @@
  * reproducible.
  *
  * Every cell is simulated (or loaded from the trace cache) and then
- * analyzed: SEQUITUR, stride and module attribution always run, and
- * the intra-chip trace is always restricted to on-chip hits. A
+ * analyzed by analyzeRun(), the step `tstream-trace analyze` also
+ * runs on a recorded trace: SEQUITUR, stride and module attribution
+ * always run, and the intra-chip trace is always restricted to
+ * on-chip hits. A
  * CellMemo shares those analyses between the figure/table views of
  * one `tstream-bench run` (src/bench/run.hh), so each distinct cell
  * is analyzed once per run; docs/BENCHMARKING.md is the operator's
@@ -120,8 +122,8 @@ std::vector<Cell> shardCells(const std::vector<Cell> &grid,
 /** One analyzed trace out of a cell. */
 struct RunOutput
 {
-    WorkloadKind workload;
-    TraceKind kind;
+    WorkloadKind workload = WorkloadKind::Oltp;
+    TraceKind kind = TraceKind::MultiChip;
     /** The analyzed trace; for IntraChip, the on-chip hits only. */
     MissTrace trace;
     /** Misses per class, counted before the intra-chip filter (so
@@ -130,6 +132,20 @@ struct RunOutput
     StreamStats streams;
     ModuleProfile modules;
 };
+
+/** The misses of intra-chip trace @p intra satisfied on chip (the
+ *  paper's context (3): hits in shared on-chip caches). */
+MissTrace onChipMisses(MissTrace intra);
+
+/**
+ * The one trace -> RunOutput step of the driver and of `tstream-trace
+ * analyze`: count the misses of @p trace per class, restrict an
+ * IntraChip trace to its on-chip hits, then run the stream analysis
+ * and the module attribution (skipped when @p registry is null). The
+ * caller sets the result's workload.
+ */
+RunOutput analyzeRun(TraceKind kind, MissTrace trace,
+                     const FunctionRegistry *registry);
 
 /** Everything a view reads of one cell; shared, never copied. */
 struct CellAnalysis
@@ -227,6 +243,10 @@ struct DriverOptions
     /** The run's shared analyses (null = none): looked up before the
      *  trace cache; successful cells are stored. */
     std::shared_ptr<CellMemo> memo;
+    /** Invoked on the worker thread with each cell this process ran,
+     *  as it finishes; under claiming, before the cell's done marker is
+     *  published, so a cell recorded here survives its worker. */
+    std::function<void(const CellResult &)> cellDone;
 };
 
 /**

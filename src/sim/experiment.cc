@@ -20,18 +20,6 @@ contextName(SystemContext c)
     return "<invalid>";
 }
 
-MissTrace
-ExperimentResult::intraChipOnChip() const
-{
-    MissTrace t;
-    t.numCpus = intraChip.numCpus;
-    t.instructions = intraChip.instructions;
-    for (const MissRecord &m : intraChip.misses)
-        if (static_cast<IntraClass>(m.cls) != IntraClass::OffChip)
-            t.misses.push_back(m);
-    return t;
-}
-
 namespace
 {
 

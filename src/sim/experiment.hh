@@ -141,10 +141,6 @@ struct ExperimentResult
     /** Covered misses dropped from the off-chip trace (i.e. covered
      *  while tracing was on). */
     std::uint64_t prefetchCoveredTraced = 0;
-
-    /** Intra-chip trace filtered to on-chip-satisfied misses (the
-     *  paper's context (3): hits in shared on-chip caches). */
-    MissTrace intraChipOnChip() const;
 };
 
 /** Run one experiment. */

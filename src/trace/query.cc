@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <cstring>
 #include <iterator>
 
-#include "core/stream_analysis.hh"
+#include "core/figure_columns.hh"
 #include "trace/byte_io.hh"
+#include "util/strprintf.hh"
 
 namespace tstream
 {
@@ -25,41 +25,10 @@ constexpr std::size_t kArchiveHeaderBytes = 24;
 constexpr std::size_t kCatalogEntryFixedBytes = 7 * 8 + 2 * 4 + 2;
 constexpr std::uint32_t kMaxArchiveMembers = 65535;
 
-std::string
-fmt(const char *f, ...)
-{
-    char buf[256];
-    va_list ap;
-    va_start(ap, f);
-    std::vsnprintf(buf, sizeof(buf), f, ap);
-    va_end(ap);
-    return buf;
-}
-
-/** True for the content kinds whose cls column is an IntraClass. */
-bool
-kindIsIntra(TraceContentKind kind)
-{
-    return kind == TraceContentKind::IntraChip ||
-           kind == TraceContentKind::IntraChipOnChip;
-}
-
-std::string_view
-clsDisplayName(TraceContentKind kind, std::uint8_t cls)
-{
-    if (kindIsIntra(kind))
-        return cls < kNumIntraClasses
-                   ? intraClassName(static_cast<IntraClass>(cls))
-                   : "<invalid>";
-    return cls < kNumMissClasses
-               ? missClassName(static_cast<MissClass>(cls))
-               : "<invalid>";
-}
-
 std::size_t
 numClassesFor(TraceContentKind kind)
 {
-    return kindIsIntra(kind) ? kNumIntraClasses : kNumMissClasses;
+    return isIntraChipKind(kind) ? kNumIntraClasses : kNumMissClasses;
 }
 
 /** The spec's filters resolved against one trace's metadata. */
@@ -80,7 +49,7 @@ resolveFilters(const TraceMeta &meta, const QuerySpec &spec,
         const std::size_t n = numClassesFor(meta.kind);
         bool found = false;
         for (std::size_t c = 0; c < n; ++c)
-            if (spec.cls == clsDisplayName(
+            if (spec.cls == missClassNameFor(
                                 meta.kind,
                                 static_cast<std::uint8_t>(c))) {
                 out.cls = static_cast<std::uint8_t>(c);
@@ -198,14 +167,6 @@ splitIntervals(std::uint64_t lo, std::uint64_t hi, std::uint32_t n)
     return out;
 }
 
-/** Fig2's denominator, expression-for-expression. */
-double
-pctDenominator(const StreamStats &s)
-{
-    return std::max<double>(1.0,
-                            static_cast<double>(s.totalMisses));
-}
-
 /**
  * analyzeStreams() panics on cpu >= numCpus; a trace that decodes
  * cleanly can still carry such records (the cpu column is raw bytes),
@@ -226,7 +187,7 @@ buildSummaryRows(const QueryOutput &out, std::vector<QueryRow> &rows)
 {
     QueryRow row;
     row.table = "summary";
-    row.text = fmt("matched %" PRIu64 " of %" PRIu64
+    row.text = strprintf("matched %" PRIu64 " of %" PRIu64
                    " records (decoded %" PRIu64 " of %" PRIu64
                    " chunks)",
                    out.matched, out.scanned, out.chunksDecoded,
@@ -257,10 +218,10 @@ buildSelectRows(const TraceMeta &meta,
                 ? meta.functions[m.fn].name
                 : std::to_string(m.fn);
         row.label = fn;
-        row.text = fmt("%-12" PRIu64 " %016" PRIx64 " %4u %-28s %s",
+        row.text = strprintf("%-12" PRIu64 " %016" PRIx64 " %4u %-28s %s",
                        m.seq, static_cast<std::uint64_t>(m.block),
                        m.cpu,
-                       std::string(clsDisplayName(meta.kind, m.cls))
+                       std::string(missClassNameFor(meta.kind, m.cls))
                            .c_str(),
                        fn.c_str());
         row.metrics = {
@@ -297,20 +258,20 @@ buildCountRows(const TraceMeta &meta, const QuerySpec &spec,
         }
         QueryRow row;
         row.table = "counts";
-        row.trace = fmt("[%" PRIu64 ",%" PRIu64 ")", a, b);
+        row.trace = strprintf("[%" PRIu64 ",%" PRIu64 ")", a, b);
         std::string text =
-            fmt("%-28s %10" PRIu64, row.trace.c_str(), total);
+            strprintf("%-28s %10" PRIu64, row.trace.c_str(), total);
         row.metrics = {
             {"seq_lo", static_cast<double>(a)},
             {"seq_hi", static_cast<double>(b)},
             {"misses", static_cast<double>(total)},
         };
         for (std::size_t c = 0; c < nCls; ++c) {
-            const std::string name(clsDisplayName(
+            const std::string name(missClassNameFor(
                 meta.kind, static_cast<std::uint8_t>(c)));
             row.metrics.emplace_back(
                 name, static_cast<double>(byCls[c]));
-            text += fmt("  %s %" PRIu64, name.c_str(), byCls[c]);
+            text += strprintf("  %s %" PRIu64, name.c_str(), byCls[c]);
         }
         row.text = std::move(text);
         rows.push_back(std::move(row));
@@ -331,26 +292,14 @@ buildStreamRows(const TraceMeta &meta,
     t.misses = matched;
     t.instructions = meta.instructions;
     t.numCpus = meta.numCpus;
-    const StreamStats s = analyzeStreams(t);
-    const double tot = pctDenominator(s);
-
+    // Figure 2's columns over the matches: an offline query over a
+    // cell's records reproduces the live bench row's metrics exactly
+    // (the tools e2e chain asserts it through the JSON layer).
+    FigureColumns cols = streamColumns(analyzeStreams(t));
     QueryRow row;
     row.table = "streams";
-    row.text = fmt("%9.1f%% %9.1f%% %11.1f%% %9.1f%%",
-                   100.0 * s.nonRepetitive / tot,
-                   100.0 * s.newStream / tot,
-                   100.0 * s.recurringStream / tot,
-                   100.0 * s.inStreamFraction());
-    // Metric names and value expressions match fig2Rows in
-    // src/bench/figures.cc exactly, so an offline query row
-    // over the same records is bit-identical to the live bench row
-    // (the tools e2e chain asserts it through the JSON layer).
-    row.metrics = {
-        {"non_repetitive_pct", 100.0 * s.nonRepetitive / tot},
-        {"new_stream_pct", 100.0 * s.newStream / tot},
-        {"recurring_stream_pct", 100.0 * s.recurringStream / tot},
-        {"in_streams_pct", 100.0 * s.inStreamFraction()},
-    };
+    row.text = cols.text.substr(1); // less the bench's column separator
+    row.metrics = std::move(cols.metrics);
     rows.push_back(std::move(row));
     return true;
 }
@@ -400,29 +349,29 @@ buildLengthRows(const TraceMeta &meta, const QuerySpec &spec,
 
         QueryRow row;
         row.table = "lengths";
-        row.trace = fmt("[%" PRIu64 ",%" PRIu64 ")", a, b);
+        row.trace = strprintf("[%" PRIu64 ",%" PRIu64 ")", a, b);
         row.metrics = {
             {"seq_lo", static_cast<double>(a)},
             {"seq_hi", static_cast<double>(b)},
             {"misses", static_cast<double>(t.misses.size())},
             {"median_len", s.medianStreamLength()},
         };
-        std::string text = fmt("%-28s median %6.0f |",
+        std::string text = strprintf("%-28s median %6.0f |",
                                row.trace.c_str(),
                                s.medianStreamLength());
         for (std::size_t i = 0; i < std::size(kLenPoints); ++i) {
             row.metrics.emplace_back(
-                fmt("len_le_%" PRIu64, kLenPoints[i]),
+                strprintf("len_le_%" PRIu64, kLenPoints[i]),
                 static_cast<double>(buckets[i]));
             if (buckets[i] > 0)
-                text += fmt(" <=%" PRIu64 ":%" PRIu64, kLenPoints[i],
+                text += strprintf(" <=%" PRIu64 ":%" PRIu64, kLenPoints[i],
                             buckets[i]);
         }
         row.metrics.emplace_back(
             "len_gt_4096",
             static_cast<double>(buckets[std::size(kLenPoints)]));
         if (buckets[std::size(kLenPoints)] > 0)
-            text += fmt(" >4096:%" PRIu64,
+            text += strprintf(" >4096:%" PRIu64,
                         buckets[std::size(kLenPoints)]);
         row.text = std::move(text);
         rows.push_back(std::move(row));

@@ -352,6 +352,25 @@ traceContentKindName(TraceContentKind k)
 }
 
 bool
+isIntraChipKind(TraceContentKind k)
+{
+    return k == TraceContentKind::IntraChip ||
+           k == TraceContentKind::IntraChipOnChip;
+}
+
+std::string_view
+missClassNameFor(TraceContentKind kind, std::uint8_t cls)
+{
+    if (isIntraChipKind(kind))
+        return cls < kNumIntraClasses
+                   ? intraClassName(static_cast<IntraClass>(cls))
+                   : "<invalid>";
+    return cls < kNumMissClasses
+               ? missClassName(static_cast<MissClass>(cls))
+               : "<invalid>";
+}
+
+bool
 saveTrace(const MissTrace &trace, const std::string &path,
           const TraceWriteOptions &opts)
 {

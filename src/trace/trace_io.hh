@@ -92,6 +92,16 @@ enum class TraceContentKind : std::uint32_t
 /** Short name of a content kind ("off-chip", ...). */
 std::string_view traceContentKindName(TraceContentKind k);
 
+/** True for the content kinds whose cls column is an IntraClass. */
+bool isIntraChipKind(TraceContentKind k);
+
+/**
+ * Name of miss class @p cls in a trace of content kind @p kind:
+ * intraClassName() for intra-chip traces, missClassName() otherwise,
+ * "<invalid>" when out of range.
+ */
+std::string_view missClassNameFor(TraceContentKind kind, std::uint8_t cls);
+
 /** Per-field descriptor from the v2 header (self-description). */
 struct TraceField
 {

@@ -1,5 +1,7 @@
 #include "util/json.hh"
 
+#include <unistd.h>
+
 #include <cctype>
 #include <cerrno>
 #include <cmath>
@@ -465,15 +467,26 @@ parseFile(const std::string &path, Value &out, std::string &err)
 bool
 writeFile(const Value &v, const std::string &path, std::string &err)
 {
-    std::ofstream out(path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-        err = path + ": cannot open for writing";
-        return false;
+    // Write a process-unique temporary and rename it into place, so a
+    // process killed mid-write leaves the previous file intact.
+    const std::string tmp = path + ".tmp." + std::to_string(::getpid());
+    {
+        std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+        if (!out) {
+            err = path + ": cannot open for writing";
+            return false;
+        }
+        out << v.dump(2) << '\n';
+        out.flush();
+        if (!out) {
+            std::remove(tmp.c_str());
+            err = path + ": write failed";
+            return false;
+        }
     }
-    out << v.dump(2) << '\n';
-    out.flush();
-    if (!out) {
-        err = path + ": write failed";
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+        std::remove(tmp.c_str());
+        err = path + ": cannot replace: " + std::strerror(errno);
         return false;
     }
     return true;

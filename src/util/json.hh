@@ -170,7 +170,8 @@ class Value
 /** Read a whole file and parse it. */
 bool parseFile(const std::string &path, Value &out, std::string &err);
 
-/** Write @p v to @p path (pretty, trailing newline). */
+/** Write @p v to @p path (pretty, trailing newline), atomically:
+ *  a temporary renamed into place. */
 bool writeFile(const Value &v, const std::string &path,
                std::string &err);
 

@@ -22,6 +22,7 @@
 #include "bench/run.hh"
 #include "obs/telemetry.hh"
 #include "sim/driver.hh"
+#include "trace/trace_io.hh"
 #include "util/work_pool.hh"
 
 namespace tstream
@@ -629,6 +630,69 @@ TEST_F(DriverRunTest, TraceCacheCreatesMissingDirectoryAndHits)
                 EXPECT_EQ(a.misses[i].cpu, b.misses[i].cpu);
                 EXPECT_EQ(a.misses[i].cls, b.misses[i].cls);
             }
+        }
+    }
+}
+
+TEST_F(DriverRunTest, OfflineAnalysisReproducesTheBenchRows)
+{
+    // A quick single-chip cell, simulated by the driver, which saves
+    // its off-chip and unfiltered (intra-all) intra-chip traces to the
+    // trace cache on the way.
+    const std::string cacheDir =
+        testing::TempDir() + "/tstream_offline_test";
+    std::filesystem::remove_all(cacheDir);
+    ::setenv("TSTREAM_TRACE_CACHE", cacheDir.c_str(), 1);
+    BenchBudgets quick;
+    quick.warmup = kQuickBudgets.warmupInstructions;
+    quick.measure = kQuickBudgets.measureInstructions;
+    quick.scale = kQuickBudgets.scale;
+    auto grid = standardGrid({WorkloadKind::Oltp}, quick);
+    grid.erase(grid.begin()); // single-chip cell only
+    DriverOptions opts;
+    opts.jobs = 1;
+    const auto live = runCells(grid, opts);
+    const std::string stem = traceCacheStem(grid[0].cfg);
+    ::unsetenv("TSTREAM_TRACE_CACHE");
+    ASSERT_EQ(live.size(), 1u);
+    ASSERT_FALSE(live[0].failed);
+
+    // The offline path of `tstream-trace analyze`: load each saved
+    // trace with its function table and run the driver's analysis.
+    auto offline = std::make_shared<CellAnalysis>();
+    offline->instructions = live[0].instructions;
+    for (const char *suffix : {".off.tst", ".l1.tst"}) {
+        auto reader = TraceReader::open(stem + suffix);
+        ASSERT_TRUE(reader) << reader.error();
+        auto trace = reader->readAll();
+        ASSERT_TRUE(trace) << trace.error();
+        auto registry = reader->functions();
+        ASSERT_TRUE(registry) << registry.error();
+        RunOutput r = analyzeRun(isIntraChipKind(reader->meta().kind)
+                                     ? TraceKind::IntraChip
+                                     : TraceKind::SingleChip,
+                                 std::move(*trace), &*registry);
+        r.workload = WorkloadKind::Oltp;
+        offline->runs.push_back(std::move(r));
+    }
+    std::filesystem::remove_all(cacheDir);
+    CellResult replayed = live[0];
+    replayed.analysis = offline;
+
+    // Every figure and origins view reads the same text and metrics.
+    bench::BenchOptions bopts;
+    for (const char *name : {"fig1", "fig2", "fig3", "fig4", "table3",
+                             "table4", "table5", "table6"}) {
+        const bench::BenchView view = bench::findView(name)->make(bopts);
+        const std::vector<BenchRow> want = view.rows(live[0]);
+        const std::vector<BenchRow> got = view.rows(replayed);
+        ASSERT_EQ(got.size(), want.size()) << name;
+        ASSERT_FALSE(want.empty()) << name;
+        for (std::size_t i = 0; i < want.size(); ++i) {
+            EXPECT_EQ(got[i].table, want[i].table) << name;
+            EXPECT_EQ(got[i].trace, want[i].trace) << name;
+            EXPECT_EQ(got[i].text, want[i].text) << name;
+            EXPECT_EQ(got[i].metrics, want[i].metrics) << name;
         }
     }
 }

@@ -247,18 +247,6 @@ TEST(StreamAnalysis, CountsSumToTotal)
               s.totalMisses);
 }
 
-TEST(StreamAnalysis, MergedModeTreatsAllCpusAsOne)
-{
-    std::vector<std::pair<unsigned, BlockId>> seq;
-    for (int rep = 0; rep < 2; ++rep)
-        for (BlockId b = 0; b < 6; ++b)
-            seq.push_back({b % 3u, 100 + b});
-    StreamAnalysisConfig cfg;
-    cfg.perCpu = false;
-    StreamStats s = analyzeStreams(traceOf(seq, 3), cfg);
-    EXPECT_GE(s.newStream + s.recurringStream, 10u);
-}
-
 TEST(StreamAnalysis, GrammarScalesToLargeTraces)
 {
     Rng rng(8);

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/stream_analysis.hh"
 #include "core/stride.hh"
 
 namespace tstream
@@ -112,7 +113,7 @@ TEST(Stride, LabelTraceMatchesManualFeed)
     std::uint64_t seq = 0;
     for (auto b : blocks)
         t.misses.push_back(MissRecord{seq++, b, 0, 0, 0});
-    auto flags = StrideDetector::labelTrace(t);
+    const std::vector<bool> flags = analyzeStreams(t).strided;
     ASSERT_EQ(flags.size(), blocks.size());
     EXPECT_FALSE(flags[0]);
     EXPECT_FALSE(flags[1]);

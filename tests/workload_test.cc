@@ -10,6 +10,7 @@
 
 #include "core/module_profile.hh"
 #include "core/stream_analysis.hh"
+#include "sim/driver.hh"
 #include "sim/experiment.hh"
 
 namespace tstream
@@ -69,7 +70,7 @@ TEST_P(WorkloadRunTest, ProducesConsistentTrace)
         const auto shares = classShares(res.offChip);
         EXPECT_EQ(shares[kCoh], 0.0);
         // The filtered view drops exactly the off-chip records.
-        const MissTrace onchip = res.intraChipOnChip();
+        const MissTrace onchip = onChipMisses(res.intraChip);
         std::size_t offchip = 0;
         for (const auto &m : res.intraChip.misses)
             if (static_cast<IntraClass>(m.cls) == IntraClass::OffChip)

@@ -15,7 +15,9 @@
  *                workers (local processes or ssh hosts) sharing one
  *                TSTREAM_TRACE_CACHE, collect the per-worker reports
  *                and logs, and merge them (a worker that dies loses
- *                nothing: its cells are reclaimed by the survivors)
+ *                nothing: the cell it was running is reclaimed by the
+ *                survivors, and the cells it finished are already in
+ *                its report, written before their done markers)
  *   merge        merge shard/worker reports; fails unless the inputs
  *                are an exact cover of every bench's grid — a cell
  *                recorded as *failed* covers its index and is carried

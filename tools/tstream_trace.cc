@@ -6,14 +6,19 @@
  * (workload, context, budget) cell to a trace file, and the read-side
  * subcommands re-run the paper's figure analyses offline, so a trace
  * collected at paper scale can be projected into Figures 1-4 and the
- * Table 3-5 module attribution without re-simulating.
+ * Table 3-5 module attribution without re-simulating. `analyze` runs
+ * the driver's own cell analysis (analyzeRun in sim/driver.hh) and
+ * prints the figure views' own columns (core/figure_columns.hh), so
+ * its numbers are the bench row's numbers; an `intra-all` trace
+ * reproduces the intra-chip rows (classes over all misses, streams
+ * over the on-chip hits).
  *
  * Subcommands:
  *   record         run one experiment and save the trace (v2 default)
  *   info           print header, tables and chunk index — or, for a
  *                  merged archive, the member catalog
  *   dump           print records as text, streamed chunk-at-a-time
- *   analyze        fig1-fig4 stream analyses (+ module table) offline
+ *   analyze        the fig1-fig4 columns (+ module table) offline
  *   query          filtered/windowed temporal queries (trace/query.hh):
  *                  cpu/class/module/category/block/seq-window filters
  *                  with summary/select/counts/streams/lengths
@@ -33,16 +38,15 @@
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <string>
 #include <vector>
 
-#include "core/module_profile.hh"
+#include "core/figure_columns.hh"
 #include "core/prefetch_policy.hh"
-#include "core/stream_analysis.hh"
 #include "gen/workload_config.hh"
 #include "sim/bench_report.hh"
-#include "sim/experiment.hh"
-#include "stats/histogram.hh"
+#include "sim/driver.hh"
 #include "trace/query.hh"
 #include "trace/trace_io.hh"
 #include "util/parse_number.hh"
@@ -161,19 +165,6 @@ parseContext(std::string_view s, SystemContext &out)
     return false;
 }
 
-/** cls names for printing, per the header's content kind. */
-std::string_view
-clsName(TraceContentKind kind, std::uint8_t cls)
-{
-    const bool intra = kind == TraceContentKind::IntraChip ||
-                       kind == TraceContentKind::IntraChipOnChip;
-    if (intra && cls < kNumIntraClasses)
-        return intraClassName(static_cast<IntraClass>(cls));
-    if (!intra && cls < kNumMissClasses)
-        return missClassName(static_cast<MissClass>(cls));
-    return "<invalid>";
-}
-
 // ---- record -----------------------------------------------------------------
 
 int
@@ -261,16 +252,7 @@ cmdRecord(int argc, char **argv)
         } else if (arg == "--prefetch-policy") {
             if (!(v = value()))
                 return usage("missing --prefetch-policy value");
-            bool known = false;
-            for (const std::string &k : prefetchPolicyNames())
-                known = known || k == v;
-            if (!known) {
-                std::string diag = "--prefetch-policy: unknown policy '" +
-                                   std::string(v) + "' (known:";
-                for (const std::string &k : prefetchPolicyNames())
-                    diag += " " + k;
-                return usage((diag + ")").c_str());
-            }
+            err = unknownPolicyError(arg, v);
             cfg.prefetchLoop.enabled = true;
             cfg.prefetchLoop.policy = v;
         } else if (arg == "--prefetch-depth") {
@@ -335,7 +317,7 @@ cmdRecord(int argc, char **argv)
         trace = std::move(res.offChip);
         opts.kind = TraceContentKind::OffChip;
     } else if (traceSel == "intra-chip") {
-        trace = res.intraChipOnChip();
+        trace = onChipMisses(std::move(res.intraChip));
         opts.kind = TraceContentKind::IntraChipOnChip;
     } else {
         trace = std::move(res.intraChip);
@@ -465,7 +447,7 @@ cmdDump(const std::string &path, std::uint64_t limit, long onlyChunk)
             std::printf("%-12" PRIu64 " %016" PRIx64 " %4u %-28s %s\n",
                         r.seq, static_cast<std::uint64_t>(r.block),
                         r.cpu,
-                        std::string(clsName(m.kind, r.cls)).c_str(),
+                        std::string(missClassNameFor(m.kind, r.cls)).c_str(),
                         fn.c_str());
             ++printed;
         }
@@ -791,121 +773,84 @@ cmdAnalyze(const std::string &path,
                      loaded.error().c_str());
         return 1;
     }
-    const MissTrace &trace = *loaded;
     const TraceMeta &m = reader->meta();
+    std::optional<FunctionRegistry> registry;
+    if (reader->hasFunctions()) {
+        auto functions = reader->functions();
+        if (!functions) {
+            std::fprintf(stderr, "tstream-trace: %s\n",
+                         functions.error().c_str());
+            return 1;
+        }
+        registry = std::move(*functions);
+    }
 
     std::printf("%s: %zu misses, %u cpus, %" PRIu64
                 " instructions (%.2f MPKI), %s trace\n\n",
-                path.c_str(), trace.misses.size(), trace.numCpus,
-                trace.instructions, trace.mpki(),
+                path.c_str(), loaded->misses.size(), loaded->numCpus,
+                loaded->instructions, loaded->mpki(),
                 std::string(traceContentKindName(m.kind)).c_str());
 
-    if (wantSection(sections, "classes")) {
-        const bool intra = m.kind == TraceContentKind::IntraChip ||
-                           m.kind == TraceContentKind::IntraChipOnChip;
-        const std::size_t n =
-            intra ? kNumIntraClasses : kNumMissClasses;
-        std::vector<std::uint64_t> cls(n, 0);
-        for (const MissRecord &r : trace.misses)
-            if (r.cls < n)
-                ++cls[r.cls];
-        const double tot = std::max<double>(
-            1.0, static_cast<double>(trace.misses.size()));
-        std::printf("miss classes (fig1):\n");
-        for (std::size_t c = 0; c < n; ++c)
-            std::printf("  %-28s %9.1f%%  (%" PRIu64 ")\n",
-                        std::string(clsName(m.kind,
-                                            static_cast<std::uint8_t>(c)))
-                            .c_str(),
-                        100.0 * static_cast<double>(cls[c]) / tot,
-                        cls[c]);
-        std::printf("\n");
-    }
+    // The bench's own cell analysis and figure columns: an intra-chip
+    // trace is classified over all of its misses and analyzed over its
+    // on-chip hits, exactly like the bench's intra-chip rows. An
+    // off-chip trace's columns do not depend on its context.
+    const bool intra = isIntraChipKind(m.kind);
+    const RunOutput r =
+        analyzeRun(intra ? TraceKind::IntraChip : TraceKind::MultiChip,
+                   std::move(*loaded), registry ? &*registry : nullptr);
 
-    // The SEQUITUR pass dominates analyze time; skip it when only
-    // sections that never read StreamStats were requested.
-    const bool needStreams = wantSection(sections, "streams") ||
-                             wantSection(sections, "strides") ||
-                             wantSection(sections, "lengths") ||
-                             wantSection(sections, "modules");
-    if (!needStreams)
-        return 0;
-    const StreamStats s = analyzeStreams(trace);
-    const double tot =
-        std::max<double>(1.0, static_cast<double>(s.totalMisses));
+    if (wantSection(sections, "classes")) {
+        std::printf("miss classes (fig1):\n");
+        if (intra)
+            std::printf("  %8s %9s %8s %8s %8s %8s\n", "MPKI", "Peer-L1",
+                        "Coh:L2", "Repl:L2", "Off-chip", "coh-shr");
+        else
+            std::printf("  %8s %10s %6s %8s %10s %10s\n", "MPKI",
+                        "Compulsory", "I/O", "Repl", "Coherence",
+                        "misses");
+        std::printf(
+            " %s\n\n",
+            missClassColumns(r.classMisses, r.trace.instructions, intra)
+                .text.c_str());
+    }
 
     if (wantSection(sections, "streams")) {
         std::printf("stream fractions (fig2):\n");
         std::printf("  %10s %10s %12s %10s\n", "non-rep", "new",
                     "recurring", "in-streams");
-        std::printf("  %9.1f%% %9.1f%% %11.1f%% %9.1f%%\n",
-                    100.0 * static_cast<double>(s.nonRepetitive) / tot,
-                    100.0 * static_cast<double>(s.newStream) / tot,
-                    100.0 * static_cast<double>(s.recurringStream) / tot,
-                    100.0 * s.inStreamFraction());
-        std::printf("\n");
+        std::printf(" %s\n\n", streamColumns(r.streams).text.c_str());
     }
 
     if (wantSection(sections, "strides")) {
         std::printf("strides x streams (fig3):\n");
         std::printf("  %10s %10s %10s %10s %8s\n", "rep+str",
                     "rep+nonstr", "nonrep+str", "nonrep+ns", "strided");
-        std::printf(
-            "  %9.1f%% %9.1f%% %9.1f%% %9.1f%% %7.1f%%\n",
-            100.0 * static_cast<double>(s.stridedRepetitive) / tot,
-            100.0 * static_cast<double>(s.nonStridedRepetitive) / tot,
-            100.0 * static_cast<double>(s.stridedNonRepetitive) / tot,
-            100.0 * static_cast<double>(s.nonStridedNonRepetitive) / tot,
-            100.0 *
-                static_cast<double>(s.stridedRepetitive +
-                                    s.stridedNonRepetitive) /
-                tot);
-        std::printf("\n");
+        std::printf(" %s\n\n", strideColumns(r.streams).text.c_str());
     }
 
     if (wantSection(sections, "lengths")) {
-        const std::vector<std::uint64_t> lenPoints = {
-            1, 2, 4, 8, 16, 32, 64, 128, 512, 1024, 4096};
-        WeightedCdf cdf;
-        for (const auto &[len, w] : s.lengthWeighted)
-            cdf.add(len, w);
         std::printf("stream length CDF (fig4 left):\n ");
-        for (auto p : lenPoints)
-            std::printf(" <=%-4llu %5.1f%%",
-                        static_cast<unsigned long long>(p),
-                        100.0 * cdf.cumulativeAt(p));
-        std::printf("\n  median stream length: %.0f\n",
-                    s.medianStreamLength());
-
-        LogHistogram h(7, 1);
-        for (const auto &[dist, w] : s.reuseWeighted)
-            h.add(dist == 0 ? 1 : dist, w);
+        for (auto p : kStreamLengthPoints)
+            std::printf(" <=%-5llu", static_cast<unsigned long long>(p));
+        std::printf(" median\n %s\n",
+                    lengthCdfColumns(r.streams).text.c_str());
         std::printf("reuse distance per decade (fig4 right):\n ");
-        for (int d = 0; d < 7; ++d)
-            std::printf(" 1e%d-1e%d %5.1f%%", d, d + 1,
-                        100.0 * h.fraction(static_cast<std::size_t>(d)));
-        std::printf("\n\n");
+        for (int d = 0; d < kReuseDecades; ++d)
+            std::printf("  1e%d-1e%d", d, d + 1);
+        std::printf("\n %s\n\n", reuseColumns(r.streams).text.c_str());
     }
 
     if (wantSection(sections, "modules")) {
-        if (!reader->hasFunctions()) {
+        if (!registry)
             std::printf("modules: trace has no function table; record "
                         "with the default v2 writer to enable\n");
-        } else {
-            auto registry = reader->functions();
-            if (!registry) {
-                std::fprintf(stderr, "tstream-trace: %s\n",
-                             registry.error().c_str());
-                return 1;
-            }
-            const ModuleProfile prof =
-                profileModules(trace, s, *registry);
+        else
             std::printf("module origins (tables 3-5 + scenarios):\n%s",
-                        renderModuleTable(prof, /*web_rows=*/true,
+                        renderModuleTable(r.modules, /*web_rows=*/true,
                                           /*db_rows=*/true,
                                           /*scenario_rows=*/true)
                             .c_str());
-        }
     }
     return 0;
 }
