@@ -19,7 +19,7 @@
  * the L2 grows. Coherence misses have no such bound. The sweep is a
  * custom cell grid (one cell per L2 size, same workload/context/
  * budgets); configHash() covers the cache geometry, so each L2 point
- * is its own cell everywhere (shards, trace cache, memo).
+ * is its own cell everywhere (claims, trace cache, memo).
  */
 
 #include <algorithm>

@@ -20,19 +20,17 @@ const char *const kRunFlagsHelp =
     "  --quick        reduced smoke budgets (default: paper scale)\n"
     "  --jobs N       worker threads for the cell pool (default:\n"
     "                 hardware concurrency)\n"
-    "  --shard k/N    run only grid cells with index % N == k\n"
-    "  -o PATH        write the report (schema in docs/BENCHMARKING.md)\n"
-    "                 after every view; without it only the tables print\n"
-    "  --resume       reuse the cells already in the -o report (fails on\n"
-    "                 a schema, budget or config-hash mismatch)\n"
+    "  -o PATH        write the report (schema in docs/BENCHMARKING.md);\n"
+    "                 without it only the tables print\n"
     "  --workload F   run the workload config file F instead of each\n"
     "                 view's compiled-in sweep\n"
     "  --phases S     inline phase records for the PhasedMix workload,\n"
     "                 e.g. \"kv mix=0.9 dist=zipfian duration=1500000\"\n"
     "  --claim-session ID\n"
     "                 drain the grid by dynamic work claiming with the\n"
-    "                 other workers of session ID (needs\n"
-    "                 TSTREAM_TRACE_CACHE; excludes --shard, --resume)\n"
+    "                 other workers of session ID; re-running a session\n"
+    "                 runs only the cells it has not finished (needs\n"
+    "                 TSTREAM_TRACE_CACHE)\n"
     "  --claim-ttl MS heartbeat staleness before a claim may be stolen\n"
     "                 (default 30000)\n"
     "  --telemetry-out BASE\n"
@@ -54,11 +52,11 @@ namespace
 
 /** Flags that take a value argument. */
 constexpr std::string_view kValueFlags[] = {
-    "--jobs",          "--shard",     "-o",
-    "--output",        "--workload",  "--phases",
-    "--claim-session", "--claim-ttl", "--telemetry-out",
-    "--slowest",       "--fleet",     "--fleet-kill-after",
-    "--policy",        "--replay-depth"};
+    "--jobs",          "-o",        "--output",
+    "--workload",      "--phases",  "--claim-session",
+    "--claim-ttl",     "--slowest", "--telemetry-out",
+    "--fleet",         "--policy",  "--fleet-kill-after",
+    "--replay-depth"};
 
 /** Flags a fleet worker does not repeat: the fleet sets its own. */
 constexpr std::string_view kLocalFlags[] = {
@@ -105,59 +103,32 @@ validateExt(const BenchOptions &opts, bool depthGiven)
     if (!scoring)
         return "--replay-depth needs --policy or --budget-sweep (the "
                "default depth-sweep columns are fixed)";
-    if (opts.resume)
-        return "--policy/--budget-sweep and --resume are mutually "
-               "exclusive (a stored report may lack the policy tables)";
     return {};
 }
 
 /**
- * Run @p view over @p grid and print its table. The cells this shard
- * owns are executed on the driver pool, except those in @p prior (the
- * already-validated cells of a --resume report), which are reused
- * verbatim. Under --claim-session the claim protocol decides which
- * cells this worker runs. A cell that threw becomes a failure row.
- * Each cell's rows are built on its worker thread as it finishes; a
- * non-null @p checkpoint is then handed the view's document so far,
+ * Run @p view over @p grid and print its table. The cells are executed
+ * on the driver pool; under --claim-session the claim protocol decides
+ * which of them this worker runs. A cell that threw becomes a failure
+ * row. Each cell's rows are built on its worker thread as it finishes;
+ * a non-null @p checkpoint is then handed the view's document so far,
  * before a claimed cell's done marker is published.
  */
 BenchDoc
 runView(const BenchView &view, const std::string &binary,
         const BenchOptions &opts, const std::vector<Cell> &grid,
-        std::vector<BenchCell> prior, std::shared_ptr<CellMemo> memo,
+        std::shared_ptr<CellMemo> memo,
         const std::function<void(const BenchDoc &)> &checkpoint)
 {
-    // Keep only the reused cells this shard owns, so a resumed shard
-    // run emits exactly what a fresh shard run would.
-    prior.erase(std::remove_if(prior.begin(), prior.end(),
-                               [&](const BenchCell &c) {
-                                   return !opts.shard.owns(c.index);
-                               }),
-                prior.end());
-    if (!prior.empty())
-        std::fprintf(stderr, "[bench] %s --resume: reusing %zu cell(s)\n",
-                     binary.c_str(), prior.size());
-
-    std::vector<bool> have(grid.size(), false);
-    for (const BenchCell &c : prior)
-        have[c.index] = true;
-    std::vector<Cell> todo;
-    for (const Cell &c : shardCells(grid, opts.shard))
-        if (!have[c.index])
-            todo.push_back(c);
-
     BenchDoc doc;
     doc.bench = binary;
     doc.quick = opts.quick;
     doc.budgets = opts.budgets;
     doc.gridCells = grid.size();
-    doc.shard = opts.shard;
     doc.jobs = opts.jobs != 0 ? opts.jobs : WorkPool::defaultJobs();
-    doc.cells = std::move(prior);
     auto byIndex = [](const BenchCell &a, const BenchCell &b) {
         return a.index < b.index;
     };
-    std::stable_sort(doc.cells.begin(), doc.cells.end(), byIndex);
 
     std::mutex mu;
     DriverOptions dopts = opts.driver(binary);
@@ -175,7 +146,7 @@ runView(const BenchView &view, const std::string &binary,
         if (checkpoint)
             checkpoint(doc);
     };
-    runCells(todo, dopts);
+    runCells(grid, dopts);
 
     view.print(doc.cells);
     return doc;
@@ -213,17 +184,12 @@ parseRunArgs(int argc, const char *const *argv, BenchOptions &opts)
         std::string err;
         if (arg == "--quick") {
             opts.quick = true;
-        } else if (arg == "--resume") {
-            opts.resume = true;
         } else if (arg == "--budget-sweep") {
             opts.ext.budgetSweep = true;
         } else if (arg == "--help" || arg == "-h") {
             opts.help = true;
         } else if (arg == "--jobs") {
             err = parseInt(arg, v, opts.jobs, 1);
-        } else if (arg == "--shard") {
-            if (!parseShardSpec(v, opts.shard))
-                err = "--shard wants k/N with k < N";
         } else if (arg == "-o" || arg == "--output") {
             opts.out = v;
         } else if (arg == "--workload") {
@@ -275,8 +241,6 @@ parseRunArgs(int argc, const char *const *argv, BenchOptions &opts)
     if (opts.views.empty())
         return "run needs at least one bench name (see tstream-bench "
                "list)";
-    if (opts.resume && opts.out.empty())
-        return "--resume needs -o PATH (the report to resume from)";
     if (!opts.workloadFile.empty() && !opts.phasesSpec.empty())
         return "--workload and --phases are mutually exclusive (a config "
                "file already carries its schedule)";
@@ -287,13 +251,6 @@ parseRunArgs(int argc, const char *const *argv, BenchOptions &opts)
         if (!cache || !*cache)
             return flag + " needs TSTREAM_TRACE_CACHE set (the claim "
                           "directory lives in the shared cache)";
-        if (opts.shard.count > 1)
-            return flag + " and --shard are mutually exclusive (dynamic "
-                          "claiming replaces static sharding)";
-        if (opts.resume)
-            return flag + " and --resume are mutually exclusive "
-                          "(claiming workers skip done cells via the "
-                          "claim directory)";
     }
     if (!opts.fleetFile.empty() && !opts.claimSession.empty())
         return "--fleet generates its own claim session; drop "
@@ -376,60 +333,27 @@ runBench(const BenchOptions &opts)
         }
     }
 
-    // --resume: reuse cells recorded in the existing report; each view
-    // revalidates its prior document cell by cell.
-    std::vector<BenchDoc> priorDocs;
-    if (opts.resume && !readResumeDocs(opts.out, priorDocs, err)) {
-        std::fprintf(stderr, "--resume: %s\n", err.c_str());
-        return 1;
-    }
-
     auto memo = std::make_shared<CellMemo>(grids);
     if (!opts.telemetryOut.empty())
         telemetry::enable(""); // each view writes its own files below
 
     std::vector<BenchDoc> docs;
-    std::size_t lastWritten = 0;
-    // Write the report: the finished views, then @p current (the view
-    // in progress, if any). Under --resume, prior documents whose view
-    // this write does not yet hold are carried forward, so resuming a
-    // subset (e.g. just one failed table) never truncates the report.
-    auto writeReport = [&](const BenchDoc *current) {
-        std::vector<BenchDoc> flat = docs;
-        if (current)
-            flat.push_back(*current);
-        for (const BenchDoc &doc : priorDocs)
-            if (std::none_of(flat.begin(), flat.end(),
-                             [&](const BenchDoc &d) {
-                                 return d.bench == doc.bench;
-                             }))
-                flat.push_back(doc);
-        lastWritten = flat.size();
-        return writeDocs(flat, opts.out);
-    };
     // A claiming worker checkpoints the report after every cell, before
-    // the cell's done marker goes up: the survivors skip done cells, so
-    // a worker killed later must already have reported them.
+    // the cell's done marker goes up: the survivors, and a later run of
+    // the same session, skip done cells, so a worker killed later must
+    // already have reported them.
     std::function<void(const BenchDoc &)> checkpoint;
     if (!opts.claimSession.empty() && !opts.out.empty())
         checkpoint = [&](const BenchDoc &current) {
-            writeReport(&current);
+            std::vector<BenchDoc> flat = docs;
+            flat.push_back(current);
+            writeDocs(flat, opts.out);
         };
     for (std::size_t i = 0; i < views.size(); ++i) {
         const std::string binary = opts.views[i]->binary;
-        std::vector<BenchCell> prior;
-        for (const BenchDoc &doc : priorDocs)
-            if (doc.bench == binary &&
-                !resumeCells(doc, opts.out, opts.quick, opts.budgets,
-                             grids[i], prior, err)) {
-                std::fprintf(stderr, "%s: --resume: %s\n",
-                             binary.c_str(), err.c_str());
-                return 1;
-            }
-
         logf(LogLevel::Info, "[tstream-bench] %s", binary.c_str());
-        docs.push_back(runView(views[i], binary, opts, grids[i],
-                               std::move(prior), memo, checkpoint));
+        docs.push_back(
+            runView(views[i], binary, opts, grids[i], memo, checkpoint));
         memo->finishView(i);
         if (!opts.telemetryOut.empty()) {
             if (!telemetry::writeArtifacts(
@@ -437,19 +361,14 @@ runBench(const BenchOptions &opts)
                 logWarn("telemetry: " + err);
             telemetry::reset();
         }
-        if (opts.out.empty())
-            continue;
-
-        // Checkpoint the report after every view, so a sweep that dies
-        // partway leaves the completed views behind for --resume.
-        if (!writeReport(nullptr))
-            return 1;
     }
+    if (!opts.out.empty() && !writeDocs(docs, opts.out))
+        return 1;
 
     printSlowestCells(docs, opts.slowest);
     if (!opts.out.empty())
         logf(LogLevel::Info, "[tstream-bench] wrote %s (%zu benches)",
-             opts.out.c_str(), lastWritten);
+             opts.out.c_str(), docs.size());
     return 0;
 }
 

@@ -37,18 +37,15 @@ struct BenchOptions
     bool quick = false;    ///< --quick
     BenchBudgets budgets;  ///< kQuickBudgets under --quick
     unsigned jobs = 0;     ///< --jobs; 0 = hardware concurrency
-    ShardSpec shard;       ///< --shard k/N
     std::string out;       ///< -o PATH; empty = print the tables only
-    /** --resume: reuse the cells already in the -o report; fails on a
-     *  schema, budget or config-hash mismatch. */
-    bool resume = false;
     /** --workload FILE (gen/workload_config.hh): restrict each swept
      *  view to the file's workload and schedule. */
     std::string workloadFile;
     /** --phases SPEC: inline PhasedMix schedule (parsePhasesSpec). */
     std::string phasesSpec;
     /** --claim-session ID: drain the grid by dynamic claiming under
-     *  `$TSTREAM_TRACE_CACHE/claims/<ID>/<binary>`. */
+     *  `$TSTREAM_TRACE_CACHE/claims/<ID>/<binary>`; a re-run of the
+     *  session runs only the cells not yet done. */
     std::string claimSession;
     std::int64_t claimTtlMs = 30'000; ///< --claim-ttl MS
     /** --telemetry-out BASE: metrics and Chrome trace per view at
@@ -82,10 +79,10 @@ std::string parseRunArgs(int argc, const char *const *argv,
 extern const char *const kRunFlagsHelp;
 
 /**
- * Run the views of @p opts in order (not --fleet): print each table,
- * write the -o report after every view (carrying forward resumed views
- * this run does not name) and the telemetry files, then log the
- * --slowest cells. Returns the process exit status.
+ * Run the views of @p opts in order (not --fleet): print each table
+ * and write each view's telemetry files, then write the -o report and
+ * log the --slowest cells. A claiming worker also rewrites the report
+ * after every cell it finishes. Returns the process exit status.
  */
 int runBench(const BenchOptions &opts);
 

@@ -1,9 +1,10 @@
 #include "sim/bench_report.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
+#include <limits>
 #include <map>
 #include <set>
 
@@ -21,14 +22,15 @@ hashToHex(std::uint64_t h)
     return buf;
 }
 
+/** Exactly 16 hex digits; no sign, prefix or space. */
 bool
 hexToHash(const std::string &s, std::uint64_t &out)
 {
     if (s.size() != 16)
         return false;
-    char *end = nullptr;
-    out = std::strtoull(s.c_str(), &end, 16);
-    return end && *end == '\0';
+    const char *end = s.data() + s.size();
+    const auto [p, ec] = std::from_chars(s.data(), end, out, 16);
+    return ec == std::errc() && p == end;
 }
 
 } // namespace
@@ -51,76 +53,6 @@ makeBenchCell(const CellResult &res, std::vector<BenchRow> rows)
     return c;
 }
 
-bool
-readResumeDocs(const std::string &path, std::vector<BenchDoc> &out,
-               std::string &err)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return true; // nothing to resume from: fresh run
-    std::fclose(f);
-    return readBenchDocs(path, out, err);
-}
-
-bool
-resumeCells(const BenchDoc &prior, const std::string &path, bool quick,
-            const BenchBudgets &budgets, const std::vector<Cell> &grid,
-            std::vector<BenchCell> &out, std::string &err)
-{
-    out.clear();
-    if (prior.quick != quick || prior.budgets.warmup != budgets.warmup ||
-        prior.budgets.measure != budgets.measure ||
-        prior.budgets.scale != budgets.scale) {
-        err = path + ": budgets differ from this run (was the report "
-                     "recorded with different --quick/budget flags?)";
-        return false;
-    }
-    if (prior.gridCells != grid.size()) {
-        err = path + ": grid size " + std::to_string(prior.gridCells) +
-              " != current " + std::to_string(grid.size()) +
-              " (workload suite changed); delete the report or drop "
-              "--resume";
-        return false;
-    }
-
-    // benchDocFromJson() already rejected out-of-range and repeated
-    // indexes, and the grid sizes agree.
-    for (const BenchCell &cell : prior.cells) {
-        const Cell &cur = grid[cell.index];
-        if (cell.id != cur.id) {
-            err = path + ": cell " + std::to_string(cell.index) +
-                  " is " + cell.id + " but the current grid has " +
-                  cur.id;
-            return false;
-        }
-        const std::uint64_t want = configHash(cur.cfg);
-        if (cell.configHash != want) {
-            err = path + ": cell " + cell.id +
-                  ": config hash mismatch (report " +
-                  hashToHex(cell.configHash) + ", current " +
-                  hashToHex(want) +
-                  "); budgets/seed/geometry changed — delete the "
-                  "report or drop --resume";
-            return false;
-        }
-        if (cell.failed) {
-            // A failure row is not a result to reuse: resume re-runs
-            // the cell (that is the whole point of resuming).
-            std::fprintf(stderr,
-                         "[bench] --resume: re-running failed cell %s "
-                         "(%s)\n",
-                         cell.id.c_str(), cell.failureCause.c_str());
-            continue;
-        }
-        out.push_back(cell);
-    }
-    std::sort(out.begin(), out.end(),
-              [](const BenchCell &a, const BenchCell &b) {
-                  return a.index < b.index;
-              });
-    return true;
-}
-
 json::Value
 benchDocToJson(const BenchDoc &doc)
 {
@@ -138,10 +70,6 @@ benchDocToJson(const BenchDoc &doc)
     v["grid_cells"] = json::Value(
         static_cast<std::uint64_t>(doc.gridCells));
 
-    json::Value shard = json::Value::object();
-    shard["index"] = json::Value(doc.shard.index);
-    shard["count"] = json::Value(doc.shard.count);
-    v["shard"] = std::move(shard);
     v["jobs"] = json::Value(doc.jobs);
 
     json::Value cells = json::Value::array();
@@ -196,6 +124,31 @@ need(const json::Value &v, const char *key, std::string &err)
     return f;
 }
 
+/**
+ * Read @p f, a count or index, into @p out: a JSON integer in
+ * [0, max of T]. A negative number, a fraction, an exponent-form
+ * double or a string is a load error naming @p key, not a value cast
+ * into range.
+ */
+template <typename T>
+bool
+readCount(const json::Value &f, const char *key, T &out,
+          std::string &err)
+{
+    const std::uint64_t max = std::min<std::uint64_t>(
+        std::numeric_limits<T>::max(),
+        std::numeric_limits<std::int64_t>::max());
+    if (f.isInt() && f.asInt() >= 0 &&
+        static_cast<std::uint64_t>(f.asInt()) <= max) {
+        out = static_cast<T>(f.asInt());
+        return true;
+    }
+    err = std::string(key) +
+          " is not a non-negative integer no larger than " +
+          std::to_string(max);
+    return false;
+}
+
 } // namespace
 
 bool
@@ -233,18 +186,14 @@ benchDocFromJson(const json::Value &v, BenchDoc &out, std::string &err)
     const json::Value *scale = need(*budgets, "scale", err);
     if (!warm || !meas || !scale)
         return false;
-    out.budgets.warmup = warm->asUint();
-    out.budgets.measure = meas->asUint();
+    if (!readCount(*warm, "budgets.warmup", out.budgets.warmup, err) ||
+        !readCount(*meas, "budgets.measure", out.budgets.measure, err) ||
+        !readCount(*grid, "grid_cells", out.gridCells, err))
+        return false;
     out.budgets.scale = scale->asDouble();
-    out.gridCells = static_cast<std::size_t>(grid->asUint());
-    if (const json::Value *shard = v.find("shard")) {
-        if (const json::Value *i = shard->find("index"))
-            out.shard.index = static_cast<unsigned>(i->asUint());
-        if (const json::Value *n = shard->find("count"))
-            out.shard.count = static_cast<unsigned>(n->asUint());
-    }
-    if (const json::Value *jobs = v.find("jobs"))
-        out.jobs = static_cast<unsigned>(jobs->asUint());
+    const json::Value *jobs = v.find("jobs");
+    if (jobs && !readCount(*jobs, "jobs", out.jobs, err))
+        return false;
 
     std::set<std::size_t> indexes;
     for (const json::Value &jc : cells->items()) {
@@ -255,8 +204,11 @@ benchDocFromJson(const json::Value &v, BenchDoc &out, std::string &err)
         const json::Value *rows = need(jc, "rows", err);
         if (!index || !id || !hash || !rows)
             return false;
-        c.index = static_cast<std::size_t>(index->asUint());
         c.id = id->asString();
+        if (!readCount(*index, "index", c.index, err)) {
+            err = "cell " + c.id + ": " + err;
+            return false;
+        }
         const std::string where =
             "cell " + c.id + ": index " + std::to_string(c.index);
         if (c.index >= out.gridCells) {
@@ -280,8 +232,11 @@ benchDocFromJson(const json::Value &v, BenchDoc &out, std::string &err)
             c.cacheHit = f->asBool();
         if (const json::Value *f = jc.find("wall_seconds"))
             c.wallSeconds = f->asDouble();
-        if (const json::Value *f = jc.find("instructions"))
-            c.instructions = f->asUint();
+        if (const json::Value *f = jc.find("instructions");
+            f && !readCount(*f, "instructions", c.instructions, err)) {
+            err = "cell " + c.id + ": " + err;
+            return false;
+        }
         if (const json::Value *f = jc.find("failed")) {
             c.failed = true;
             if (const json::Value *cause = f->find("cause"))
@@ -559,7 +514,6 @@ mergeBenchDocs(const std::vector<BenchDoc> &docs, BenchDoc &out,
     out.quick = docs[0].quick;
     out.budgets = docs[0].budgets;
     out.gridCells = docs[0].gridCells;
-    out.shard = ShardSpec{0, 1};
     for (const BenchDoc &doc : docs) {
         if (!headersCompatible(docs[0], doc, err))
             return false;
@@ -627,7 +581,7 @@ mergeBenchDocs(const std::vector<BenchDoc> &docs, BenchDoc &out,
     skipTo(out.gridCells);
     if (nMissing > 0) {
         err = "bench " + out.bench +
-              ": merged shards do not cover the grid; missing cell "
+              ": merged reports do not cover the grid; missing cell "
               "indexes: " +
               missing;
         if (nMissing > kNamed)

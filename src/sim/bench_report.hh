@@ -5,8 +5,9 @@
  * interchange format of the tstream-bench front-end.
  *
  * One *bench document* (schema "tstream-bench/v3") describes one
- * bench binary's (possibly sharded or fleet) run: the budgets, the
- * total grid size, and one entry per executed cell carrying the cell
+ * bench binary's run, or one claiming worker's part of it: the
+ * budgets, the total grid size, and one entry per executed cell
+ * carrying the cell
  * id, its configHash() provenance, wall/sim time, and the bench's
  * rows — each row holds both the exact printed table line (`text`)
  * and the named numeric metrics behind it, so a JSON report is
@@ -14,29 +15,30 @@
  * cell whose execution threw is recorded as a *failure row*:
  * `failed.cause`, with no table rows — the sweep keeps going and the
  * failure travels through merge and check-equal instead of
- * disappearing. Shard/worker documents of the same bench merge into
- * the unsharded document (exact cover of the grid is verified; a
+ * disappearing. Worker documents of the same bench merge into
+ * the one-process document (exact cover of the grid is verified; a
  * *failed* cell covers its index, a *missing* cell is still an error —
  * the two are never conflated); equivalence
- * ignores non-deterministic fields (wall time, cache hits, jobs,
- * shard) so "merged fleet run equals unsharded run" is a checkable
+ * ignores non-deterministic fields (wall time, cache hits, jobs) so
+ * "merged fleet run equals one-process run" is a checkable
  * invariant. Several bench documents bundle into a *combined report*
  * (schema "tstream-bench-report/v3").
  *
  * v1 -> v2 (scenario-subsystem PR): the nine-workload grid, the
  * origins benches' self-contained `origins_block` rows, and the
  * l2-sweep per-workload label changed the *row* content without any
- * field-level change, so the version was bumped to keep `--resume`
- * (which reuses stored rows verbatim) from silently mixing row
- * shapes across binaries.
+ * field-level change, so the version was bumped to keep a consumer
+ * that reuses stored rows verbatim from silently mixing row shapes
+ * across binaries.
  *
  * v2 -> v3 (fleet claiming): cells gained the optional `failed` object, and
  * a cell with a failure row deliberately has no table rows — a v2
  * consumer would misread such a cell as "ran fine, produced nothing",
  * so the version was bumped. Old reports are rejected with a schema
  * error; re-run the bench to regenerate. v3 cells also carried an
- * `attempts` count while cells could be retried; cells now run once,
- * so it is no longer written and the loader ignores it.
+ * `attempts` count while cells could be retried, and documents a
+ * `shard` object while static sharding existed; neither is written
+ * any more and the loader ignores both.
  *
  * Field-by-field schema documentation: docs/BENCHMARKING.md.
  */
@@ -92,14 +94,13 @@ struct BenchCell
     std::vector<BenchRow> rows;
 };
 
-/** One bench binary's (possibly sharded) run. */
+/** One bench binary's run, or one claiming worker's part of it. */
 struct BenchDoc
 {
     std::string bench; ///< binary name, e.g. "fig2_stream_fraction"
     bool quick = false;
     BenchBudgets budgets;
     std::size_t gridCells = 0; ///< total grid size (cover check)
-    ShardSpec shard;
     unsigned jobs = 0;
     std::vector<BenchCell> cells; ///< ascending by index
 };
@@ -108,34 +109,14 @@ struct BenchDoc
 BenchCell makeBenchCell(const CellResult &res,
                         std::vector<BenchRow> rows);
 
-/**
- * `--resume` support: read the documents of the prior report at
- * @p path (readBenchDocs). A missing file succeeds with no documents
- * (first run).
- */
-bool readResumeDocs(const std::string &path, std::vector<BenchDoc> &out,
-                    std::string &err);
-
-/**
- * The reusable cells of @p prior over the current @p grid. The
- * document must match exactly — quick flag, budgets, grid size, and
- * every stored cell's id and configHash() against the current grid —
- * otherwise this fails with a description in @p err (@p path names the
- * report) rather than silently mixing results from different
- * configurations. Failed cells are not reused. On success @p out holds
- * the stored cells in ascending grid order.
- */
-bool resumeCells(const BenchDoc &prior, const std::string &path,
-                 bool quick, const BenchBudgets &budgets,
-                 const std::vector<Cell> &grid,
-                 std::vector<BenchCell> &out, std::string &err);
-
 json::Value benchDocToJson(const BenchDoc &doc);
 
 /**
  * Parse one bench document; false + @p err on a schema mismatch, a
- * missing field, or a cell index that is out of range (>= grid_cells)
- * or repeated.
+ * missing field, a malformed config_hash (anything but 16 hex
+ * digits), a count or index that is not a non-negative JSON integer
+ * (budgets, grid_cells, jobs, a cell's index or instructions), or a
+ * cell index that is out of range (>= grid_cells) or repeated.
  */
 bool benchDocFromJson(const json::Value &v, BenchDoc &out,
                       std::string &err);
@@ -155,7 +136,7 @@ bool readBenchDocs(const std::string &path, std::vector<BenchDoc> &out,
                    std::string &err);
 
 /**
- * Merge shard/worker documents of one bench into the unsharded
+ * Merge worker documents of one bench into the one-process
  * document: headers (bench, quick, budgets, grid size) must agree and
  * the union must cover every grid index exactly. A *failed* cell
  * covers its index (the failure row is carried into the merged
@@ -173,8 +154,8 @@ bool mergeBenchDocs(const std::vector<BenchDoc> &docs, BenchDoc &out,
 /**
  * Deterministic-content equivalence: bench, quick, budgets, grid
  * size, and every cell's (index, id, workload, context, configHash,
- * instructions, rows) must match exactly; wallSeconds, cacheHit,
- * jobs and shard are execution details and ignored. A cell
+ * instructions, rows) must match exactly; wallSeconds, cacheHit
+ * and jobs are execution details and ignored. A cell
  * present on one side only, a cell that failed on either side, and a
  * metric mismatch each produce a distinct diagnostic in @p why naming
  * the cell — a failure row is never silently "equal" to anything.

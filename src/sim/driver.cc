@@ -4,7 +4,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <charconv>
 #include <chrono>
 #include <cinttypes>
 #include <condition_variable>
@@ -21,6 +20,7 @@
 #include "trace/trace_io.hh"
 #include "util/claim_file.hh"
 #include "util/logging.hh"
+#include "util/parse_number.hh"
 #include "util/work_pool.hh"
 
 namespace tstream
@@ -35,24 +35,6 @@ traceKindName(TraceKind k)
       case TraceKind::IntraChip: return "intra-chip";
     }
     return "?";
-}
-
-bool
-parseShardSpec(std::string_view text, ShardSpec &out)
-{
-    // Both numbers must fill all of their text and fit an unsigned.
-    const char *end = text.data() + text.size();
-    unsigned k = 0;
-    unsigned n = 0;
-    const auto kr = std::from_chars(text.data(), end, k);
-    if (kr.ec != std::errc() || kr.ptr == end || *kr.ptr != '/')
-        return false;
-    const auto nr = std::from_chars(kr.ptr + 1, end, n);
-    if (nr.ec != std::errc() || nr.ptr != end || n == 0 || k >= n)
-        return false;
-    out.index = k;
-    out.count = n;
-    return true;
 }
 
 std::vector<Cell>
@@ -77,16 +59,6 @@ standardGrid(const std::vector<WorkloadKind> &workloads,
         }
     }
     return grid;
-}
-
-std::vector<Cell>
-shardCells(const std::vector<Cell> &grid, const ShardSpec &shard)
-{
-    std::vector<Cell> mine;
-    for (const Cell &c : grid)
-        if (shard.owns(c.index))
-            mine.push_back(c);
-    return mine;
 }
 
 const std::vector<RunOutput> &
@@ -319,6 +291,17 @@ std::vector<CellResult>
 runCellsClaiming(const std::vector<Cell> &grid,
                  const DriverOptions &opts)
 {
+    // A malformed value must not quietly mean "never die": a fault
+    // test would then pass without its fault. Checked before the
+    // claim directory is touched.
+    long dieAfter = 0;
+    if (const char *env = std::getenv("TSTREAM_CLAIM_DIE_AFTER");
+        env && *env)
+        if (std::string err =
+                parseInt("TSTREAM_CLAIM_DIE_AFTER", env, dieAfter, 0);
+            !err.empty())
+            fatal(err);
+
     ClaimDir::Options copts;
     copts.dir = opts.claim.dir;
     copts.owner = opts.claim.owner;
@@ -329,9 +312,6 @@ runCellsClaiming(const std::vector<Cell> &grid,
     const std::int64_t pollMs =
         std::clamp<std::int64_t>(opts.claim.ttlMs / 4, 50, 500);
 
-    long dieAfter = 0;
-    if (const char *env = std::getenv("TSTREAM_CLAIM_DIE_AFTER"))
-        dieAfter = std::strtol(env, nullptr, 10);
     std::atomic<long> claimsWon{0};
 
     std::mutex resMu;
@@ -595,7 +575,7 @@ traceCacheStore(const ExperimentConfig &cfg,
     if (stem.empty())
         return;
 
-    // Create the cache directory (and any shard-specific parents the
+    // Create the cache directory (and any missing parents the
     // operator baked into TSTREAM_TRACE_CACHE) on first use instead of
     // failing every cell store against a missing directory.
     const std::filesystem::path dir =

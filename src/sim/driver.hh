@@ -1,29 +1,24 @@
 /**
  * @file
- * Sharded/fleet cell-level experiment driver.
+ * Cell-level experiment driver.
  *
  * The paper's results form a (workload x context x budget) grid; this
- * driver enumerates that grid as independent *cells*, executes them on
- * a bounded work-stealing thread pool (util/work_pool.hh) sized by
- * --jobs, and distributes cells across processes two ways:
- *
- *  - **Static sharding** (--shard k/N): shard k
- *    owns exactly the cells whose grid index is congruent to k mod N,
- *    so the N shards are a disjoint exact cover of the grid for any N
- *    and a merged run equals an unsharded one cell-for-cell.
- *  - **Dynamic claiming** (--claim-session):
- *    heterogeneous workers drain the grid by racing on atomic claim
- *    files (util/claim_file.hh) under
- *    `$TSTREAM_TRACE_CACHE/claims/<session>/<bench>`; a worker that
- *    dies mid-cell leaves a stale claim that another worker reclaims
- *    after the heartbeat TTL, so the sweep completes without
- *    pre-partitioning. `tstream-bench run --fleet` builds on this.
+ * driver enumerates that grid as independent *cells* and executes them
+ * on a bounded work-stealing thread pool (util/work_pool.hh) sized by
+ * --jobs. A process runs the whole grid, or drains it together with
+ * other processes by **dynamic claiming** (--claim-session): workers
+ * race on atomic claim files (util/claim_file.hh) under
+ * `$TSTREAM_TRACE_CACHE/claims/<session>/<bench>`; a worker that dies
+ * mid-cell leaves a stale claim that another worker reclaims after
+ * the heartbeat TTL, and a cell already marked done is skipped, so
+ * re-running a session finishes what an earlier run left.
+ * `tstream-bench run --fleet` builds on this.
  *
  * A cell runs exactly once. It is a deterministic function of its
  * configHash() (the memo, the trace cache and check-equal all rely on
  * that), so a cell that threw would throw again if re-run: it becomes
  * a structured *failure result* (cause, wall time) in the report
- * instead of aborting the sweep. All shards/workers can point at one
+ * instead of aborting the sweep. All workers can point at one
  * TSTREAM_TRACE_CACHE directory (cells are keyed on
  * configHash(); stores are temp+rename atomic). Results always come
  * back in deterministic grid order, independent of the job count, so
@@ -78,25 +73,9 @@ struct BenchBudgets
     double scale = kPaperBudgets.scale;
 };
 
-/** Deterministic k-of-N shard assignment. */
-struct ShardSpec
-{
-    unsigned index = 0;
-    unsigned count = 1;
-
-    bool
-    owns(std::size_t cellIndex) const
-    {
-        return count <= 1 || cellIndex % count == index;
-    }
-};
-
-/** Parse "k/N" (k < N, N >= 1) into @p out. */
-bool parseShardSpec(std::string_view text, ShardSpec &out);
-
 /**
  * One independent unit of work: a fully specified experiment plus its
- * position in the enumeration (the sharding key) and a stable
+ * position in the enumeration (part of its claim key) and a stable
  * human-readable id.
  */
 struct Cell
@@ -114,10 +93,6 @@ struct Cell
  */
 std::vector<Cell> standardGrid(const std::vector<WorkloadKind> &workloads,
                                const BenchBudgets &budgets);
-
-/** The cells of @p grid owned by @p shard, in grid order. */
-std::vector<Cell> shardCells(const std::vector<Cell> &grid,
-                             const ShardSpec &shard);
 
 /** One analyzed trace out of a cell. */
 struct RunOutput
@@ -211,7 +186,7 @@ class CellMemo
 struct ClaimOptions
 {
     /** Sweep id; all workers draining one grid share it. Empty =
-     *  static sharding (the default). */
+     *  run the whole grid (the default). */
     std::string session;
     /** Claim directory, e.g.
      *  `$TSTREAM_TRACE_CACHE/claims/<session>/<bench>`. */
@@ -250,9 +225,9 @@ struct DriverOptions
 };
 
 /**
- * Execute the cells of @p grid (callers pass a shard's cells through
- * shardCells()) on a bounded work-stealing pool of opts.jobs threads
- * — or, when opts.claim.enabled(), the subset of @p grid this worker
+ * Execute the cells of @p grid on a bounded work-stealing pool of
+ * opts.jobs threads — or, when opts.claim.enabled(), the subset of
+ * @p grid this worker
  * wins by racing on the claim directory (dying workers' cells are
  * reclaimed after the heartbeat TTL, so cooperating workers always
  * drain the whole grid between them). Results are returned in grid order
@@ -260,12 +235,14 @@ struct DriverOptions
  * worker executed are returned (merge the per-worker reports to get
  * the full grid). Cells are served from the trace cache when
  * TSTREAM_TRACE_CACHE is set and the cell was recorded before (by any
- * shard, worker or bench).
+ * worker or bench).
  *
  * Fault injection: TSTREAM_CLAIM_DIE_AFTER=N makes the process
  * raise(SIGKILL) immediately after winning its N-th claim, before
  * running the cell — the deterministic "worker dies mid-cell" used by
- * the fleet tests and the CI smoke job.
+ * the fleet tests and the CI smoke job. N = 0 (or unset) never
+ * fires; any value that is not a non-negative integer exits with a
+ * diagnostic before a claim is made.
  */
 std::vector<CellResult> runCells(const std::vector<Cell> &grid,
                                  const DriverOptions &opts);

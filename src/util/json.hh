@@ -84,7 +84,8 @@ class Value
     {
         if (kind_ == Kind::Int)
             return int_;
-        if (kind_ == Kind::Double)
+        // A double outside int64 (or NaN) would make the cast UB.
+        if (kind_ == Kind::Double && dbl_ >= -0x1p63 && dbl_ < 0x1p63)
             return static_cast<std::int64_t>(dbl_);
         return 0;
     }

@@ -1,7 +1,8 @@
 /**
  * @file
  * Tests for the versioned bench reports (sim/bench_report.hh): JSON
- * round-trips, shard merging with the exact-cover guarantee, the
+ * round-trips, strict loading of hashes and counts, worker-report
+ * merging with the exact-cover guarantee, the
  * content-equivalence check behind `tstream-bench check-equal`, and a
  * bit-flip/truncation fuzz of the loader over the committed golden
  * reports.
@@ -65,129 +66,6 @@ makeDoc(std::size_t cellCount)
     for (std::size_t i = 0; i < cellCount; ++i)
         d.cells.push_back(makeCell(i, 88.44581859765782 + i));
     return d;
-}
-
-// ---- --resume loading -------------------------------------------------------
-
-/** A real grid + a report whose cells match it hash-for-hash. */
-struct ResumeFixture
-{
-    std::vector<Cell> grid;
-    BenchDoc doc;
-    std::string path;
-
-    explicit ResumeFixture(const char *tag)
-    {
-        BenchBudgets budgets;
-        budgets.warmup = 2'000'000;
-        budgets.measure = 4'000'000;
-        budgets.scale = 0.15;
-        grid = standardGrid({WorkloadKind::Oltp, WorkloadKind::KvStore},
-                            budgets);
-        doc.bench = "fig2_stream_fraction";
-        doc.quick = true;
-        doc.budgets = budgets;
-        doc.gridCells = grid.size();
-        for (const Cell &c : grid) {
-            BenchCell cell;
-            cell.index = c.index;
-            cell.id = c.id;
-            cell.workload = std::string(workloadName(c.cfg.workload));
-            cell.context = std::string(contextName(c.cfg.context));
-            cell.configHash = configHash(c.cfg);
-            cell.instructions = 1;
-            cell.rows = {makeRow("streams", cell.context, 1.0)};
-            doc.cells.push_back(std::move(cell));
-        }
-        path = ::testing::TempDir() + "/tstream_resume_" + tag +
-               ".json";
-    }
-
-    ~ResumeFixture() { std::remove(path.c_str()); }
-
-    /** Write the report, read it back as `run --resume` does, and
-     *  resume its one document over @p g at @p budgets. */
-    bool
-    resume(const BenchBudgets &budgets, const std::vector<Cell> &g,
-           std::vector<BenchCell> &out, std::string &err)
-    {
-        std::vector<BenchDoc> docs;
-        if (!writeBenchDoc(doc, path, err) ||
-            !readResumeDocs(path, docs, err))
-            return false;
-        EXPECT_EQ(docs.size(), 1u);
-        return resumeCells(docs.at(0), path, true, budgets, g, out, err);
-    }
-};
-
-TEST(ResumeTest, MissingFileIsFreshRun)
-{
-    ResumeFixture fx("missing");
-    std::vector<BenchDoc> docs;
-    std::string err;
-    EXPECT_TRUE(readResumeDocs(fx.path, docs, err)) << err;
-    EXPECT_TRUE(docs.empty());
-}
-
-TEST(ResumeTest, LoadsMatchingCellsInGridOrder)
-{
-    ResumeFixture fx("ok");
-    // Store them shuffled; resuming must return ascending indexes.
-    std::swap(fx.doc.cells[0], fx.doc.cells.back());
-
-    std::vector<BenchCell> out;
-    std::string err;
-    ASSERT_TRUE(fx.resume(fx.doc.budgets, fx.grid, out, err)) << err;
-    ASSERT_EQ(out.size(), fx.grid.size());
-    for (std::size_t i = 0; i < out.size(); ++i) {
-        EXPECT_EQ(out[i].index, i);
-        EXPECT_EQ(out[i].id, fx.grid[i].id);
-    }
-}
-
-TEST(ResumeTest, PartialReportLoadsPartially)
-{
-    ResumeFixture fx("partial");
-    fx.doc.cells.erase(fx.doc.cells.begin() + 1,
-                       fx.doc.cells.begin() + 3);
-    std::vector<BenchCell> out;
-    std::string err;
-    ASSERT_TRUE(fx.resume(fx.doc.budgets, fx.grid, out, err)) << err;
-    EXPECT_EQ(out.size(), fx.grid.size() - 2);
-}
-
-TEST(ResumeTest, ConfigHashMismatchFails)
-{
-    ResumeFixture fx("hash");
-    fx.doc.cells[1].configHash ^= 1;
-    std::vector<BenchCell> out;
-    std::string err;
-    EXPECT_FALSE(fx.resume(fx.doc.budgets, fx.grid, out, err));
-    EXPECT_NE(err.find("config hash mismatch"), std::string::npos)
-        << err;
-}
-
-TEST(ResumeTest, BudgetMismatchFails)
-{
-    ResumeFixture fx("budget");
-    BenchBudgets other = fx.doc.budgets;
-    other.measure += 1;
-    std::vector<BenchCell> out;
-    std::string err;
-    EXPECT_FALSE(fx.resume(other, fx.grid, out, err));
-    EXPECT_NE(err.find("budgets differ"), std::string::npos) << err;
-}
-
-TEST(ResumeTest, GridSizeMismatchFails)
-{
-    ResumeFixture fx("grid");
-    std::vector<Cell> bigger = fx.grid;
-    bigger.push_back(fx.grid.back());
-    bigger.back().index = fx.grid.size();
-    std::vector<BenchCell> out;
-    std::string err;
-    EXPECT_FALSE(fx.resume(fx.doc.budgets, bigger, out, err));
-    EXPECT_NE(err.find("grid size"), std::string::npos) << err;
 }
 
 TEST(BenchReportTest, JsonRoundTripPreservesEverything)
@@ -279,22 +157,20 @@ TEST(BenchReportTest, MergeReassemblesShardsExactly)
 {
     const BenchDoc full = makeDoc(7);
 
-    // Split cells the way --shard k/N does: index % N == k.
-    std::vector<BenchDoc> shards;
-    for (unsigned k = 0; k < 3; ++k) {
-        BenchDoc s = full;
-        s.shard = ShardSpec{k, 3};
-        s.cells.clear();
-        for (const BenchCell &c : full.cells)
-            if (s.shard.owns(c.index))
-                s.cells.push_back(c);
-        shards.push_back(std::move(s));
+    // Three claiming workers' parts: any disjoint split of the cells,
+    // here the first worker took one cell, the second four, the
+    // third two.
+    std::vector<BenchDoc> parts;
+    for (auto [from, to] : {std::pair{0, 1}, {1, 5}, {5, 7}}) {
+        BenchDoc part = full;
+        part.cells.assign(full.cells.begin() + from,
+                          full.cells.begin() + to);
+        parts.push_back(std::move(part));
     }
 
     BenchDoc merged;
     std::string err;
-    ASSERT_TRUE(mergeBenchDocs(shards, merged, err)) << err;
-    EXPECT_EQ(merged.shard.count, 1u);
+    ASSERT_TRUE(mergeBenchDocs(parts, merged, err)) << err;
     std::string why;
     EXPECT_TRUE(benchDocsEquivalent(full, merged, why)) << why;
 }
@@ -356,6 +232,72 @@ TEST(BenchReportTest, RejectsOutOfRangeOrRepeatedCellIndex)
         << err;
 }
 
+/** Load eq_base.json with @p from replaced by @p to (once). */
+bool
+loadEditedBase(const std::string &from, const std::string &to,
+               std::string &err)
+{
+    std::ifstream in(std::string(TSTREAM_GOLDEN_REPORTS_DIR) +
+                     "/eq_base.json");
+    std::string text((std::istreambuf_iterator<char>(in)),
+                     std::istreambuf_iterator<char>());
+    const std::size_t at = text.find(from);
+    EXPECT_NE(at, std::string::npos) << from;
+    if (at != std::string::npos)
+        text.replace(at, from.size(), to);
+    json::Value v;
+    BenchDoc doc;
+    return json::Value::parse(text, v, err) &&
+           benchDocFromJson(v, doc, err);
+}
+
+TEST(BenchReportTest, RejectsSignedHashesAndNonIntegerCounts)
+{
+    std::string err;
+    ASSERT_TRUE(loadEditedBase("\"grid_cells\"", "\"grid_cells\"", err))
+        << err;
+
+    // The hash is exactly 16 hex digits: a sign, a 0x prefix or a
+    // leading space must not parse into another hash.
+    const std::string hash = "\"00000000000000aa\"";
+    for (const char *bad : {"\"-0000000000000aa\"", "\"+0000000000000aa\"",
+                            "\"0x000000000000aa\"", "\" 0000000000000aa\""}) {
+        EXPECT_FALSE(loadEditedBase(hash, bad, err)) << bad;
+        EXPECT_NE(err.find("bad config_hash"), std::string::npos)
+            << bad << ": " << err;
+    }
+
+    // A count or index is a non-negative JSON integer that fits its
+    // field: -1 must not wrap to 2^64-1, 0.9 must not truncate to 0
+    // (and so check-equal a report it differs from), and 1e30 must not
+    // reach a double -> int64 cast, which is undefined out of range.
+    const struct
+    {
+        const char *from, *to, *diagnostic;
+    } cases[] = {
+        {"\"grid_cells\": 2", "\"grid_cells\": -1",
+         "grid_cells is not a non-negative integer"},
+        {"\"grid_cells\": 2", "\"grid_cells\": 2.0",
+         "grid_cells is not a non-negative integer"},
+        {"\"warmup\": 2000000", "\"warmup\": 1e30",
+         "budgets.warmup is not a non-negative integer"},
+        {"\"measure\": 4000000", "\"measure\": -4000000",
+         "budgets.measure is not a non-negative integer"},
+        {"\"jobs\": 1", "\"jobs\": 4294967296",
+         "jobs is not a non-negative integer"},
+        {"\"index\": 0,\n      \"id\"", "\"index\": 0.9,\n      \"id\"",
+         "cell DB2-OLTP/multi-chip: index is not a non-negative integer"},
+        {"\"instructions\": 4000000", "\"instructions\": 1e30",
+         "cell DB2-OLTP/multi-chip: instructions is not a non-negative "
+         "integer"},
+    };
+    for (const auto &c : cases) {
+        EXPECT_FALSE(loadEditedBase(c.from, c.to, err)) << c.to;
+        EXPECT_NE(err.find(c.diagnostic), std::string::npos)
+            << c.to << ": " << err;
+    }
+}
+
 TEST(BenchReportTest, MergeFailsOnIncompatibleHeaders)
 {
     BenchDoc a = makeDoc(2);
@@ -394,7 +336,6 @@ TEST(BenchReportTest, EquivalenceIgnoresExecutionDetails)
     const BenchDoc a = makeDoc(3);
     BenchDoc b = a;
     b.jobs = 16;
-    b.shard = ShardSpec{0, 1};
     for (BenchCell &c : b.cells) {
         c.wallSeconds *= 3;
         c.cacheHit = !c.cacheHit;

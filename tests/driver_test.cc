@@ -1,9 +1,8 @@
 /**
  * @file
- * Tests for the sharded cell-level experiment driver (sim/driver.hh)
- * and its work-stealing pool (util/work_pool.hh): deterministic grid
- * enumeration, disjoint-exact-cover sharding for any N, bounded pool
- * concurrency, the strict bench command line (bench/run.hh), cell
+ * Tests for the cell-level experiment driver (sim/driver.hh) and its
+ * work-stealing pool (util/work_pool.hh): deterministic grid
+ * enumeration, bounded pool concurrency, the strict bench command line (bench/run.hh), cell
  * execution with result ordering independent of the job count, and
  * the per-run cell memo shared by the views of one run.
  */
@@ -15,7 +14,6 @@
 #include <cstdlib>
 #include <filesystem>
 #include <initializer_list>
-#include <set>
 #include <stdexcept>
 #include <thread>
 
@@ -79,50 +77,6 @@ TEST(DriverGridTest, GridCellsCarryBudgets)
         EXPECT_EQ(c.cfg.measureInstructions, budgets.measure);
         EXPECT_DOUBLE_EQ(c.cfg.scale, budgets.scale);
     }
-}
-
-TEST(DriverShardTest, ShardsAreDisjointExactCoverForAnyN)
-{
-    const auto grid =
-        standardGrid({WorkloadKind::Apache, WorkloadKind::Zeus,
-                      WorkloadKind::Oltp, WorkloadKind::DssQ1,
-                      WorkloadKind::DssQ2, WorkloadKind::DssQ17},
-                     tinyBudgets());
-    for (unsigned n = 1; n <= 13; ++n) {
-        std::multiset<std::size_t> covered;
-        for (unsigned k = 0; k < n; ++k) {
-            const auto mine = shardCells(grid, ShardSpec{k, n});
-            // Deterministic grid order within the shard.
-            for (std::size_t i = 1; i < mine.size(); ++i)
-                EXPECT_LT(mine[i - 1].index, mine[i].index);
-            for (const Cell &c : mine)
-                covered.insert(c.index);
-        }
-        // Exact cover: every cell exactly once across the N shards.
-        ASSERT_EQ(covered.size(), grid.size()) << "N=" << n;
-        for (std::size_t i = 0; i < grid.size(); ++i)
-            EXPECT_EQ(covered.count(i), 1u) << "N=" << n;
-    }
-}
-
-TEST(DriverShardTest, ParseShardSpec)
-{
-    ShardSpec s;
-    EXPECT_TRUE(parseShardSpec("0/1", s));
-    EXPECT_EQ(s.index, 0u);
-    EXPECT_EQ(s.count, 1u);
-    EXPECT_TRUE(parseShardSpec("3/8", s));
-    EXPECT_EQ(s.index, 3u);
-    EXPECT_EQ(s.count, 8u);
-
-    EXPECT_FALSE(parseShardSpec("", s));
-    EXPECT_FALSE(parseShardSpec("3", s));
-    EXPECT_FALSE(parseShardSpec("/2", s));
-    EXPECT_FALSE(parseShardSpec("2/", s));
-    EXPECT_FALSE(parseShardSpec("2/2", s));  // k must be < N
-    EXPECT_FALSE(parseShardSpec("0/0", s));
-    EXPECT_FALSE(parseShardSpec("a/b", s));
-    EXPECT_FALSE(parseShardSpec("1/2x", s));
 }
 
 TEST(WorkPoolTest, RunsEverySubmittedTask)
@@ -215,16 +169,14 @@ rejects(const std::string &err, const std::string &what)
 TEST(BenchArgsTest, ParsesSupportedFlags)
 {
     bench::BenchOptions opts;
-    ASSERT_EQ(parse({"--quick", "--jobs", "3", "--shard", "1/4", "-o",
-                     "out.json", "fig2", "ablation_b"},
+    ASSERT_EQ(parse({"--quick", "--jobs", "3", "-o", "out.json", "fig2",
+                     "ablation_b"},
                     opts),
               "");
     EXPECT_TRUE(opts.quick);
     EXPECT_EQ(opts.budgets.warmup, kQuickBudgets.warmupInstructions);
     EXPECT_EQ(opts.budgets.measure, kQuickBudgets.measureInstructions);
     EXPECT_EQ(opts.jobs, 3u);
-    EXPECT_EQ(opts.shard.index, 1u);
-    EXPECT_EQ(opts.shard.count, 4u);
     EXPECT_EQ(opts.out, "out.json");
     ASSERT_EQ(opts.views.size(), 2u);
     EXPECT_STREQ(opts.views[0]->binary, "fig2_stream_fraction");
@@ -237,7 +189,7 @@ TEST(BenchArgsTest, DefaultsToPaperBudgets)
     ASSERT_EQ(parse({"fig2"}, opts), "");
     EXPECT_FALSE(opts.quick);
     EXPECT_EQ(opts.budgets.warmup, kPaperBudgets.warmupInstructions);
-    EXPECT_EQ(opts.shard.count, 1u);
+    EXPECT_EQ(opts.jobs, 0u);
     EXPECT_EQ(opts.out, ""); // tables only
 }
 
@@ -255,21 +207,18 @@ TEST(BenchArgsTest, EnvironmentDoesNotChangeTheGrid)
     // Only TSTREAM_TRACE_CACHE reaches ssh fleet workers, so no other
     // variable may change what a worker runs.
     ::setenv("TSTREAM_QUICK", "1", 1);
-    ::setenv("TSTREAM_SHARD", "1/2", 1);
     ::setenv("TSTREAM_JOBS", "7", 1);
     bench::BenchOptions opts;
     const std::string err = parse({"fig2"}, opts);
     const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
     const unsigned defaultJobs = WorkPool::defaultJobs();
-    for (const char *var : {"TSTREAM_QUICK", "TSTREAM_SHARD", "TSTREAM_JOBS"})
+    for (const char *var : {"TSTREAM_QUICK", "TSTREAM_JOBS"})
         ::unsetenv(var);
 
     ASSERT_EQ(err, "");
     EXPECT_FALSE(opts.quick);
     EXPECT_EQ(opts.budgets.warmup, kPaperBudgets.warmupInstructions);
     EXPECT_EQ(opts.budgets.measure, kPaperBudgets.measureInstructions);
-    EXPECT_EQ(opts.shard.index, 0u);
-    EXPECT_EQ(opts.shard.count, 1u);
     EXPECT_EQ(opts.jobs, 0u);
     EXPECT_EQ(defaultJobs, hw);
 }
@@ -285,13 +234,17 @@ TEST(BenchArgsDeathTest, RejectsUnknownFlags)
                         "needs at least one bench name"));
 }
 
+// Claim sessions are the one way to split a sweep: --shard is an
+// unknown option whatever its value, so no spelling of it runs a part
+// of the grid.
+
 TEST(BenchArgsDeathTest, RejectsBadShard)
 {
     bench::BenchOptions opts;
+    EXPECT_TRUE(rejects(parse({"--quick", "--shard", "0/2", "fig2"}, opts),
+                        "unknown option: --shard"));
     EXPECT_TRUE(rejects(parse({"--shard", "4/4", "fig2"}, opts),
-                        "--shard wants k/N"));
-    EXPECT_TRUE(rejects(parse({"--shard", "0/4294967296", "fig2"}, opts),
-                        "--shard wants k/N"));
+                        "unknown option: --shard"));
 }
 
 TEST(BenchArgsDeathTest, RejectsMissingValue)
@@ -373,17 +326,17 @@ TEST(BenchArgsTest, ExtFlagsNeedTheExtView)
         "--replay-depth wants a positive integer"));
     EXPECT_TRUE(rejects(parse({"--replay-depth", "4", "ext"}, opts),
                         "--replay-depth needs --policy"));
-    EXPECT_TRUE(rejects(parse({"--budget-sweep", "--resume", "-o",
-                               "r.json", "ext"},
-                              opts),
-                        "--resume are mutually exclusive"));
 }
+
+// Re-running a claim session finishes an interrupted sweep, so
+// --resume is an unknown option even with a report to read.
 
 TEST(BenchArgsTest, ResumeNeedsAReport)
 {
     bench::BenchOptions opts;
-    EXPECT_TRUE(rejects(parse({"--resume", "fig2"}, opts),
-                        "--resume needs -o PATH"));
+    EXPECT_TRUE(rejects(
+        parse({"--quick", "--resume", "-o", "x.json", "fig2"}, opts),
+        "unknown option: --resume"));
     EXPECT_TRUE(rejects(parse({"--workload", "a.conf", "--phases",
                                "kv duration=1", "fig2"},
                               opts),
@@ -473,26 +426,6 @@ TEST_F(ClaimArgsDeathTest, ClaimSessionNeedsTraceCache)
                         "--claim-session needs TSTREAM_TRACE_CACHE"));
 }
 
-TEST_F(ClaimArgsDeathTest, ClaimSessionExcludesShard)
-{
-    ::setenv("TSTREAM_TRACE_CACHE", "/tmp/tstream-cache", 1);
-    bench::BenchOptions opts;
-    EXPECT_TRUE(rejects(
-        parse({"--claim-session", "s", "--shard", "0/2", "fig2"}, opts),
-        "--claim-session and --shard are mutually exclusive"));
-}
-
-TEST_F(ClaimArgsDeathTest, ClaimSessionExcludesResume)
-{
-    ::setenv("TSTREAM_TRACE_CACHE", "/tmp/tstream-cache", 1);
-    bench::BenchOptions opts;
-    EXPECT_TRUE(rejects(parse({"--claim-session", "s", "--resume", "-o",
-                               "out.json", "fig2"},
-                              opts),
-                        "--claim-session and --resume are mutually "
-                        "exclusive"));
-}
-
 TEST_F(ClaimArgsDeathTest, RejectsNonNumericKnobs)
 {
     bench::BenchOptions opts;
@@ -540,22 +473,6 @@ TEST_F(DriverRunTest, ExecutesCellsInGridOrder)
             EXPECT_GT(r.streams.totalMisses, 0u);
         }
     }
-}
-
-TEST_F(DriverRunTest, ShardedRunsPartitionTheGrid)
-{
-    const auto grid = standardGrid(kTwoWorkloads, smallBudgets());
-    DriverOptions opts;
-    opts.jobs = 2;
-
-    std::vector<std::string> ids;
-    for (unsigned k = 0; k < 2; ++k)
-        for (const CellResult &res :
-             runCells(shardCells(grid, ShardSpec{k, 2}), opts))
-            ids.push_back(res.cell.id);
-    ASSERT_EQ(ids.size(), grid.size());
-    std::set<std::string> unique(ids.begin(), ids.end());
-    EXPECT_EQ(unique.size(), grid.size());
 }
 
 TEST_F(DriverRunTest, IntraClassCountsPrecedeTheOnChipFilter)

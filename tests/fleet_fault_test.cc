@@ -5,8 +5,9 @@
  * mid-cell (after winning its first claim, via
  * TSTREAM_CLAIM_DIE_AFTER) leaves a stale claim that a surviving
  * worker reclaims after the TTL so the sweep still completes and
- * matches an unsharded run; a throwing cell hook runs once and the
- * cell becomes a structured failure row that survives makeBenchCell().
+ * matches a plain run; a throwing cell hook runs once and the
+ * cell becomes a structured failure row that survives makeBenchCell();
+ * a malformed TSTREAM_CLAIM_DIE_AFTER stops a worker with a diagnostic.
  */
 
 #include <gtest/gtest.h>
@@ -121,7 +122,7 @@ TEST_F(FleetFaultTest, KilledWorkerCellIsReclaimedAndSweepCompletes)
         runCells(grid, claimingOptions(dir, 300, "worker-b"));
 
     // The survivor drained the whole grid, including the dead
-    // worker's cell, and the results match an unsharded run.
+    // worker's cell, and the results match a plain run.
     ASSERT_EQ(got.size(), grid.size());
     DriverOptions plain;
     plain.jobs = 1;
@@ -193,6 +194,27 @@ TEST_F(FleetFaultTest, FailureUnderClaimingIsMarkedDoneNotRetriedForever)
     const auto second = runCells(grid, again);
     EXPECT_TRUE(second.empty());
     EXPECT_EQ(calls, 1);
+}
+
+TEST_F(FleetFaultTest, MalformedDieAfterIsADiagnosticNotNoFault)
+{
+    auto grid = standardGrid({WorkloadKind::Oltp}, tinyBudgets());
+    grid.resize(1);
+    const std::string dir = freshClaimDir("baddie");
+
+    // A lenient parse would read "2x" as 2 and "x" as 0 (never die);
+    // a malformed value must stop the worker before it touches the
+    // claim directory.
+    for (const char *bad : {"x", "2x", "-1"}) {
+        ::setenv("TSTREAM_CLAIM_DIE_AFTER", bad, 1);
+        EXPECT_EXIT(
+            (void)runCells(grid, claimingOptions(dir, 30'000, "bad")),
+            ::testing::ExitedWithCode(1),
+            "TSTREAM_CLAIM_DIE_AFTER wants a non-negative integer")
+            << bad;
+    }
+    ::unsetenv("TSTREAM_CLAIM_DIE_AFTER");
+    EXPECT_FALSE(std::filesystem::exists(dir));
 }
 
 } // namespace

@@ -1,11 +1,11 @@
 /**
  * @file
- * `tstream-bench` — front-end for the sharded/fleet bench driver.
+ * `tstream-bench` — front-end for the bench driver and its fleet.
  *
  * Runs a named list of figure/table views (src/bench/views.hh) in
  * this process, bundles their reports into one combined document,
- * merges shard/worker outputs back into unsharded reports, and checks
- * the invariants the driver promises. Subcommands:
+ * merges claiming-worker outputs back into one-process reports, and
+ * checks the invariants the driver promises. Subcommands:
  *
  *   run          run views in order (src/bench/run.hh), sharing one
  *                cell memo so each distinct cell is simulated and
@@ -18,7 +18,7 @@
  *                nothing: the cell it was running is reclaimed by the
  *                survivors, and the cells it finished are already in
  *                its report, written before their done markers)
- *   merge        merge shard/worker reports; fails unless the inputs
+ *   merge        merge worker reports; fails unless the inputs
  *                are an exact cover of every bench's grid — a cell
  *                recorded as *failed* covers its index and is carried
  *                into the merged report, a *missing* cell is an error
@@ -41,8 +41,8 @@
  *   print        re-render the tables of a report from its rows
  *   list         show the known bench names
  *
- * See docs/BENCHMARKING.md for recipes (multi-process sharding, fleet
- * runs, CI, baselines).
+ * See docs/BENCHMARKING.md for recipes (claim sessions, fleet runs,
+ * re-running an interrupted sweep, CI, baselines).
  */
 
 #include <unistd.h>
@@ -102,17 +102,18 @@ usage(const char *msg)
         "prefetcher extension) in this process, analyzes each distinct\n"
         "cell once for all of them, and bundles their reports into one\n"
         "combined document; every bench_<view> binary is an alias of\n"
-        "`run <view>`. Shard or fleet-worker reports from separate\n"
-        "processes/machines are reassembled with merge, which fails if\n"
-        "any grid cell is missing (a cell recorded as failed covers its\n"
-        "index and is kept). With --fleet, run launches one\n"
+        "`run <view>`. The reports of claiming workers (processes that\n"
+        "share one --claim-session, or successive runs of it) are\n"
+        "reassembled with merge, which fails if any grid cell is\n"
+        "missing (a cell recorded as failed covers its index and is\n"
+        "kept). With --fleet, run launches one\n"
         "dynamic-claiming worker per hosts line against a shared\n"
         "TSTREAM_TRACE_CACHE, writes OUT.workerK.json/.log per worker,\n"
         "tolerates dead workers (their cells are reclaimed by the\n"
         "survivors after --claim-ttl), and merges the parts.\n"
-        "check-equal ignores wall time, cache hits and shard geometry,\n"
-        "so `merge(shard 0/2, shard 1/2)` and a merged fleet run must\n"
-        "check-equal the unsharded run; missing cells, failed cells\n"
+        "check-equal ignores wall time, cache hits and jobs, so a\n"
+        "merged claim session or fleet run must check-equal the\n"
+        "one-process run; missing cells, failed cells\n"
         "and metric mismatches are reported distinctly and none\n"
         "passes. With --subset, every cell of A must match its\n"
         "same-id cell in B (B may hold more — e.g. a --workload\n"
@@ -152,7 +153,7 @@ shellQuote(const std::string &s)
 
 // ---- report documents -------------------------------------------------------
 
-/** Merge shard/worker documents bench by bench, in first-seen bench
+/** Merge worker documents bench by bench, in first-seen bench
  *  order (mergeBenchDocs checks each bench's exact cover). */
 bool
 mergeByBench(std::vector<BenchDoc> docs, std::vector<BenchDoc> &merged,
@@ -845,13 +846,9 @@ cmdPrint(const std::string &path)
         return 1;
     }
     for (const BenchDoc &doc : docs) {
-        std::printf("== %s%s (%zu/%zu cells", doc.bench.c_str(),
+        std::printf("== %s%s (%zu/%zu cells) ==\n", doc.bench.c_str(),
                     doc.quick ? " --quick" : "", doc.cells.size(),
                     doc.gridCells);
-        if (doc.shard.count > 1)
-            std::printf(", shard %u/%u", doc.shard.index,
-                        doc.shard.count);
-        std::printf(") ==\n");
         for (const BenchCell &cell : doc.cells)
             if (cell.failed)
                 std::printf("!! FAILED cell %s: %s\n", cell.id.c_str(),
