@@ -5,12 +5,16 @@
  * hierarchy simulation (per-block and batched engine runs), stride
  * detection, the full stream-analysis pipeline, and the
  * scenario-subsystem hot paths (KV slab/LRU, broker append/replay).
+ * The *Recorded series run SEQUITUR and the stream analysis on the
+ * off-chip traces of quick-budget cells, simulated once per process.
  * BENCH_baseline.json at the repo root records these series;
  * `tstream-bench trend` gates regressions against it
  * (docs/BENCHMARKING.md).
  */
 
 #include <benchmark/benchmark.h>
+
+#include <unordered_map>
 
 #include "core/sequitur.hh"
 #include "core/stream_analysis.hh"
@@ -22,6 +26,7 @@
 #include "mem/singlechip.hh"
 #include "mq/broker.hh"
 #include "sim/engine.hh"
+#include "sim/experiment.hh"
 #include "util/rng.hh"
 
 namespace tstream
@@ -241,6 +246,91 @@ BM_FullStreamAnalysis(benchmark::State &state)
                             static_cast<std::int64_t>(n));
 }
 BENCHMARK(BM_FullStreamAnalysis)->Arg(100000)->Arg(500000);
+
+/**
+ * The off-chip miss trace of the quick-budget multi-chip cell of
+ * workload W, simulated on first use and kept for the process.
+ */
+template <WorkloadKind W>
+const MissTrace &
+recordedTrace()
+{
+    static const MissTrace trace = [] {
+        ExperimentConfig cfg;
+        cfg.workload = W;
+        cfg.context = SystemContext::MultiChip;
+        cfg.warmupInstructions = kQuickBudgets.warmupInstructions;
+        cfg.measureInstructions = kQuickBudgets.measureInstructions;
+        cfg.scale = kQuickBudgets.scale;
+        return runExperiment(cfg).offChip;
+    }();
+    return trace;
+}
+
+/**
+ * The SEQUITUR input analyzeStreams() builds from @p t: each CPU's
+ * misses in order, blocks numbered densely by first appearance, each
+ * CPU's section closed by a fresh id. It is built once, outside the
+ * timed loop, so it stays a plain standalone copy rather than a hook
+ * into the analysis.
+ */
+std::vector<std::uint32_t>
+sequiturInput(const MissTrace &t)
+{
+    std::vector<std::uint32_t> in;
+    std::unordered_map<BlockId, std::uint32_t> ids;
+    std::uint32_t next = 0;
+    for (unsigned c = 0; c < std::max(1u, t.numCpus); ++c) {
+        for (const MissRecord &m : t.misses) {
+            if (m.cpu != c)
+                continue;
+            auto [it, fresh] = ids.try_emplace(m.block, next);
+            next += fresh;
+            in.push_back(it->second);
+        }
+        in.push_back(next++);
+    }
+    return in;
+}
+
+void
+BM_SequiturRecorded(benchmark::State &state, const MissTrace &(*trace)())
+{
+    const auto input = sequiturInput(trace());
+    for (auto _ : state) {
+        Sequitur g;
+        g.reserve(input.size());
+        g.appendAll(input);
+        benchmark::DoNotOptimize(g.ruleCount());
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(input.size()));
+}
+BENCHMARK_CAPTURE(BM_SequiturRecorded, DSS_Qry1_multi_chip,
+                  &recordedTrace<WorkloadKind::DssQ1>)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_SequiturRecorded, Apache_multi_chip,
+                  &recordedTrace<WorkloadKind::Apache>)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_StreamAnalysisRecorded(benchmark::State &state,
+                          const MissTrace &(*recorded)())
+{
+    const MissTrace &trace = recorded();
+    for (auto _ : state) {
+        StreamStats st = analyzeStreams(trace);
+        benchmark::DoNotOptimize(st.grammarRules);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(trace.misses.size()));
+}
+BENCHMARK_CAPTURE(BM_StreamAnalysisRecorded, DSS_Qry1_multi_chip,
+                  &recordedTrace<WorkloadKind::DssQ1>)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_StreamAnalysisRecorded, Apache_multi_chip,
+                  &recordedTrace<WorkloadKind::Apache>)
+    ->Unit(benchmark::kMillisecond);
 
 } // namespace
 } // namespace tstream

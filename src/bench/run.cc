@@ -30,7 +30,7 @@ const char *const kRunFlagsHelp =
     "                 drain the grid by dynamic work claiming with the\n"
     "                 other workers of session ID; re-running a session\n"
     "                 runs only the cells it has not finished (needs\n"
-    "                 TSTREAM_TRACE_CACHE)\n"
+    "                 TSTREAM_TRACE_CACHE and -o)\n"
     "  --claim-ttl MS heartbeat staleness before a claim may be stolen\n"
     "                 (default 30000)\n"
     "  --telemetry-out BASE\n"
@@ -112,13 +112,14 @@ validateExt(const BenchOptions &opts, bool depthGiven)
  * which of them this worker runs. A cell that threw becomes a failure
  * row. Each cell's rows are built on its worker thread as it finishes;
  * a non-null @p checkpoint is then handed the view's document so far,
- * before a claimed cell's done marker is published.
+ * and a claimed cell's done marker is published only if it returns
+ * true.
  */
 BenchDoc
 runView(const BenchView &view, const std::string &binary,
         const BenchOptions &opts, const std::vector<Cell> &grid,
         std::shared_ptr<CellMemo> memo,
-        const std::function<void(const BenchDoc &)> &checkpoint)
+        const std::function<bool(const BenchDoc &)> &checkpoint)
 {
     BenchDoc doc;
     doc.bench = binary;
@@ -133,7 +134,7 @@ runView(const BenchView &view, const std::string &binary,
     std::mutex mu;
     DriverOptions dopts = opts.driver(binary);
     dopts.memo = std::move(memo);
-    dopts.cellDone = [&](const CellResult &res) {
+    dopts.cellDone = [&](const CellResult &res) -> bool {
         BenchCell cell = makeBenchCell(
             res, res.failed ? std::vector<BenchRow>{} : view.rows(res));
         // The checkpoint runs under the lock: each write must hold
@@ -143,8 +144,7 @@ runView(const BenchView &view, const std::string &binary,
         doc.cells.insert(std::upper_bound(doc.cells.begin(),
                                           doc.cells.end(), cell, byIndex),
                          std::move(cell));
-        if (checkpoint)
-            checkpoint(doc);
+        return !checkpoint || checkpoint(doc);
     };
     runCells(grid, dopts);
 
@@ -257,6 +257,9 @@ parseRunArgs(int argc, const char *const *argv, BenchOptions &opts)
                "--claim-session";
     if (!opts.fleetFile.empty() && opts.out.empty())
         return "--fleet needs -o PATH (the merged report)";
+    if (!opts.claimSession.empty() && opts.out.empty())
+        return "--claim-session needs -o PATH (a cell is done only once "
+               "its rows are written there)";
     if (opts.fleetKillAfter > 0 && opts.fleetFile.empty())
         return "--fleet-kill-after needs --fleet";
     if (std::string err = validateExt(opts, depthGiven); !err.empty())
@@ -338,16 +341,19 @@ runBench(const BenchOptions &opts)
         telemetry::enable(""); // each view writes its own files below
 
     std::vector<BenchDoc> docs;
-    // A claiming worker checkpoints the report after every cell, before
-    // the cell's done marker goes up: the survivors, and a later run of
-    // the same session, skip done cells, so a worker killed later must
-    // already have reported them.
-    std::function<void(const BenchDoc &)> checkpoint;
-    if (!opts.claimSession.empty() && !opts.out.empty())
+    // A claiming worker checkpoints the report after every cell, and
+    // the cell's done marker goes up only once that write succeeded:
+    // the survivors, and a later run of the same session, skip done
+    // cells, so a worker killed later must already have reported them.
+    std::function<bool(const BenchDoc &)> checkpoint;
+    bool uncommitted = false;
+    if (!opts.claimSession.empty())
         checkpoint = [&](const BenchDoc &current) {
             std::vector<BenchDoc> flat = docs;
             flat.push_back(current);
-            writeDocs(flat, opts.out);
+            const bool ok = writeDocs(flat, opts.out);
+            uncommitted |= !ok;
+            return ok;
         };
     for (std::size_t i = 0; i < views.size(); ++i) {
         const std::string binary = opts.views[i]->binary;
@@ -361,9 +367,17 @@ runBench(const BenchOptions &opts)
                 logWarn("telemetry: " + err);
             telemetry::reset();
         }
+        if (uncommitted)
+            break; // no later view's cell could be committed either
     }
     if (!opts.out.empty() && !writeDocs(docs, opts.out))
         return 1;
+    if (uncommitted) {
+        std::fprintf(stderr, "tstream-bench: a checkpoint of %s failed; "
+                             "re-run the claim session to finish it\n",
+                     opts.out.c_str());
+        return 1;
+    }
 
     printSlowestCells(docs, opts.slowest);
     if (!opts.out.empty())

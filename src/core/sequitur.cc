@@ -1,7 +1,5 @@
 #include "core/sequitur.hh"
 
-#include <unordered_map>
-
 namespace tstream
 {
 
@@ -9,110 +7,86 @@ namespace tstream
 // DigramTable
 // ---------------------------------------------------------------------------
 
-Sequitur::DigramTable::DigramTable()
-    : slots_(1024)
+void
+Sequitur::DigramTable::resize(std::size_t slots)
 {
+    std::vector<Slot> old = std::move(slots_);
+    slots_.assign(slots, Slot{});
+    mask_ = slots - 1;
+    shift_ = 64;
+    for (std::size_t n = slots; n > 1; n >>= 1)
+        --shift_;
+    for (const Slot &s : old) {
+        if (s.key == kEmptyKey)
+            continue;
+        std::size_t i = home(s.key);
+        while (slots_[i].key != kEmptyKey)
+            i = (i + 1) & mask_;
+        slots_[i] = s;
+    }
 }
 
-std::size_t
-Sequitur::DigramTable::hashKey(std::uint64_t a, std::uint64_t b)
+void
+Sequitur::DigramTable::reserve(std::size_t entries)
 {
-    std::uint64_t h = a * 0x9e3779b97f4a7c15ull;
-    h ^= b + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-    h *= 0xbf58476d1ce4e5b9ull;
-    // The table is masked to a power of two; fold the high-entropy
-    // bits of the multiply back into the low bits.
-    h ^= h >> 32;
-    return static_cast<std::size_t>(h);
+    std::size_t n = slots_.size();
+    while (entries * 2 > n)
+        n *= 2;
+    if (n != slots_.size())
+        resize(n);
 }
 
 Sequitur::SymIdx
-Sequitur::DigramTable::find(std::uint64_t a, std::uint64_t b) const
+Sequitur::DigramTable::findOrPut(std::uint64_t k, SymIdx sym)
 {
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hashKey(a, b) & mask;; i = (i + 1) & mask) {
-        const Slot &s = slots_[i];
-        if (s.sym == kEmpty)
-            return kNoSym;
-        if (s.sym != kTomb && s.a == a && s.b == b)
-            return s.sym;
-    }
+    if ((size_ + 1) * 2 > slots_.size())
+        resize(slots_.size() * 2);
+    std::size_t i = home(k);
+    for (; slots_[i].key != kEmptyKey; i = (i + 1) & mask_)
+        if (slots_[i].key == k)
+            return slots_[i].sym;
+    slots_[i] = Slot{k, sym};
+    ++size_;
+    return kNoSym;
 }
 
 void
-Sequitur::DigramTable::put(std::uint64_t a, std::uint64_t b, SymIdx sym)
+Sequitur::DigramTable::put(std::uint64_t k, SymIdx sym)
 {
-    if ((used_ + 1) * 4 >= slots_.size() * 3)
-        grow();
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t tomb = SIZE_MAX;
-    for (std::size_t i = hashKey(a, b) & mask;; i = (i + 1) & mask) {
-        Slot &s = slots_[i];
-        if (s.sym == kEmpty) {
-            // Reuse the first tombstone on the probe path, if any, so
-            // heavily-churned keys do not stretch probe sequences.
-            if (tomb != SIZE_MAX) {
-                slots_[tomb] = Slot{a, b, sym};
-            } else {
-                s = Slot{a, b, sym};
-                ++used_;
-            }
-            ++occupied_;
-            return;
-        }
-        if (s.sym == kTomb) {
-            if (tomb == SIZE_MAX)
-                tomb = i;
-            continue;
-        }
-        if (s.a == a && s.b == b) {
-            s.sym = sym;
-            return;
-        }
+    if ((size_ + 1) * 2 > slots_.size())
+        resize(slots_.size() * 2);
+    std::size_t i = home(k);
+    while (slots_[i].key != k && slots_[i].key != kEmptyKey)
+        i = (i + 1) & mask_;
+    if (slots_[i].key == kEmptyKey) {
+        slots_[i].key = k;
+        ++size_;
     }
+    slots_[i].sym = sym;
 }
 
 void
-Sequitur::DigramTable::erase(std::uint64_t a, std::uint64_t b,
-                             SymIdx ifSym)
+Sequitur::DigramTable::erase(std::uint64_t k, SymIdx ifSym)
 {
-    const std::size_t mask = slots_.size() - 1;
-    for (std::size_t i = hashKey(a, b) & mask;; i = (i + 1) & mask) {
-        Slot &s = slots_[i];
-        if (s.sym == kEmpty)
+    std::size_t i = home(k);
+    while (slots_[i].key != k) {
+        if (slots_[i].key == kEmptyKey)
             return;
-        if (s.sym != kTomb && s.a == a && s.b == b) {
-            if (s.sym == ifSym) {
-                s.sym = kTomb;
-                --occupied_;
-            }
-            return;
+        i = (i + 1) & mask_;
+    }
+    if (slots_[i].sym != ifSym)
+        return;
+    // Backward-shift deletion: pull each later entry of the probe run
+    // into the hole unless the hole lies before its home slot.
+    for (std::size_t j = (i + 1) & mask_; slots_[j].key != kEmptyKey;
+         j = (j + 1) & mask_) {
+        if (((j - home(slots_[j].key)) & mask_) >= ((j - i) & mask_)) {
+            slots_[i] = slots_[j];
+            i = j;
         }
     }
-}
-
-void
-Sequitur::DigramTable::grow()
-{
-    // Double while the live load would stay >= 1/2; a grow() call with
-    // mostly tombstones keeps the size and just purges them.
-    std::size_t n = slots_.size();
-    while (occupied_ * 2 >= n)
-        n *= 2;
-    std::vector<Slot> old = std::move(slots_);
-    slots_.assign(n, Slot{});
-    const std::size_t mask = n - 1;
-    std::size_t live = 0;
-    for (const Slot &s : old) {
-        if (s.sym >= kTomb)
-            continue;
-        std::size_t i = hashKey(s.a, s.b) & mask;
-        while (slots_[i].sym != kEmpty)
-            i = (i + 1) & mask;
-        slots_[i] = s;
-        ++live;
-    }
-    occupied_ = used_ = live;
+    slots_[i] = Slot{};
+    --size_;
 }
 
 // ---------------------------------------------------------------------------
@@ -125,18 +99,28 @@ Sequitur::Sequitur()
     newRule();
 }
 
+void
+Sequitur::reserve(std::size_t terminals)
+{
+    // Each terminal adds one symbol; rules add a guard and replace two
+    // occurrences of a digram by one symbol each, so the arena stays
+    // close to the input length.
+    symbols_.reserve(terminals + terminals / 4 + 16);
+    index_.reserve(terminals);
+}
+
 Sequitur::SymIdx
-Sequitur::newSymbol()
+Sequitur::newSymbol(std::uint32_t val)
 {
     if (!freeList_.empty()) {
         const SymIdx s = freeList_.back();
         freeList_.pop_back();
-        symbols_[s] = Symbol{};
+        symbols_[s] = Symbol{kNoSym, kNoSym, val};
         return s;
     }
     panicIf(symbols_.size() >= kNoSym - 1,
             "Sequitur: symbol arena exhausted");
-    symbols_.emplace_back();
+    symbols_.push_back(Symbol{kNoSym, kNoSym, val});
     return static_cast<SymIdx>(symbols_.size() - 1);
 }
 
@@ -147,33 +131,19 @@ Sequitur::freeSymbol(SymIdx s)
 }
 
 Sequitur::SymIdx
-Sequitur::newTerminal(std::uint64_t t)
-{
-    panicIf(t >= kNtTag >> 2, "Sequitur: terminal value too large");
-    const SymIdx s = newSymbol();
-    symbols_[s].term = t;
-    return s;
-}
-
-Sequitur::SymIdx
 Sequitur::newNonTerminal(std::uint32_t rule)
 {
-    const SymIdx s = newSymbol();
-    symbols_[s].tag = rule;
     rules_[rule].refs++;
-    return s;
+    return newSymbol(kRuleBit | rule);
 }
 
 std::uint32_t
 Sequitur::newRule()
 {
     const auto id = static_cast<std::uint32_t>(rules_.size());
-    // kGuardBit - 1 is unusable: its guard tag would collide with
-    // kTermMark and read back as a terminal.
-    panicIf(id >= kGuardBit - 1, "Sequitur: rule ids exhausted");
-    const SymIdx g = newSymbol();
-    symbols_[g].tag = kGuardBit | id;
-    rules_.push_back(Rule{0, g, true});
+    panicIf(id > kIdMask, "Sequitur: rule ids exhausted");
+    const SymIdx g = newSymbol(kGuardTag | id);
+    rules_.push_back(Rule{0, g});
     link(g, g); // empty circular body
     ++liveRules_;
     return id;
@@ -189,10 +159,9 @@ Sequitur::link(SymIdx a, SymIdx b)
 void
 Sequitur::removeDigram(SymIdx a)
 {
-    const SymIdx n = symbols_[a].next;
-    if (isGuard(a) || isGuard(n))
+    if (isGuard(a) || isGuard(symbols_[a].next))
         return;
-    index_.erase(valueAt(a), valueAt(n), a);
+    index_.erase(digramAt(a), a);
 }
 
 void
@@ -203,24 +172,21 @@ Sequitur::join(SymIdx left, SymIdx right)
         // being broken, and handle the canonical algorithm's "triples"
         // subtlety — when same-value runs lose their registered
         // occurrence, re-register the surviving overlapped occurrence.
+        // Guards never match: each rule has one.
         removeDigram(left);
 
         const SymIdx rp = symbols_[right].prev;
         const SymIdx rn = symbols_[right].next;
-        if (rp != kNoSym && rn != kNoSym && !isGuard(right) &&
-            !isGuard(rp) && !isGuard(rn) &&
-            valueAt(right) == valueAt(rp) &&
-            valueAt(right) == valueAt(rn)) {
-            index_.put(valueAt(right), valueAt(rn), right);
-        }
+        const std::uint32_t rv = symbols_[right].val;
+        if (rp != kNoSym && rn != kNoSym && rv < kGuardTag &&
+            rv == symbols_[rp].val && rv == symbols_[rn].val)
+            index_.put(DigramTable::key(rv, rv), right);
         const SymIdx lp = symbols_[left].prev;
         const SymIdx ln = symbols_[left].next;
-        if (lp != kNoSym && ln != kNoSym && !isGuard(left) &&
-            !isGuard(lp) && !isGuard(ln) &&
-            valueAt(left) == valueAt(ln) &&
-            valueAt(left) == valueAt(lp)) {
-            index_.put(valueAt(lp), valueAt(left), lp);
-        }
+        const std::uint32_t lv = symbols_[left].val;
+        if (lp != kNoSym && ln != kNoSym && lv < kGuardTag &&
+            lv == symbols_[ln].val && lv == symbols_[lp].val)
+            index_.put(DigramTable::key(lv, lv), lp);
     }
     link(left, right);
 }
@@ -244,7 +210,8 @@ Sequitur::deleteSymbol(SymIdx s)
 void
 Sequitur::append(std::uint64_t terminal)
 {
-    const SymIdx s = newTerminal(terminal);
+    panicIf(terminal >= kTerminalLimit, "Sequitur: terminal value too large");
+    const SymIdx s = newSymbol(static_cast<std::uint32_t>(terminal));
     const SymIdx guard = rules_[kRootRule].guard;
     const SymIdx last = symbols_[guard].prev;
     join(s, guard);
@@ -260,18 +227,11 @@ Sequitur::check(SymIdx a)
     if (isGuard(a) || isGuard(an))
         return false;
 
-    const std::uint64_t ka = valueAt(a);
-    const std::uint64_t kb = valueAt(an);
-    const SymIdx m = index_.find(ka, kb);
-    if (m == kNoSym) {
-        index_.put(ka, kb, a);
-        return false;
-    }
-
-    if (m == a)
+    const SymIdx m = index_.findOrPut(digramAt(a), a);
+    if (m == kNoSym || m == a)
         return false;
     // Overlapping occurrences (e.g. "aaa"): leave the grammar alone.
-    if (symbols_[m].next == a || symbols_[a].next == m)
+    if (symbols_[m].next == a || an == m)
         return false;
 
     processMatch(a, m);
@@ -291,24 +251,14 @@ Sequitur::processMatch(SymIdx a, SymIdx m)
     } else {
         // Create a new rule from the digram's values.
         r = newRule();
-        const SymIdx x = newSymbol();
-        const SymIdx y = newSymbol();
-        {
-            Symbol &sx = symbols_[x];
-            const Symbol &sa = symbols_[a];
-            sx.tag = sa.tag;
-            sx.term = sa.term;
-            if (sa.tag != kTermMark)
-                rules_[sa.tag].refs++;
-        }
-        {
-            Symbol &sy = symbols_[y];
-            const Symbol &sn = symbols_[symbols_[a].next];
-            sy.tag = sn.tag;
-            sy.term = sn.term;
-            if (sn.tag != kTermMark)
-                rules_[sn.tag].refs++;
-        }
+        const std::uint32_t va = symbols_[a].val;
+        const std::uint32_t vb = symbols_[symbols_[a].next].val;
+        const SymIdx x = newSymbol(va);
+        const SymIdx y = newSymbol(vb);
+        if (va >= kRuleBit)
+            rules_[va & kIdMask].refs++;
+        if (vb >= kRuleBit)
+            rules_[vb & kIdMask].refs++;
         const SymIdx g = rules_[r].guard;
         link(g, x);
         link(x, y);
@@ -319,7 +269,7 @@ Sequitur::processMatch(SymIdx a, SymIdx m)
         // (canonical order): the joins inside the substitutions may
         // transiently re-register run-overlap occurrences of this key,
         // and the body must win.
-        index_.put(valueAt(x), valueAt(y), x);
+        index_.put(DigramTable::key(va, vb), x);
     }
 
     // Rule utility: if a symbol of the (new or reused) rule's body is a
@@ -376,9 +326,7 @@ Sequitur::expand(SymIdx nt)
 
     // Retire the rule and the non-terminal symbol.
     freeSymbol(g);
-    rules_[r].guard = kNoSym;
-    rules_[r].refs = 0;
-    rules_[r].live = false;
+    rules_[r] = Rule{};
     --liveRules_;
     freeSymbol(nt);
 
@@ -397,174 +345,67 @@ Sequitur::expand(SymIdx nt)
 // Inspection
 // ---------------------------------------------------------------------------
 
-std::vector<std::uint32_t>
-Sequitur::liveRuleIds() const
+Sequitur::Grammar
+Sequitur::grammar() const
 {
-    std::vector<std::uint32_t> ids;
-    for (std::uint32_t id = 0; id < rules_.size(); ++id)
-        if (rules_[id].live)
-            ids.push_back(id);
-    return ids;
-}
-
-std::vector<Sequitur::GrammarSymbol>
-Sequitur::ruleBody(std::uint32_t id) const
-{
-    const Rule &r = rules_.at(id);
-    panicIf(!r.live, "Sequitur::ruleBody of dead rule");
-    std::vector<GrammarSymbol> body;
-    for (SymIdx s = symbols_[r.guard].next; !isGuard(s);
-         s = symbols_[s].next) {
-        if (isNonTerminal(s))
-            body.push_back({true, ruleIdOf(s)});
-        else
-            body.push_back({false, symbols_[s].term});
-    }
-    return body;
-}
-
-std::uint32_t
-Sequitur::ruleRefs(std::uint32_t id) const
-{
-    return rules_.at(id).refs;
-}
-
-std::vector<std::uint64_t>
-Sequitur::expandRule(std::uint32_t id) const
-{
-    std::vector<std::uint64_t> out;
-    // Iterative expansion with an explicit stack of symbol cursors.
-    std::vector<SymIdx> stack;
-    stack.push_back(symbols_[rules_.at(id).guard].next);
-    while (!stack.empty()) {
-        const SymIdx s = stack.back();
-        if (isGuard(s)) {
-            stack.pop_back();
-            continue;
+    Grammar out;
+    out.offsets_.reserve(rules_.size() + 1);
+    out.syms_.reserve(symbols_.size() - freeList_.size());
+    out.offsets_.push_back(0);
+    for (const Rule &r : rules_) {
+        if (r.guard != kNoSym) {
+            // Each body is a circular list through its own guard; a
+            // link that does not point back, or a walk that meets
+            // another rule's guard, is a construction bug.
+            for (SymIdx s = r.guard;;) {
+                const SymIdx n = symbols_[s].next;
+                panicIf(symbols_[n].prev != s ||
+                            (n != r.guard && isGuard(n)),
+                        "Sequitur: broken symbol list");
+                if (n == r.guard)
+                    break;
+                out.syms_.push_back(symbols_[n].val);
+                s = n;
+            }
         }
-        stack.back() = symbols_[s].next;
-        if (isNonTerminal(s))
-            stack.push_back(symbols_[rules_[ruleIdOf(s)].guard].next);
-        else
-            out.push_back(symbols_[s].term);
+        out.offsets_.push_back(static_cast<std::uint32_t>(out.syms_.size()));
     }
     return out;
 }
 
 std::vector<std::uint64_t>
-Sequitur::ruleLengths() const
+Sequitur::Grammar::ruleLengths() const
 {
-    std::vector<std::uint64_t> len(rules_.size(), 0);
+    const std::uint32_t n = numRules();
+    std::vector<std::uint64_t> len(n, 0);
     // Dependency-ordered evaluation via iterative post-order DFS.
-    std::vector<std::uint8_t> state(rules_.size(), 0); // 0 new 1 open 2 done
+    std::vector<std::uint8_t> state(n, 0); // 0 new 1 open 2 done
     std::vector<std::uint32_t> stack;
-    for (std::uint32_t root = 0; root < rules_.size(); ++root) {
-        if (!rules_[root].live || state[root] == 2)
+    for (std::uint32_t root = 0; root < n; ++root) {
+        if (!live(root) || state[root] == 2)
             continue;
         stack.push_back(root);
         while (!stack.empty()) {
             const std::uint32_t id = stack.back();
             if (state[id] == 0) {
                 state[id] = 1;
-                for (SymIdx s = symbols_[rules_[id].guard].next;
-                     !isGuard(s); s = symbols_[s].next) {
-                    if (isNonTerminal(s) && state[ruleIdOf(s)] == 0)
-                        stack.push_back(ruleIdOf(s));
-                }
+                for (const std::uint32_t *p = begin(id); p != end(id); ++p)
+                    if (isRule(*p) && state[valueOf(*p)] == 0)
+                        stack.push_back(valueOf(*p));
             } else {
                 stack.pop_back();
                 if (state[id] == 1) {
                     state[id] = 2;
-                    std::uint64_t n = 0;
-                    for (SymIdx s = symbols_[rules_[id].guard].next;
-                         !isGuard(s); s = symbols_[s].next)
-                        n += isNonTerminal(s) ? len[ruleIdOf(s)] : 1;
-                    len[id] = n;
+                    std::uint64_t total = 0;
+                    for (const std::uint32_t *p = begin(id); p != end(id);
+                         ++p)
+                        total += isRule(*p) ? len[valueOf(*p)] : 1;
+                    len[id] = total;
                 }
             }
         }
     }
     return len;
-}
-
-std::size_t
-Sequitur::checkInvariants(bool allow_utility_slack) const
-{
-    // Digram key -> (rule id, body index) of the last occurrence seen.
-    // Duplicate digrams are allowed only when the occurrences overlap
-    // (adjacent positions of a same-symbol run, e.g. "aaa"), the known
-    // exception the canonical algorithm leaves in place.
-    struct Key
-    {
-        std::uint64_t a, b;
-        bool
-        operator==(const Key &o) const
-        {
-            return a == o.a && b == o.b;
-        }
-    };
-    struct KeyHash
-    {
-        std::size_t
-        operator()(const Key &k) const
-        {
-            return DigramTable::hashKey(k.a, k.b);
-        }
-    };
-    struct Occ
-    {
-        std::uint32_t rule;
-        std::size_t idx;
-    };
-    std::unordered_map<Key, Occ, KeyHash> seen;
-    std::vector<std::uint32_t> refCount(rules_.size(), 0);
-    std::size_t live = 0;
-
-    for (std::uint32_t id = 0; id < rules_.size(); ++id) {
-        const Rule &r = rules_[id];
-        if (!r.live)
-            continue;
-        ++live;
-        std::size_t body_len = 0;
-        std::size_t idx = 0;
-        for (SymIdx s = symbols_[r.guard].next; !isGuard(s);
-             s = symbols_[s].next, ++idx) {
-            ++body_len;
-            if (isNonTerminal(s)) {
-                panicIf(!rules_[ruleIdOf(s)].live,
-                        "invariant: ref to dead rule");
-                refCount[ruleIdOf(s)]++;
-            }
-            const SymIdx n = symbols_[s].next;
-            if (!isGuard(n)) {
-                const Key k{valueAt(s), valueAt(n)};
-                auto [it, fresh] = seen.try_emplace(k, Occ{id, idx});
-                if (!fresh) {
-                    const bool overlap = it->second.rule == id &&
-                                         it->second.idx + 1 == idx &&
-                                         k.a == k.b;
-                    panicIf(!overlap, "invariant: duplicate digram");
-                    it->second = Occ{id, idx};
-                }
-            }
-            panicIf(symbols_[n].prev != s, "invariant: broken list");
-        }
-        panicIf(id != kRootRule && body_len < 2,
-                "invariant: rule body shorter than 2");
-    }
-
-    for (std::uint32_t id = 0; id < rules_.size(); ++id) {
-        const Rule &r = rules_[id];
-        if (!r.live || id == kRootRule)
-            continue;
-        panicIf(refCount[id] != r.refs,
-                "invariant: refcount bookkeeping mismatch");
-        if (!allow_utility_slack)
-            panicIf(r.refs < 2, "invariant: under-used rule");
-        else
-            panicIf(r.refs < 1, "invariant: orphan rule");
-    }
-    return live;
 }
 
 } // namespace tstream

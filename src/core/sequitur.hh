@@ -18,13 +18,19 @@
  * The implementation follows the canonical algorithm — doubly-linked
  * symbol lists with per-rule guard nodes, a digram index, rule
  * substitution on duplicate digrams, and inline expansion of
- * under-used rules — but on cache-friendly storage: symbols live in
- * one pooled arena addressed by 32-bit indexes (24 B/symbol, LIFO
- * slot recycling, no per-node allocation), rules are plain values in
- * a by-id vector, and the digram index is an open-addressing table
- * keyed on the packed 64-bit symbol tags with linear probing and
- * tombstone deletion. The grammar produced is bit-identical to the
- * pointer-based implementation's; only the constant factors changed.
+ * under-used rules — on dense 32-bit storage. A symbol is 12 bytes:
+ * two 32-bit arena links plus one tagged 32-bit word (a terminal below
+ * 2^31, kRuleBit | rule id for a non-terminal, kRuleBit | kGuardBit |
+ * rule id for a rule's guard node). Symbols live in one pooled arena
+ * with LIFO slot recycling; rules are plain values in a by-id vector.
+ * The digram index packs two symbol words into one 64-bit key and is
+ * an open-addressing table of 16-byte slots: Fibonacci hashing,
+ * linear probing, backward-shift deletion (no tombstones), at most
+ * half full. grammar() checks every list link as it copies the bodies
+ * out.
+ * The digests in tests/data/sequitur_grammar_digests.txt pin the
+ * grammar — every rule id, reference count and body — for a fixed set
+ * of inputs.
  */
 
 #ifndef TSTREAM_CORE_SEQUITUR_HH
@@ -41,200 +47,226 @@ namespace tstream
 /**
  * A SEQUITUR grammar under incremental construction.
  *
- * Terminals are arbitrary 64-bit values below 2^62 (callers intern
- * wider domains, e.g. block addresses, into dense ids).
+ * Terminals are values below 2^31 (callers intern wider domains, e.g.
+ * block addresses, into dense ids); append() panics on a larger one.
  */
 class Sequitur
 {
   public:
+    /** Terminals must be below this. */
+    static constexpr std::uint64_t kTerminalLimit = std::uint64_t{1} << 31;
+
     Sequitur();
 
     Sequitur(const Sequitur &) = delete;
     Sequitur &operator=(const Sequitur &) = delete;
 
-    /** Append one terminal to the input sequence. */
+    /**
+     * Size the symbol arena and the digram index for an input of
+     * @p terminals symbols, so appending that many does not regrow
+     * them (the grammar is never larger than its input).
+     */
+    void reserve(std::size_t terminals);
+
+    /** Append one terminal (below kTerminalLimit) to the input. */
     void append(std::uint64_t terminal);
 
     /** Append a whole sequence. */
+    template <typename T>
     void
-    appendAll(const std::vector<std::uint64_t> &seq)
+    appendAll(const std::vector<T> &seq)
     {
-        for (auto t : seq)
-            append(t);
+        for (const T v : seq)
+            append(v);
     }
 
     /** Number of terminals appended so far. */
     std::uint64_t inputLength() const { return inputLen_; }
 
-    /** Number of live rules, excluding the root. */
+    /** Number of live rules, including the root. */
     std::size_t ruleCount() const { return liveRules_; }
-
-    // ------------------------------------------------------------------
-    // Post-construction inspection. Symbols inside rule bodies are
-    // reported as GrammarSymbol{isRule, value}: terminals carry the
-    // original terminal value, non-terminals the rule id.
-    // ------------------------------------------------------------------
-
-    /** One symbol of a flattened rule body. */
-    struct GrammarSymbol
-    {
-        bool isRule = false;
-        std::uint64_t value = 0; ///< terminal value or rule id
-
-        bool
-        operator==(const GrammarSymbol &o) const
-        {
-            return isRule == o.isRule && value == o.value;
-        }
-    };
 
     /** Root rule id (always 0). */
     static constexpr std::uint32_t kRootRule = 0;
 
-    /** Ids of all live rules including the root. */
-    std::vector<std::uint32_t> liveRuleIds() const;
-
-    /** Right-hand side of rule @p id. */
-    std::vector<GrammarSymbol> ruleBody(std::uint32_t id) const;
-
     /** Number of symbol references to rule @p id (root: 0). */
-    std::uint32_t ruleRefs(std::uint32_t id) const;
+    std::uint32_t
+    ruleRefs(std::uint32_t id) const
+    {
+        return rules_.at(id).refs;
+    }
 
     /**
-     * Fully expand rule @p id to terminals.
-     * Expanding the root reproduces the input exactly.
+     * A flat, CSR-style copy of the live rule bodies: rule r's body is
+     * the symbols in [begin(r), end(r)) of one shared array, each a
+     * terminal or kRuleBit | rule id. Dead rule ids have empty bodies.
      */
-    std::vector<std::uint64_t> expandRule(std::uint32_t id) const;
+    class Grammar
+    {
+      public:
+        /** Symbol bit marking a non-terminal. */
+        static constexpr std::uint32_t kRuleBit = 1u << 31;
+
+        static bool isRule(std::uint32_t sym) { return sym >= kRuleBit; }
+
+        /** Terminal value or rule id of @p sym. */
+        static std::uint32_t
+        valueOf(std::uint32_t sym)
+        {
+            return sym & ~kRuleBit;
+        }
+
+        /** Rule ids (live or dead) are below this. */
+        std::uint32_t
+        numRules() const
+        {
+            return static_cast<std::uint32_t>(offsets_.size() - 1);
+        }
+
+        /** The root, and every rule with a body, is live. */
+        bool
+        live(std::uint32_t id) const
+        {
+            return id == kRootRule || offsets_[id] != offsets_[id + 1];
+        }
+
+        const std::uint32_t *
+        begin(std::uint32_t id) const
+        {
+            return syms_.data() + offsets_[id];
+        }
+
+        const std::uint32_t *
+        end(std::uint32_t id) const
+        {
+            return syms_.data() + offsets_[id + 1];
+        }
+
+        /**
+         * Expanded length of each rule, indexed by rule id (dead rule
+         * ids hold 0). O(total grammar size).
+         */
+        std::vector<std::uint64_t> ruleLengths() const;
+
+      private:
+        friend class Sequitur;
+        std::vector<std::uint32_t> offsets_; ///< numRules() + 1 entries
+        std::vector<std::uint32_t> syms_;
+    };
 
     /**
-     * Expanded length of each live rule, indexed by rule id (dead rule
-     * ids hold 0). Computed in one pass; O(total grammar size).
+     * Copy out the current rule bodies; panics if a body's symbol
+     * links do not form a closed list through the rule's own guard.
      */
-    std::vector<std::uint64_t> ruleLengths() const;
-
-    /**
-     * Verify both SEQUITUR invariants plus list integrity; panics on
-     * violation. Rule-utility slack (a rule referenced once) is
-     * tolerated when @p allowUtilitySlack, since the canonical
-     * algorithm admits rare transient under-use.
-     * @return number of live rules checked.
-     */
-    std::size_t checkInvariants(bool allow_utility_slack = false) const;
+    Grammar grammar() const;
 
   private:
     /** Arena index of a symbol. */
     using SymIdx = std::uint32_t;
 
     static constexpr SymIdx kNoSym = 0xFFFFFFFFu;
-    /** Symbol::tag of a terminal. */
-    static constexpr std::uint32_t kTermMark = 0xFFFFFFFFu;
-    /** Symbol::tag bit marking a rule's guard node. */
-    static constexpr std::uint32_t kGuardBit = 0x80000000u;
+    static constexpr std::uint32_t kRuleBit = Grammar::kRuleBit;
+    /** With kRuleBit, marks a rule's guard node. */
+    static constexpr std::uint32_t kGuardBit = 1u << 30;
+    /** Symbol words at or above this are guards. */
+    static constexpr std::uint32_t kGuardTag = kRuleBit | kGuardBit;
+    static constexpr std::uint32_t kIdMask = kGuardBit - 1;
 
-    /**
-     * One arena slot: list links plus the symbol identity packed into
-     * `tag` — kTermMark for terminals (value in `term`), the rule id
-     * for non-terminals, and kGuardBit|rule-id for guard nodes.
-     */
+    /** One arena slot: list links plus the tagged symbol word. */
     struct Symbol
     {
         SymIdx prev = kNoSym;
         SymIdx next = kNoSym;
-        std::uint32_t tag = kTermMark;
-        std::uint64_t term = 0;
+        std::uint32_t val = 0;
     };
+    static_assert(sizeof(Symbol) == 12, "a symbol is three 32-bit words");
 
     struct Rule
     {
         std::uint32_t refs = 0;
-        SymIdx guard = kNoSym;
-        bool live = true;
+        SymIdx guard = kNoSym; ///< kNoSym once the rule is inlined
     };
 
     /**
-     * Open-addressing digram index: (tagged value a, tagged value b)
-     * -> arena index of the digram's registered first symbol. Linear
-     * probing, tombstone deletion, grown (and tombstone-purged) at
-     * 3/4 load. Same mapping semantics as the std::unordered_map it
-     * replaces, minus the per-node allocations and pointer chasing.
+     * Digram index: packed key (first word << 32 | second word) ->
+     * arena index of the digram's registered first symbol. Linear
+     * probing over 16-byte slots, Fibonacci hashing, backward-shift
+     * deletion; doubled before it would pass half full. The all-ones
+     * key (two guards) never names a digram, so it marks empty slots.
      */
     class DigramTable
     {
       public:
-        DigramTable();
+        DigramTable() { resize(1024); }
 
-        /** The digram key mix (shared with checkInvariants()). */
-        static std::size_t hashKey(std::uint64_t a, std::uint64_t b);
+        static std::uint64_t
+        key(std::uint32_t a, std::uint32_t b)
+        {
+            return std::uint64_t{a} << 32 | b;
+        }
 
-        /** @return the mapped symbol, or kNoSym if absent. */
-        SymIdx find(std::uint64_t a, std::uint64_t b) const;
+        /** Make room for @p entries without regrowing. */
+        void reserve(std::size_t entries);
 
-        /** Insert or overwrite the mapping for (a, b). */
-        void put(std::uint64_t a, std::uint64_t b, SymIdx sym);
+        /**
+         * @return the symbol mapped to @p k; if there is none, map
+         * @p k to @p sym and return kNoSym.
+         */
+        SymIdx findOrPut(std::uint64_t k, SymIdx sym);
 
-        /** Remove (a, b) only if it currently maps to @p ifSym. */
-        void erase(std::uint64_t a, std::uint64_t b, SymIdx ifSym);
+        /** Insert or overwrite the mapping for @p k. */
+        void put(std::uint64_t k, SymIdx sym);
+
+        /** Remove @p k only if it currently maps to @p ifSym. */
+        void erase(std::uint64_t k, SymIdx ifSym);
 
       private:
+        static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
+
         struct Slot
         {
-            std::uint64_t a = 0;
-            std::uint64_t b = 0;
-            SymIdx sym = kEmpty;
+            std::uint64_t key = kEmptyKey;
+            SymIdx sym = kNoSym;
         };
 
-        static constexpr SymIdx kEmpty = 0xFFFFFFFFu;
-        static constexpr SymIdx kTomb = 0xFFFFFFFEu;
+        std::size_t
+        home(std::uint64_t k) const
+        {
+            return static_cast<std::size_t>(
+                (k * 0x9e3779b97f4a7c15ull) >> shift_);
+        }
 
-        void grow();
+        /** Rehash into @p slots (a power of two) slots. */
+        void resize(std::size_t slots);
 
-        std::vector<Slot> slots_; ///< size is a power of two
-        std::size_t occupied_ = 0; ///< live entries
-        std::size_t used_ = 0;     ///< live entries + tombstones
+        std::vector<Slot> slots_;
+        std::size_t mask_ = 0;
+        unsigned shift_ = 0;
+        std::size_t size_ = 0;
     };
 
-    static constexpr std::uint64_t kNtTag = 1ull << 63;
-    static constexpr std::uint64_t kGuardTag = 1ull << 62;
-
-    bool
-    isGuard(SymIdx s) const
-    {
-        const std::uint32_t t = symbols_[s].tag;
-        return t != kTermMark && (t & kGuardBit) != 0;
-    }
+    bool isGuard(SymIdx s) const { return symbols_[s].val >= kGuardTag; }
 
     bool
     isNonTerminal(SymIdx s) const
     {
-        const std::uint32_t t = symbols_[s].tag;
-        return t != kTermMark && (t & kGuardBit) == 0;
+        const std::uint32_t v = symbols_[s].val;
+        return v >= kRuleBit && v < kGuardTag;
     }
 
     /** Rule id of a non-terminal or guard symbol. */
-    std::uint32_t
-    ruleIdOf(SymIdx s) const
-    {
-        return symbols_[s].tag & ~kGuardBit;
-    }
+    std::uint32_t ruleIdOf(SymIdx s) const { return symbols_[s].val & kIdMask; }
 
-    /**
-     * Tagged value of a symbol for digram keys and run comparisons.
-     * Terminals, non-terminals, and guards occupy disjoint tag spaces.
-     */
+    /** Digram key of the pair starting at @p s. */
     std::uint64_t
-    valueAt(SymIdx s) const
+    digramAt(SymIdx s) const
     {
-        const Symbol &sym = symbols_[s];
-        if (sym.tag == kTermMark)
-            return sym.term;
-        if (sym.tag & kGuardBit)
-            return kGuardTag | (sym.tag & ~kGuardBit);
-        return kNtTag | sym.tag;
+        return DigramTable::key(symbols_[s].val,
+                                symbols_[symbols_[s].next].val);
     }
 
-    SymIdx newSymbol();
+    SymIdx newSymbol(std::uint32_t val);
     void freeSymbol(SymIdx s);
-    SymIdx newTerminal(std::uint64_t t);
     SymIdx newNonTerminal(std::uint32_t rule);
     std::uint32_t newRule();
 
@@ -273,7 +305,7 @@ class Sequitur
 
     std::vector<Symbol> symbols_; ///< pooled arena, index-linked
     std::vector<SymIdx> freeList_;
-    std::vector<Rule> rules_; ///< by id; dead rules stay (live=false)
+    std::vector<Rule> rules_; ///< by id; inlined rules stay, guard-less
     DigramTable index_;
     std::uint64_t inputLen_ = 0;
     std::size_t liveRules_ = 0;

@@ -5,6 +5,7 @@
 
 #include "core/sequitur.hh"
 #include "core/stride.hh"
+#include "mem/block_table.hh"
 #include "obs/telemetry.hh"
 #include "util/logging.hh"
 
@@ -87,97 +88,93 @@ analyzeStreams(const MissTrace &trace)
 
     // ------------------------------------------------------------------
     // 3. Build the concatenated per-CPU input, interning block ids
-    //    densely, and remember per-position miss indices. A unique
-    //    sentinel (bit 40 set; block ids stay far below 2^40)
-    //    ends each CPU section, so no rule spans two CPUs.
+    //    densely in order of first appearance, and remember per-position
+    //    miss indices. Each CPU section ends with the next dense id, a
+    //    symbol that occurs nowhere else, so no rule spans two CPUs.
     // ------------------------------------------------------------------
-    std::unordered_map<BlockId, std::uint64_t> intern;
-    std::vector<std::uint64_t> input;
+    std::vector<std::uint32_t> input;
     std::vector<std::uint32_t> posToMiss; // UINT32_MAX for sentinels
     input.reserve(trace.misses.size() + ncpu);
     posToMiss.reserve(input.capacity());
-
-    std::uint64_t nextId = 0;
-    for (unsigned c = 0; c < ncpu; ++c) {
-        for (std::uint32_t mi : byCpu[c]) {
-            auto [it, fresh] =
-                intern.try_emplace(trace.misses[mi].block, nextId);
-            if (fresh)
-                ++nextId;
-            input.push_back(it->second);
-            posToMiss.push_back(mi);
-        }
-        input.push_back(std::uint64_t{1} << 40 | nextId++);
-        posToMiss.push_back(UINT32_MAX);
-    }
-
-    // ------------------------------------------------------------------
-    // 4. Grammar construction.
-    // ------------------------------------------------------------------
-    Sequitur g;
     {
-        telemetry::Span span("analysis.sequitur", "analysis");
-        if (span.active())
-            span.arg("symbols",
-                     static_cast<std::int64_t>(input.size()));
-        for (std::uint64_t v : input)
-            g.append(v);
+        BlockTable<std::uint32_t> intern; // dense id + 1; 0 = unseen
+        std::uint32_t nextId = 0;
+        for (unsigned c = 0; c < ncpu; ++c) {
+            for (std::uint32_t mi : byCpu[c]) {
+                std::uint32_t &id = intern.findOrInsert(trace.misses[mi].block);
+                if (id == 0)
+                    id = ++nextId;
+                input.push_back(id - 1);
+                posToMiss.push_back(mi);
+            }
+            input.push_back(nextId++);
+            posToMiss.push_back(UINT32_MAX);
+        }
     }
-    const std::vector<std::uint64_t> ruleLen = g.ruleLengths();
-    out.grammarRules = g.ruleCount();
+
+    // ------------------------------------------------------------------
+    // 4. Grammar construction, then one flat copy of the rule bodies.
+    // ------------------------------------------------------------------
+    Sequitur::Grammar grammar;
+    {
+        Sequitur g;
+        g.reserve(input.size());
+        {
+            telemetry::Span span("analysis.sequitur", "analysis");
+            if (span.active())
+                span.arg("symbols",
+                         static_cast<std::int64_t>(input.size()));
+            g.appendAll(input);
+        }
+        grammar = g.grammar();
+        out.grammarRules = g.ruleCount();
+    }
+    const std::vector<std::uint64_t> ruleLen = grammar.ruleLengths();
     telemetry::observe("analysis.grammar_rules",
                        static_cast<double>(out.grammarRules));
 
     // ------------------------------------------------------------------
-    // 5. Derivation walk: enumerate root-level occurrences and each
-    //    rule's first-expansion position (for New/Recurring).
+    // 5. Derivation walk over the rule bodies in place: enumerate
+    //    root-level occurrences and each rule's first-expansion position
+    //    (for New/Recurring). A rule met again is skipped by its length:
+    //    its first expansion already visited every rule inside it.
     // ------------------------------------------------------------------
-    const auto liveIds = g.liveRuleIds();
-    std::uint32_t maxRule = 0;
-    for (auto id : liveIds)
-        maxRule = std::max(maxRule, id);
-
-    std::vector<std::uint64_t> firstExpansion(maxRule + 1, UINT64_MAX);
+    std::vector<std::uint64_t> firstExpansion(grammar.numRules(),
+                                              UINT64_MAX);
     std::vector<RootOcc> rootOccs;
 
     {
         telemetry::Span span("analysis.derivation_walk", "analysis");
-
-        // Cache rule bodies up front; the walk then never touches
-        // grammar internals.
-        std::vector<std::vector<Sequitur::GrammarSymbol>> bodies(
-            maxRule + 1);
-        for (auto id : liveIds)
-            bodies[id] = g.ruleBody(id);
-
         struct Frame
         {
-            std::uint32_t rule;
-            std::size_t idx;
+            const std::uint32_t *cur, *end;
         };
         std::vector<Frame> stack;
-        stack.push_back({Sequitur::kRootRule, 0});
+        stack.push_back({grammar.begin(Sequitur::kRootRule),
+                         grammar.end(Sequitur::kRootRule)});
         std::uint64_t pos = 0;
 
         while (!stack.empty()) {
             Frame &f = stack.back();
-            const auto &body = bodies[f.rule];
-            if (f.idx >= body.size()) {
+            if (f.cur == f.end) {
                 stack.pop_back();
                 continue;
             }
-            const Sequitur::GrammarSymbol sym = body[f.idx++];
-            if (!sym.isRule) {
+            const std::uint32_t sym = *f.cur++;
+            if (!Sequitur::Grammar::isRule(sym)) {
                 ++pos;
                 continue;
             }
-            const std::uint32_t r =
-                static_cast<std::uint32_t>(sym.value);
-            if (firstExpansion[r] == UINT64_MAX)
+            const std::uint32_t r = Sequitur::Grammar::valueOf(sym);
+            const bool seen = firstExpansion[r] != UINT64_MAX;
+            if (!seen)
                 firstExpansion[r] = pos;
             if (stack.size() == 1)
                 rootOccs.push_back({r, pos, ruleLen[r]});
-            stack.push_back({r, 0});
+            if (seen)
+                pos += ruleLen[r];
+            else
+                stack.push_back({grammar.begin(r), grammar.end(r)});
         }
         panicIf(pos != input.size(),
                 "analyzeStreams: derivation length mismatch");

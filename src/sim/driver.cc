@@ -282,7 +282,7 @@ claimKeyFor(const Cell &cell)
  * Dynamic-claiming executor: opts.jobs sweep loops on a WorkPool race
  * (with every other process sharing the claim directory) to claim
  * cells, run each claimed cell once, hand it to opts.cellDone, and
- * only then publish its done marker. A
+ * only once that has committed the cell publish its done marker. A
  * background thread heartbeats all actively running claims every
  * ttlMs / 3. Returns only the cells this worker executed, in grid
  * order.
@@ -313,6 +313,7 @@ runCellsClaiming(const std::vector<Cell> &grid,
         std::clamp<std::int64_t>(opts.claim.ttlMs / 4, 50, 500);
 
     std::atomic<long> claimsWon{0};
+    std::atomic<bool> commitFailed{false};
 
     std::mutex resMu;
     std::vector<CellResult> results;
@@ -348,6 +349,8 @@ runCellsClaiming(const std::vector<Cell> &grid,
             std::vector<std::size_t> still;
             still.reserve(pending.size());
             for (std::size_t idx : pending) {
+                if (commitFailed.load(std::memory_order_relaxed))
+                    return;
                 const Cell &cell = grid[idx];
                 const std::string key = claimKeyFor(cell);
                 if (claims.done(key)) {
@@ -393,13 +396,20 @@ runCellsClaiming(const std::vector<Cell> &grid,
                     active.push_back(key);
                 }
                 CellResult res = runCellOnce(cell, opts);
-                if (opts.cellDone)
-                    opts.cellDone(res);
+                const bool committed = !opts.cellDone || opts.cellDone(res);
                 {
                     std::lock_guard<std::mutex> lk(hbMu);
                     active.erase(std::remove(active.begin(),
                                              active.end(), key),
                                  active.end());
+                }
+                if (!committed) {
+                    // Nothing holds the cell's rows: no done marker, so
+                    // this or a later run of the session re-runs it. A
+                    // worker that cannot commit stops claiming.
+                    claims.release(key);
+                    commitFailed.store(true, std::memory_order_relaxed);
+                    return;
                 }
                 claims.markDone(key, res.failed
                                          ? "failed:" + res.failureCause

@@ -219,9 +219,12 @@ struct DriverOptions
      *  trace cache; successful cells are stored. */
     std::shared_ptr<CellMemo> memo;
     /** Invoked on the worker thread with each cell this process ran,
-     *  as it finishes; under claiming, before the cell's done marker is
-     *  published, so a cell recorded here survives its worker. */
-    std::function<void(const CellResult &)> cellDone;
+     *  as it finishes; returns whether the cell's result was committed
+     *  (written out). Under claiming the done marker goes up only
+     *  after a commit, so a cell recorded here survives its worker; a
+     *  failed commit releases the claim, with no done marker, and the
+     *  worker claims nothing more. */
+    std::function<bool(const CellResult &)> cellDone;
 };
 
 /**

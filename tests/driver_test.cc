@@ -368,7 +368,7 @@ TEST_F(ClaimArgsTest, ParsesClaimFlags)
     ::setenv("TSTREAM_TRACE_CACHE", "/tmp/tstream-cache", 1);
     bench::BenchOptions opts;
     ASSERT_EQ(parse({"--claim-session", "sweep1", "--claim-ttl", "5000",
-                     "fig2"},
+                     "-o", "part.json", "fig2"},
                     opts),
               "");
     EXPECT_EQ(opts.claimSession, "sweep1");
@@ -381,6 +381,11 @@ TEST_F(ClaimArgsTest, ParsesClaimFlags)
     EXPECT_EQ(d.claim.dir,
               "/tmp/tstream-cache/claims/sweep1/bench_under_test");
     EXPECT_EQ(d.claim.ttlMs, 5000);
+
+    // The report is where a claimed cell is committed: without it no
+    // cell could ever be marked done.
+    EXPECT_TRUE(rejects(parse({"--claim-session", "sweep1", "fig2"}, opts),
+                        "--claim-session needs -o PATH"));
 }
 
 TEST_F(ClaimArgsTest, ClaimingDisabledByDefault)

@@ -1,7 +1,8 @@
 /**
  * @file
  * Unit and property tests for the SEQUITUR grammar builder: exact
- * reconstruction, invariant maintenance, and known-grammar cases.
+ * reconstruction, the grammar properties (checked by the oracle in
+ * grammar_oracle.hh), known-grammar cases, and the terminal bound.
  */
 
 #include <gtest/gtest.h>
@@ -9,7 +10,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "core/sequitur.hh"
+#include "grammar_oracle.hh"
 #include "util/rng.hh"
 
 namespace tstream
@@ -17,12 +18,31 @@ namespace tstream
 namespace
 {
 
+/** Terminals of rule @p id of @p g. */
+std::vector<std::uint64_t>
+expandRule(const Sequitur &g, std::uint32_t id)
+{
+    return oracle::expand(oracle::snapshot(g), id);
+}
+
 std::vector<std::uint64_t>
 buildAndExpand(const std::vector<std::uint64_t> &in)
 {
     Sequitur g;
     g.appendAll(in);
-    return g.expandRule(Sequitur::kRootRule);
+    return expandRule(g, Sequitur::kRootRule);
+}
+
+/** Ids of the live rules of @p g, the root included. */
+std::vector<std::uint32_t>
+liveRuleIds(const Sequitur &g)
+{
+    const Sequitur::Grammar view = g.grammar();
+    std::vector<std::uint32_t> ids;
+    for (std::uint32_t id = 0; id < view.numRules(); ++id)
+        if (view.live(id))
+            ids.push_back(id);
+    return ids;
 }
 
 TEST(Sequitur, EmptyGrammar)
@@ -30,37 +50,38 @@ TEST(Sequitur, EmptyGrammar)
     Sequitur g;
     EXPECT_EQ(g.inputLength(), 0u);
     EXPECT_EQ(g.ruleCount(), 1u); // just the root
-    EXPECT_TRUE(g.expandRule(Sequitur::kRootRule).empty());
-    g.checkInvariants();
+    EXPECT_TRUE(expandRule(g, Sequitur::kRootRule).empty());
+    EXPECT_EQ(oracle::checkGrammar(g, {}, {}), "");
 }
 
 TEST(Sequitur, SingleSymbol)
 {
     Sequitur g;
     g.append(42);
-    EXPECT_EQ(g.expandRule(Sequitur::kRootRule),
+    EXPECT_EQ(expandRule(g, Sequitur::kRootRule),
               (std::vector<std::uint64_t>{42}));
-    g.checkInvariants();
+    EXPECT_EQ(oracle::checkGrammar(g, {42}, {}), "");
 }
 
 TEST(Sequitur, NoRepetitionCreatesNoRules)
 {
+    const std::vector<std::uint64_t> in{1, 2, 3, 4, 5, 6, 7, 8};
     Sequitur g;
-    g.appendAll({1, 2, 3, 4, 5, 6, 7, 8});
+    g.appendAll(in);
     EXPECT_EQ(g.ruleCount(), 1u);
-    g.checkInvariants();
+    EXPECT_EQ(oracle::checkGrammar(g, in, {}), "");
 }
 
 TEST(Sequitur, ClassicAbcdbc)
 {
     // From the SEQUITUR paper: "abcdbc" yields root a A d A with
     // A -> b c.
+    const std::vector<std::uint64_t> in{'a', 'b', 'c', 'd', 'b', 'c'};
     Sequitur g;
-    g.appendAll({'a', 'b', 'c', 'd', 'b', 'c'});
+    g.appendAll(in);
     EXPECT_EQ(g.ruleCount(), 2u);
-    EXPECT_EQ(buildAndExpand({'a', 'b', 'c', 'd', 'b', 'c'}),
-              (std::vector<std::uint64_t>{'a', 'b', 'c', 'd', 'b', 'c'}));
-    g.checkInvariants();
+    EXPECT_EQ(buildAndExpand(in), in);
+    EXPECT_EQ(oracle::checkGrammar(g, in, {}), "");
 }
 
 TEST(Sequitur, HierarchyFormation)
@@ -71,13 +92,13 @@ TEST(Sequitur, HierarchyFormation)
     const std::vector<std::uint64_t> in{'a', 'b', 'c', 'd', 'b', 'c',
                                         'a', 'b', 'c', 'd', 'b', 'c'};
     g.appendAll(in);
-    EXPECT_EQ(g.expandRule(Sequitur::kRootRule), in);
-    const auto root = g.ruleBody(Sequitur::kRootRule);
+    EXPECT_EQ(expandRule(g, Sequitur::kRootRule), in);
+    const auto root = oracle::snapshot(g).bodies[Sequitur::kRootRule];
     ASSERT_EQ(root.size(), 2u);
     EXPECT_TRUE(root[0].isRule);
     EXPECT_TRUE(root[1].isRule);
     EXPECT_EQ(root[0].value, root[1].value);
-    g.checkInvariants();
+    EXPECT_EQ(oracle::checkGrammar(g, in, {}), "");
 }
 
 TEST(Sequitur, RunsOfIdenticalSymbols)
@@ -86,8 +107,8 @@ TEST(Sequitur, RunsOfIdenticalSymbols)
         std::vector<std::uint64_t> in(n, 7);
         Sequitur g;
         g.appendAll(in);
-        EXPECT_EQ(g.expandRule(Sequitur::kRootRule), in) << "n=" << n;
-        g.checkInvariants(true);
+        EXPECT_EQ(expandRule(g, Sequitur::kRootRule), in) << "n=" << n;
+        EXPECT_EQ(oracle::checkGrammar(g, in, {}), "") << "n=" << n;
     }
 }
 
@@ -99,13 +120,13 @@ TEST(Sequitur, RuleUtilityInlinesSingleUseRules)
                                         'b'};
     Sequitur g;
     g.appendAll(in);
-    EXPECT_EQ(g.expandRule(Sequitur::kRootRule), in);
-    g.checkInvariants(true);
+    EXPECT_EQ(expandRule(g, Sequitur::kRootRule), in);
+    EXPECT_EQ(oracle::checkGrammar(g, in, {}), "");
     // Every non-root rule must be referenced at least twice.
-    for (auto id : g.liveRuleIds()) {
+    for (auto id : liveRuleIds(g)) {
         if (id == Sequitur::kRootRule)
             continue;
-        EXPECT_GE(g.ruleRefs(id), 1u);
+        EXPECT_GE(g.ruleRefs(id), 2u);
     }
 }
 
@@ -117,9 +138,9 @@ TEST(Sequitur, RuleLengthsMatchExpansion)
         for (std::uint64_t v : {1, 2, 3, 4, 5, 9, 2, 3, 4, 7})
             in.push_back(v);
     g.appendAll(in);
-    const auto lens = g.ruleLengths();
-    for (auto id : g.liveRuleIds()) {
-        EXPECT_EQ(lens[id], g.expandRule(id).size()) << "rule " << id;
+    const auto lens = g.grammar().ruleLengths();
+    for (auto id : liveRuleIds(g)) {
+        EXPECT_EQ(lens[id], expandRule(g, id).size()) << "rule " << id;
     }
     EXPECT_EQ(lens[Sequitur::kRootRule], in.size());
 }
@@ -147,15 +168,15 @@ TEST(Sequitur, DetectsLongRepeatedSequence)
 
     Sequitur g;
     g.appendAll(in);
-    EXPECT_EQ(g.expandRule(Sequitur::kRootRule), in);
+    EXPECT_EQ(expandRule(g, Sequitur::kRootRule), in);
 
-    const auto lens = g.ruleLengths();
+    const auto lens = g.grammar().ruleLengths();
     std::uint64_t longest = 0;
-    for (auto id : g.liveRuleIds())
+    for (auto id : liveRuleIds(g))
         if (id != Sequitur::kRootRule)
             longest = std::max(longest, lens[id]);
     EXPECT_GE(longest, 45u);
-    g.checkInvariants(true);
+    EXPECT_EQ(oracle::checkGrammar(g, in, {}), "");
 }
 
 // ---------------------------------------------------------------------
@@ -185,8 +206,8 @@ TEST_P(SequiturPropertyTest, ReconstructsInputAndKeepsInvariants)
 
     Sequitur g;
     g.appendAll(in);
-    EXPECT_EQ(g.expandRule(Sequitur::kRootRule), in);
-    g.checkInvariants(true);
+    EXPECT_EQ(expandRule(g, Sequitur::kRootRule), in);
+    EXPECT_EQ(oracle::checkGrammar(g, in, {}), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -216,18 +237,43 @@ TEST(Sequitur, RepeatedBlocksWithPeriodicStructure)
     for (int i = 0; i < 97; ++i)
         period.push_back(rng.below(64));
 
-    Sequitur g;
+    std::vector<std::uint64_t> in;
     for (int rep = 0; rep < 50; ++rep)
-        g.appendAll(period);
+        in.insert(in.end(), period.begin(), period.end());
+    Sequitur g;
+    g.appendAll(in);
 
     EXPECT_EQ(g.inputLength(), 97u * 50u);
-    const auto root = g.ruleBody(Sequitur::kRootRule);
+    const auto root = oracle::snapshot(g).bodies[Sequitur::kRootRule];
     EXPECT_LT(root.size(), 97u * 5u);
-    const auto out = g.expandRule(Sequitur::kRootRule);
+    const auto out = expandRule(g, Sequitur::kRootRule);
     ASSERT_EQ(out.size(), 97u * 50u);
     for (std::size_t i = 0; i < out.size(); ++i)
         ASSERT_EQ(out[i], period[i % 97]) << "at " << i;
-    g.checkInvariants(true);
+    EXPECT_EQ(oracle::checkGrammar(g, in, {}), "");
+}
+
+TEST(Sequitur, TerminalsUpToTheBound)
+{
+    // The largest terminals share a symbol word with rule references
+    // (bit 31) and guards (bits 31 and 30): they must still read back
+    // as terminals and form rules like any other.
+    const std::uint64_t top = Sequitur::kTerminalLimit - 1;
+    const std::uint64_t bit30 = std::uint64_t{1} << 30;
+    const std::vector<std::uint64_t> in{top, bit30, top - 1, top, bit30,
+                                        top - 1, 0, top, bit30};
+    Sequitur g;
+    g.appendAll(in);
+    EXPECT_EQ(expandRule(g, Sequitur::kRootRule), in);
+    EXPECT_EQ(g.ruleCount(), 3u); // root, A -> top bit30, B -> A top-1
+    EXPECT_EQ(oracle::checkGrammar(g, in, {}), "");
+}
+
+TEST(SequiturDeathTest, RejectsTerminalAtTheBound)
+{
+    Sequitur g;
+    g.append(Sequitur::kTerminalLimit - 1);
+    EXPECT_DEATH(g.append(std::uint64_t{1} << 31), "terminal value too large");
 }
 
 } // namespace

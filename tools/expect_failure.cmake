@@ -13,7 +13,11 @@
 #         -P expect_failure.cmake
 #     the command must die by SIGKILL (e.g. TSTREAM_CLAIM_DIE_AFTER)
 #
-# ARGS is |-separated, as in run_capture.cmake.
+# ARGS is |-separated, as in run_capture.cmake. -DEXIT=<n> expects exit
+# status n instead of 2 (a run that failed, not a rejected command
+# line). -DNO_FILES=<glob> additionally requires that, after the
+# command, no file matches the recursive glob (e.g. the done markers
+# of a claim session whose cells must not count as finished).
 if(NOT DEFINED CMD OR (NOT DEFINED STDERR AND NOT KILLED))
   message(FATAL_ERROR "expect_failure.cmake needs -DCMD and -DSTDERR or -DKILLED")
 endif()
@@ -30,9 +34,18 @@ if(KILLED)
   endif()
   return()
 endif()
-if(NOT rv STREQUAL "2")
-  message(FATAL_ERROR "expected exit status 2, got: ${rv}\n${err}")
+if(NOT DEFINED EXIT)
+  set(EXIT 2)
+endif()
+if(NOT rv STREQUAL "${EXIT}")
+  message(FATAL_ERROR "expected exit status ${EXIT}, got: ${rv}\n${err}")
 endif()
 if(NOT err MATCHES "${STDERR}")
   message(FATAL_ERROR "stderr does not match \"${STDERR}\":\n${err}")
+endif()
+if(DEFINED NO_FILES)
+  file(GLOB_RECURSE left "${NO_FILES}")
+  if(left)
+    message(FATAL_ERROR "expected no file matching ${NO_FILES}, found: ${left}")
+  endif()
 endif()
