@@ -6,7 +6,9 @@
  * detection, the full stream-analysis pipeline, and the
  * scenario-subsystem hot paths (KV slab/LRU, broker append/replay).
  * The *Recorded series run SEQUITUR and the stream analysis on the
- * off-chip traces of quick-budget cells, simulated once per process.
+ * off-chip traces of quick-budget cells, and replay the block accesses
+ * those cells' memory models received into a fresh model; each cell
+ * is simulated once per process.
  * BENCH_baseline.json at the repo root records these series;
  * `tstream-bench trend` gates regressions against it
  * (docs/BENCHMARKING.md).
@@ -98,6 +100,12 @@ BM_CacheMissFill(benchmark::State &state)
 }
 BENCHMARK(BM_CacheMissFill);
 
+/*
+ * The two uniform series draw blocks from 2^28 (2^26) blocks, so
+ * nearly every access allocates a fresh 8 KiB BlockTable page: they
+ * time page allocation more than the protocol. The *AccessRecorded
+ * series below time recorded access streams instead.
+ */
 void
 BM_MultiChipAccess(benchmark::State &state)
 {
@@ -247,24 +255,103 @@ BM_FullStreamAnalysis(benchmark::State &state)
 }
 BENCHMARK(BM_FullStreamAnalysis)->Arg(100000)->Arg(500000);
 
+/** A memory model that forwards to another and keeps every block
+ *  access it forwards, noting where tracing was switched on. */
+class RecordingMemory final : public MemorySystem
+{
+  public:
+    explicit RecordingMemory(std::unique_ptr<MemorySystem> inner)
+        : inner_(std::move(inner))
+    {
+    }
+
+    void
+    accessBlock(const Access &acc) override
+    {
+        accessBlockRun(&acc, 1);
+    }
+
+    void
+    accessBlockRun(const Access *accs, std::size_t n) override
+    {
+        if (inner_->tracing() != tracing()) {
+            inner_->setTracing(tracing());
+            if (tracing())
+                warmupAccesses = accesses.size();
+        }
+        accesses.insert(accesses.end(), accs, accs + n);
+        inner_->accessBlockRun(accs, n);
+    }
+
+    unsigned numCpus() const override { return inner_->numCpus(); }
+
+    MemorySystem &inner() { return *inner_; }
+
+    std::vector<Access> accesses;   ///< every block access forwarded
+    std::size_t warmupAccesses = 0; ///< how many came before tracing
+
+  private:
+    std::unique_ptr<MemorySystem> inner_;
+};
+
 /**
- * The off-chip miss trace of the quick-budget multi-chip cell of
- * workload W, simulated on first use and kept for the process.
+ * One quick-budget cell: the off-chip trace runExperiment() collects,
+ * and the block accesses its model received, the first warmupAccesses
+ * of them untraced.
  */
+struct RecordedCell
+{
+    MissTrace offChip;
+    std::vector<Access> accesses;
+    std::size_t warmupAccesses = 0;
+};
+
+/**
+ * The quick-budget cell of workload W in context C, simulated on first
+ * use and kept for the process: runExperiment()'s steps with a
+ * RecordingMemory between the engine and the model.
+ */
+template <WorkloadKind W, SystemContext C>
+const RecordedCell &
+recordedCell()
+{
+    static const RecordedCell cell = [] {
+        RecordedCell out;
+        std::unique_ptr<MemorySystem> model;
+        if (C == SystemContext::MultiChip)
+            model = std::make_unique<MultiChipSystem>();
+        else
+            model = std::make_unique<SingleChipSystem>();
+        auto rec = std::make_unique<RecordingMemory>(std::move(model));
+        RecordingMemory &recorder = *rec;
+        Engine eng(std::move(rec), ExperimentConfig{}.seed);
+        Kernel kern(eng);
+        WorkloadSpec spec;
+        spec.kind = W;
+        spec.scale = kQuickBudgets.scale;
+        spec.seed = ExperimentConfig{}.seed;
+        auto workload = makeWorkload(spec);
+        workload->setup(kern);
+        eng.setTracing(false);
+        kern.run(kQuickBudgets.warmupInstructions);
+        eng.setTracing(true);
+        kern.run(kQuickBudgets.measureInstructions);
+        eng.finalizeTraces();
+        out.offChip = std::move(recorder.inner().offChipTrace());
+        out.offChip.instructions = eng.totalInstructions();
+        out.accesses = std::move(recorder.accesses);
+        out.warmupAccesses = recorder.warmupAccesses;
+        return out;
+    }();
+    return cell;
+}
+
+/** The off-chip trace of the quick multi-chip cell of workload W. */
 template <WorkloadKind W>
 const MissTrace &
 recordedTrace()
 {
-    static const MissTrace trace = [] {
-        ExperimentConfig cfg;
-        cfg.workload = W;
-        cfg.context = SystemContext::MultiChip;
-        cfg.warmupInstructions = kQuickBudgets.warmupInstructions;
-        cfg.measureInstructions = kQuickBudgets.measureInstructions;
-        cfg.scale = kQuickBudgets.scale;
-        return runExperiment(cfg).offChip;
-    }();
-    return trace;
+    return recordedCell<W, SystemContext::MultiChip>().offChip;
 }
 
 /**
@@ -330,6 +417,64 @@ BENCHMARK_CAPTURE(BM_StreamAnalysisRecorded, DSS_Qry1_multi_chip,
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_StreamAnalysisRecorded, Apache_multi_chip,
                   &recordedTrace<WorkloadKind::Apache>)
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * Replay a recorded cell's block accesses into a fresh System, the
+ * warm-up untraced, in blocks per second; building and freeing the
+ * model is not timed. Unlike BM_*ChipAccess's uniform span, the
+ * stream has the cell's locality, sharing and I/O writes.
+ */
+template <typename System>
+void
+BM_AccessRecorded(benchmark::State &state, const RecordedCell &cell)
+{
+    const Access *accs = cell.accesses.data();
+    const std::size_t warm = cell.warmupAccesses;
+    for (auto _ : state) {
+        state.PauseTiming();
+        auto sys = std::make_unique<System>();
+        state.ResumeTiming();
+        sys->accessBlockRun(accs, warm);
+        sys->setTracing(true);
+        sys->accessBlockRun(accs + warm, cell.accesses.size() - warm);
+        benchmark::DoNotOptimize(sys->offChipTrace().misses.data());
+        state.PauseTiming();
+        sys.reset();
+        state.ResumeTiming();
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(cell.accesses.size()));
+}
+
+void
+BM_SingleChipAccessRecorded(benchmark::State &state,
+                            const RecordedCell &(*cell)())
+{
+    BM_AccessRecorded<SingleChipSystem>(state, cell());
+}
+BENCHMARK_CAPTURE(
+    BM_SingleChipAccessRecorded, DSS_Qry17,
+    &recordedCell<WorkloadKind::DssQ17, SystemContext::SingleChip>)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(
+    BM_SingleChipAccessRecorded, DB2_OLTP,
+    &recordedCell<WorkloadKind::Oltp, SystemContext::SingleChip>)
+    ->Unit(benchmark::kMillisecond);
+
+void
+BM_MultiChipAccessRecorded(benchmark::State &state,
+                           const RecordedCell &(*cell)())
+{
+    BM_AccessRecorded<MultiChipSystem>(state, cell());
+}
+BENCHMARK_CAPTURE(
+    BM_MultiChipAccessRecorded, DSS_Qry17,
+    &recordedCell<WorkloadKind::DssQ17, SystemContext::MultiChip>)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(
+    BM_MultiChipAccessRecorded, DB2_OLTP,
+    &recordedCell<WorkloadKind::Oltp, SystemContext::MultiChip>)
     ->Unit(benchmark::kMillisecond);
 
 } // namespace

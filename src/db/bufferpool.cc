@@ -3,8 +3,49 @@
 namespace tstream
 {
 
+BufferPool::PageTable::PageTable(unsigned frames)
+{
+    std::size_t n = 2;
+    shift_ = 63;
+    while (n < std::size_t{frames} * 2) {
+        n *= 2;
+        --shift_;
+    }
+    slots_.assign(n, Slot{});
+    mask_ = n - 1;
+}
+
+void
+BufferPool::PageTable::put(PageId page, unsigned frame)
+{
+    panicIf(page == kEmpty, "BufferPool: the all-ones page id is reserved");
+    std::size_t i = home(page);
+    while (slots_[i].page != kEmpty)
+        i = (i + 1) & mask_;
+    slots_[i] = Slot{page, frame};
+}
+
+void
+BufferPool::PageTable::erase(PageId page)
+{
+    std::size_t i = home(page);
+    for (; slots_[i].page != page; i = (i + 1) & mask_)
+        if (slots_[i].page == kEmpty)
+            return;
+    // Backward-shift deletion: pull each later entry of the probe run
+    // into the hole unless the hole lies before its home slot.
+    for (std::size_t j = (i + 1) & mask_; slots_[j].page != kEmpty;
+         j = (j + 1) & mask_) {
+        if (((j - home(slots_[j].page)) & mask_) >= ((j - i) & mask_)) {
+            slots_[i] = slots_[j];
+            i = j;
+        }
+    }
+    slots_[i] = Slot{};
+}
+
 BufferPool::BufferPool(Kernel &kern, const BufferPoolConfig &cfg)
-    : kern_(kern), cfg_(cfg), frames_(cfg.frames)
+    : kern_(kern), cfg_(cfg), frames_(cfg.frames), pageMap_(cfg.frames)
 {
     auto &heap = kern.kernelHeap();
     bucketBase_ = heap.alloc(cfg.buckets * kBlockSize, kBlockSize);
@@ -21,7 +62,7 @@ BufferPool::BufferPool(Kernel &kern, const BufferPoolConfig &cfg)
 bool
 BufferPool::resident(PageId page) const
 {
-    return pageMap_.count(page) != 0;
+    return pageMap_.find(page) != PageTable::kNone;
 }
 
 unsigned
@@ -47,7 +88,7 @@ BufferPool::evict(SysCtx &ctx)
 Addr
 BufferPool::fixNew(SysCtx &ctx, PageId page)
 {
-    if (pageMap_.count(page) != 0)
+    if (resident(page))
         return fix(ctx, page, /*dirty=*/true);
     ++useTick_;
     const Addr bucket =
@@ -60,7 +101,7 @@ BufferPool::fixNew(SysCtx &ctx, PageId page)
     f.valid = true;
     f.dirty = true;
     f.lastUse = useTick_;
-    pageMap_[page] = fi;
+    pageMap_.put(page, fi);
     ctx.write(bucket, 16, fnGetPage_);
     const Addr hdr = frameHdrBase_ + fi * kBlockSize;
     ctx.write(hdr, 16, fnLatch_);
@@ -79,11 +120,9 @@ BufferPool::fix(SysCtx &ctx, PageId page, bool dirty)
         (page * 0x9e3779b97f4a7c15ull >> 32) % cfg_.buckets * kBlockSize;
     ctx.read(bucket, 16, fnGetPage_);
 
-    auto it = pageMap_.find(page);
-    unsigned fi;
-    if (it != pageMap_.end()) {
+    unsigned fi = pageMap_.find(page);
+    if (fi != PageTable::kNone) {
         ++hits_;
-        fi = it->second;
     } else {
         ++misses_;
         fi = evict(ctx);
@@ -91,7 +130,7 @@ BufferPool::fix(SysCtx &ctx, PageId page, bool dirty)
         f.page = page;
         f.valid = true;
         f.dirty = false;
-        pageMap_[page] = fi;
+        pageMap_.put(page, fi);
         // Update the bucket chain.
         ctx.write(bucket, 16, fnGetPage_);
         // Demand page-in: DMA + copyout into the frame (streaming

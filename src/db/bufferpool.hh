@@ -13,7 +13,6 @@
 #define TSTREAM_DB_BUFFERPOOL_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "kernel/kernel.hh"
@@ -84,6 +83,60 @@ class BufferPool
         std::uint64_t lastUse = 0;
     };
 
+    /**
+     * Resident page -> frame map. Linear probing over a power-of-two
+     * slot array sized at construction to at least twice the frame
+     * count, so it is never more than half full and never regrows;
+     * Fibonacci hashing; backward-shift deletion, so no tombstones
+     * pile up as pages come and go. The all-ones page id (a free
+     * frame's page) marks empty slots.
+     */
+    class PageTable
+    {
+      public:
+        static constexpr unsigned kNone = ~0u;
+
+        explicit PageTable(unsigned frames);
+
+        /** Frame holding @p page, or kNone. */
+        unsigned
+        find(PageId page) const
+        {
+            for (std::size_t i = home(page);; i = (i + 1) & mask_) {
+                if (slots_[i].page == page)
+                    return slots_[i].frame;
+                if (slots_[i].page == kEmpty)
+                    return kNone;
+            }
+        }
+
+        /** Map @p page, which must be absent, to @p frame. */
+        void put(PageId page, unsigned frame);
+
+        /** Unmap @p page if it is mapped. */
+        void erase(PageId page);
+
+      private:
+        static constexpr PageId kEmpty = ~PageId{0};
+
+        struct Slot
+        {
+            PageId page = kEmpty;
+            unsigned frame = kNone;
+        };
+
+        std::size_t
+        home(PageId page) const
+        {
+            return static_cast<std::size_t>(
+                (page * 0x9e3779b97f4a7c15ull) >> shift_);
+        }
+
+        std::vector<Slot> slots_;
+        std::size_t mask_;
+        unsigned shift_;
+    };
+
     /** Pick a victim frame with a clock sweep (emits header probes). */
     unsigned evict(SysCtx &ctx);
 
@@ -93,7 +146,7 @@ class BufferPool
     Addr frameHdrBase_; ///< frame headers (1 block each: latch + flags)
     Addr frameBase_;   ///< frame data (4 KB each)
     std::vector<Frame> frames_;
-    std::unordered_map<PageId, unsigned> pageMap_;
+    PageTable pageMap_;
     unsigned clockHand_ = 0;
     std::uint64_t useTick_ = 0;
     std::uint64_t hits_ = 0;

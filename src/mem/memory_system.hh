@@ -143,6 +143,14 @@ class MemorySystem
     MissTrace &intraChipTrace() { return intraChip_; }
     const MissTrace &intraChipTrace() const { return intraChip_; }
 
+    /**
+     * Off-chip and intra-chip read misses seen while tracing was off
+     * (the warm-up), each counted where it would have been recorded;
+     * runExperiment() sizes the traces from them.
+     */
+    std::uint64_t untracedOffChipMisses() const { return untracedOffChip_; }
+    std::uint64_t untracedIntraChipMisses() const { return untracedIntra_; }
+
   protected:
     /** Block-expansion chunk size of accessRun(). */
     static constexpr std::size_t kRunBlocks = 128;
@@ -167,10 +175,23 @@ class MemorySystem
         const bool covered =
             prefetchHook_ &&
             prefetchHook_->coverOffChipMiss(rec, tracing_);
-        if (tracing_ && !covered) {
+        if (!tracing_) {
+            ++untracedOffChip_;
+        } else if (!covered) {
             offChip_.misses.push_back(rec);
             offChipSeq_++;
         }
+    }
+
+    /** Record one intra-chip read miss, or count it during warm-up. */
+    void
+    recordIntraChipMiss(BlockId blk, CpuId cpu, std::uint8_t cls, FnId fn)
+    {
+        if (tracing_)
+            intraChip_.misses.push_back(
+                MissRecord{nextIntraSeq(), blk, cpu, cls, fn});
+        else
+            ++untracedIntra_;
     }
 
     bool tracing_ = false;
@@ -179,6 +200,8 @@ class MemorySystem
     MissTrace intraChip_;
     std::uint64_t offChipSeq_ = 0;
     std::uint64_t intraSeq_ = 0;
+    std::uint64_t untracedOffChip_ = 0;
+    std::uint64_t untracedIntra_ = 0;
 };
 
 } // namespace tstream

@@ -52,6 +52,8 @@ class MultiChipSystem : public MemorySystem
         std::int8_t owner = -1;    ///< node holding Modified, or -1
         std::uint32_t sharers = 0; ///< bitmask over nodes
     };
+    static_assert(sizeof(BlockState) == 16,
+                  "the directory fields fill the history's tail padding");
 
     /**
      * Probe the directory (tests / debugging). Entries are never

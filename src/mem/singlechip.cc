@@ -36,14 +36,23 @@ SingleChipSystem::probeL2(BlockId blk) const
     return l2_.probe(blk);
 }
 
+SingleChipSystem::Presence
+SingleChipSystem::presence(BlockId blk) const
+{
+    const BlockState *b = blocks_.find(blk);
+    return b ? Presence{b->l1s, b->inL2()} : Presence{};
+}
+
 void
 SingleChipSystem::evictL1(std::optional<Cache::Line> evicted)
 {
     if (evicted && dirty(evicted->state)) {
         // Non-inclusive hierarchy: dirty L1 victims are written back
-        // into the L2 (allocating there).
+        // into the L2 (allocating there). Every cached block has a
+        // record, so this finds the victim's.
         auto l2evict = l2_.insert(evicted->block, CohState::Modified);
         (void)l2evict; // L2 victim writes back to memory implicitly.
+        blocks_.findOrInsert(evicted->block).bits |= BlockState::kInL2;
     }
 }
 
@@ -51,10 +60,11 @@ void
 SingleChipSystem::offChipFill(const Access &acc, BlockId blk,
                               BlockState &b)
 {
-    const MissClass cls = b.chip.classifyRead(0);
+    const MissClass cls = b.chipClassifyRead();
     recordOffChipMiss(blk, acc.cpu, static_cast<std::uint8_t>(cls),
                       acc.fn);
     l2_.fill(blk, CohState::Shared);
+    b.bits |= BlockState::kInL2;
 }
 
 void
@@ -97,20 +107,21 @@ SingleChipSystem::handleRead(const Access &acc, BlockId blk)
 
     // L1 read miss: determine cause before updating history.
     BlockState &b = blocks_.findOrInsert(blk);
-    const bool cohCause = b.core.coherenceCaused(core);
-    (void)b.core.classifyRead(core);
+    const bool cohCause = b.coherenceCaused(core);
+    (void)b.classifyRead(core);
 
-    // Find an on-chip supplier: a peer L1 with an owned/modified (or,
-    // because the hierarchy is non-inclusive, even shared) copy, or the
-    // shared L2.
+    // Find an on-chip supplier: the lowest-numbered peer L1 with an
+    // owned/modified (or, because the hierarchy is non-inclusive, even
+    // shared) copy, or the shared L2. Only peers in the presence mask
+    // can hold it.
     int peer = -1;
     bool peerDirty = false;
-    for (unsigned p = 0; p < cfg_.cores && peer < 0; ++p) {
-        if (p == core)
-            continue;
+    for (std::uint32_t m = b.l1s & ~(1u << core); m != 0; m &= m - 1) {
+        const unsigned p = static_cast<unsigned>(__builtin_ctz(m));
         if (auto st = l1_[p].probe(blk)) {
             peer = static_cast<int>(p);
             peerDirty = dirty(*st);
+            break;
         }
     }
 
@@ -127,7 +138,7 @@ SingleChipSystem::handleRead(const Access &acc, BlockId blk)
     if (peer >= 0 && peerDirty) {
         l1_[static_cast<unsigned>(peer)].setState(blk, CohState::Owned);
         icls = IntraClass::CoherencePeerL1;
-    } else if (l2_.lookup(blk)) {
+    } else if (b.inL2() && l2_.lookup(blk)) {
         icls = cohCause ? IntraClass::CoherenceL2
                         : IntraClass::ReplacementL2;
     } else if (peer >= 0) {
@@ -139,12 +150,10 @@ SingleChipSystem::handleRead(const Access &acc, BlockId blk)
     }
     // The L1 missed above and no path since has filled it.
     evictL1(l1_[core].fill(blk, CohState::Shared));
+    b.l1s |= 1u << core;
 
-    if (tracing_) {
-        intraChip_.misses.push_back(MissRecord{
-            nextIntraSeq(), blk, static_cast<CpuId>(core),
-            static_cast<std::uint8_t>(icls), acc.fn});
-    }
+    recordIntraChipMiss(blk, static_cast<CpuId>(core),
+                        static_cast<std::uint8_t>(icls), acc.fn);
 }
 
 void
@@ -152,21 +161,18 @@ SingleChipSystem::handleWrite(const Access &acc, BlockId blk)
 {
     const unsigned core = acc.cpu;
     BlockState &b = blocks_.findOrInsert(blk);
-    b.core.recordWrite(static_cast<int>(core));
-    b.chip.recordWrite(0);
+    b.recordWrite(static_cast<int>(core));
+    b.chipWrite(0);
 
     // Write hit in Modified: done. The lookup also refreshes recency
     // on an upgrade, which the insert below does again.
     if (auto st = l1_[core].lookup(blk); st && *st == CohState::Modified)
         return;
 
-    // Invalidate peers; ownership moves to this core's L1.
-    for (unsigned p = 0; p < cfg_.cores; ++p)
-        if (p != core)
-            l1_[p].invalidate(blk);
-    // The L2 copy (if any) becomes stale; drop it. The up-to-date copy
-    // lives in this L1 in Modified and is written back on eviction.
-    l2_.invalidate(blk);
+    // Invalidate peers; ownership moves to this core's L1. The L2
+    // copy (if any) becomes stale; drop it. The up-to-date copy lives
+    // in this L1 in Modified and is written back on eviction.
+    invalidateCopies(b, blk, 1u << core);
 
     // A store to a block absent from the chip allocates silently (store
     // misses are not part of the paper's read-miss traces), but counts
@@ -174,20 +180,32 @@ SingleChipSystem::handleWrite(const Access &acc, BlockId blk)
     // core's L1 is touched already: every on-chip fill sets the chip
     // history's `touched` first (off-chip fill, store allocation, or a
     // supplier that was filled that way) and nothing clears it.
-    b.chip.touched = true;
+    b.bits |= BlockState::kChipTouched;
 
     evictL1(l1_[core].insert(blk, CohState::Modified));
+    b.l1s |= 1u << core;
 }
 
 void
 SingleChipSystem::handleIoWrite(BlockId blk, int writer)
 {
     BlockState &b = blocks_.findOrInsert(blk);
-    b.core.recordWrite(writer);
-    b.chip.recordWrite(writer);
-    for (unsigned p = 0; p < cfg_.cores; ++p)
-        l1_[p].invalidate(blk);
-    l2_.invalidate(blk);
+    b.recordWrite(writer);
+    b.chipWrite(writer);
+    // A DMA into a staging buffer no cache has held touches no cache.
+    invalidateCopies(b, blk, 0);
+}
+
+void
+SingleChipSystem::invalidateCopies(BlockState &b, BlockId blk,
+                                   std::uint32_t keep)
+{
+    for (std::uint32_t m = b.l1s & ~keep; m != 0; m &= m - 1)
+        l1_[static_cast<unsigned>(__builtin_ctz(m))].invalidate(blk);
+    if (b.inL2())
+        l2_.invalidate(blk);
+    b.l1s &= keep;
+    b.bits &= static_cast<std::uint8_t>(~BlockState::kInL2);
 }
 
 } // namespace tstream

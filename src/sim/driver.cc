@@ -186,6 +186,11 @@ runCell(const Cell &cell, const DriverOptions &opts)
         telemetry::count("mem.block_state_bytes", res.blockStateBytes);
         telemetry::count("mem.block_state_entries", res.blockStateEntries);
         telemetry::count("mem.cache_bytes", res.cacheBytes);
+        telemetry::count("mem.warmup_offchip_misses",
+                         res.warmupOffChipMisses);
+        telemetry::count("mem.warmup_intra_misses",
+                         res.warmupIntraChipMisses);
+        telemetry::count("mem.trace_regrowths", res.traceRegrowths);
         traceCacheStore(cell.cfg, res);
     }
     auto analysis = std::make_shared<CellAnalysis>();

@@ -1,5 +1,6 @@
 #include "sim/experiment.hh"
 
+#include <algorithm>
 #include <cstring>
 
 #include "core/prefetch_policy.hh"
@@ -111,6 +112,32 @@ configHash(const ExperimentConfig &cfg)
     return h;
 }
 
+namespace
+{
+
+/**
+ * Records to reserve for a trace that saw @p warm misses in a warm-up
+ * of @p warmup instructions, before a measurement of @p measure: the
+ * warm-up's rate plus a quarter for slack, capped at 2^26 records
+ * (1.5 GiB of address space). Reserved pages that are never written
+ * are not resident, so an estimate that is too large costs nothing,
+ * and one that is too short costs one ordinary regrowth.
+ */
+std::size_t
+traceReserve(std::uint64_t warm, std::uint64_t warmup, std::uint64_t measure)
+{
+    if (warm == 0 || warmup == 0)
+        return 0;
+    const double expected = static_cast<double>(warm) *
+                            static_cast<double>(measure) /
+                            static_cast<double>(warmup);
+    return static_cast<std::size_t>(
+        std::min(expected * 1.25 + 1024.0,
+                 static_cast<double>(std::size_t{1} << 26)));
+}
+
+} // namespace
+
 ExperimentResult
 runExperiment(const ExperimentConfig &cfg)
 {
@@ -152,12 +179,30 @@ runExperiment(const ExperimentConfig &cfg)
     eng.setTracing(false);
     kern.run(cfg.warmupInstructions);
 
+    // Size the traces from the warm-up's miss counts, so that
+    // recording rarely moves them.
+    MemorySystem &mem = eng.memory();
+    ExperimentResult res;
+    res.warmupOffChipMisses = mem.untracedOffChipMisses();
+    res.warmupIntraChipMisses = mem.untracedIntraChipMisses();
+    std::vector<MissRecord> &off = mem.offChipTrace().misses;
+    std::vector<MissRecord> &intra = mem.intraChipTrace().misses;
+    off.reserve(traceReserve(res.warmupOffChipMisses,
+                             cfg.warmupInstructions,
+                             cfg.measureInstructions));
+    intra.reserve(traceReserve(res.warmupIntraChipMisses,
+                               cfg.warmupInstructions,
+                               cfg.measureInstructions));
+    const std::size_t offCap = off.capacity();
+    const std::size_t intraCap = intra.capacity();
+
     // Measure.
     eng.setTracing(true);
     kern.run(cfg.measureInstructions);
     eng.finalizeTraces();
+    res.traceRegrowths = (off.capacity() != offCap) +
+                         (intra.capacity() != intraCap);
 
-    ExperimentResult res;
     res.offChip = std::move(eng.memory().offChipTrace());
     res.intraChip = std::move(eng.memory().intraChipTrace());
     res.registry = eng.registry();

@@ -134,6 +134,15 @@ struct ExperimentResult
      *  (MemorySystem::cacheBytes). */
     std::uint64_t cacheBytes = 0;
 
+    /** Misses the model saw during the untraced warm-up
+     *  (MemorySystem::untracedOffChipMisses / untracedIntraChipMisses);
+     *  runExperiment() reserves the traces from them. */
+    std::uint64_t warmupOffChipMisses = 0;
+    std::uint64_t warmupIntraChipMisses = 0;
+    /** Traces (of the two) that outgrew that reservation while
+     *  tracing: 0 when the warm-up estimate held. */
+    std::uint64_t traceRegrowths = 0;
+
     /** In-the-loop prefetcher diagnostics (prefetchLoop.enabled runs
      *  only): stats over every observed miss, warm-up included. */
     bool prefetchEnabled = false;

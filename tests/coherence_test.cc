@@ -325,5 +325,54 @@ TEST(SingleChip, IntraTraceCpuAndSeqFields)
                   sys.intraChipTrace().misses[i - 1].seq);
 }
 
+// ---------------------------------------------------------------------
+// Warm-up miss counts.
+// ---------------------------------------------------------------------
+
+/**
+ * Drive @p untraced and @p traced through the same mixed access
+ * stream, tracing only the second: each miss the first counts is one
+ * the second records.
+ */
+template <typename System>
+void
+expectUntracedCountsMatchTraces(System &untraced, System &traced,
+                                unsigned cpus)
+{
+    traced.setTracing(true);
+    for (unsigned i = 0; i < 4000; ++i) {
+        const Addr a = kA + (i * 7919u % 3000u) * kBlockSize;
+        const unsigned cpu = i % cpus;
+        const Access acc = i % 11 == 0  ? dma(a)
+                           : i % 5 == 0 ? write(cpu, a)
+                                        : read(cpu, a);
+        untraced.access(acc);
+        traced.access(acc);
+    }
+    EXPECT_GT(untraced.untracedOffChipMisses(), 0u);
+    EXPECT_EQ(untraced.untracedOffChipMisses(),
+              traced.offChipTrace().misses.size());
+    EXPECT_EQ(untraced.untracedIntraChipMisses(),
+              traced.intraChipTrace().misses.size());
+    EXPECT_TRUE(untraced.offChipTrace().misses.empty());
+    EXPECT_EQ(traced.untracedOffChipMisses(), 0u);
+}
+
+TEST(WarmupCounts, MultiChipCountsEveryOffChipMissItWouldRecord)
+{
+    MultiChipConfig cfg;
+    cfg.l2 = CacheConfig{64 * 1024, 4};
+    MultiChipSystem untraced(cfg), traced(cfg);
+    expectUntracedCountsMatchTraces(untraced, traced, 16);
+}
+
+TEST(WarmupCounts, SingleChipCountsOffChipAndIntraChipMisses)
+{
+    SingleChipConfig cfg;
+    cfg.l2 = CacheConfig{64 * 1024, 4};
+    SingleChipSystem untraced(cfg), traced(cfg);
+    expectUntracedCountsMatchTraces(untraced, traced, 4);
+}
+
 } // namespace
 } // namespace tstream

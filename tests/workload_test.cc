@@ -52,6 +52,8 @@ TEST_P(WorkloadRunTest, ProducesConsistentTrace)
     ASSERT_GT(res.offChip.misses.size(), 1000u);
     EXPECT_GT(res.offChip.mpki(), 0.1);
     EXPECT_LT(res.offChip.mpki(), 200.0);
+    // The untraced warm-up counted the misses that size the traces.
+    EXPECT_GT(res.warmupOffChipMisses, 0u);
 
     // Sequence numbers strictly increase; cpu ids are in range.
     const unsigned ncpu = res.offChip.numCpus;
@@ -66,6 +68,7 @@ TEST_P(WorkloadRunTest, ProducesConsistentTrace)
 
     if (c == SystemContext::SingleChip) {
         ASSERT_FALSE(res.intraChip.misses.empty());
+        EXPECT_GT(res.warmupIntraChipMisses, 0u);
         // No processor coherence leaves a single chip.
         const auto shares = classShares(res.offChip);
         EXPECT_EQ(shares[kCoh], 0.0);
@@ -79,6 +82,7 @@ TEST_P(WorkloadRunTest, ProducesConsistentTrace)
                   res.intraChip.misses.size());
     } else {
         EXPECT_TRUE(res.intraChip.misses.empty());
+        EXPECT_EQ(res.warmupIntraChipMisses, 0u);
     }
 }
 
