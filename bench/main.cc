@@ -23,7 +23,7 @@ main(int argc, char **argv)
         static_cast<int>(args.size()), args.data(), opts);
     if (err.empty() && opts.views.size() != 1)
         err = "takes no bench names";
-    if (err.empty() && !opts.fleetFile.empty())
+    if (err.empty() && opts.fleet > 0)
         err = "--fleet is a `tstream-bench run` flag";
     if (err.empty() && !opts.help)
         return tstream::bench::runBench(opts);

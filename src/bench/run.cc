@@ -3,12 +3,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <functional>
+#include <filesystem>
 #include <memory>
 #include <mutex>
 
 #include "core/prefetch_policy.hh"
 #include "obs/telemetry.hh"
+#include "util/claim_file.hh"
 #include "util/logging.hh"
 #include "util/parse_number.hh"
 #include "util/work_pool.hh"
@@ -29,16 +30,18 @@ const char *const kRunFlagsHelp =
     "  --claim-session ID\n"
     "                 drain the grid by dynamic work claiming with the\n"
     "                 other workers of session ID; re-running a session\n"
-    "                 runs only the cells it has not finished (needs\n"
-    "                 TSTREAM_TRACE_CACHE and -o)\n"
+    "                 runs only the cells it has not finished. Each\n"
+    "                 finished cell's record goes into its done marker\n"
+    "                 (no -o: `merge --session ID` writes the report;\n"
+    "                 needs TSTREAM_TRACE_CACHE)\n"
     "  --claim-ttl MS heartbeat staleness before a claim may be stolen\n"
     "                 (default 30000)\n"
     "  --telemetry-out BASE\n"
     "                 write each view's metrics and Chrome trace to\n"
     "                 BASE.<binary>.json and BASE.<binary>.trace.json\n"
     "  --slowest N    log the N slowest cells afterwards (default 5)\n"
-    "  --fleet HOSTS  fan a claim session out to one worker per line of\n"
-    "                 HOSTS (`local` or an ssh host); needs -o\n"
+    "  --fleet N      fan a claim session out to N local worker\n"
+    "                 processes (1-64), then merge it into -o\n"
     "  --fleet-kill-after N\n"
     "                 worker 0 SIGKILLs itself after its N-th claim\n"
     "  --policy NAMES ext: score the comma-separated prefetch policies\n"
@@ -109,17 +112,15 @@ validateExt(const BenchOptions &opts, bool depthGiven)
 /**
  * Run @p view over @p grid and print its table. The cells are executed
  * on the driver pool; under --claim-session the claim protocol decides
- * which of them this worker runs. A cell that threw becomes a failure
- * row. Each cell's rows are built on its worker thread as it finishes;
- * a non-null @p checkpoint is then handed the view's document so far,
- * and a claimed cell's done marker is published only if it returns
- * true.
+ * which of them this worker runs, and each cell's record (a one-cell
+ * bench document) is committed with its done marker. A cell that
+ * threw becomes a failure row. Each cell's rows are built on its
+ * worker thread as it finishes.
  */
 BenchDoc
 runView(const BenchView &view, const std::string &binary,
         const BenchOptions &opts, const std::vector<Cell> &grid,
-        std::shared_ptr<CellMemo> memo,
-        const std::function<bool(const BenchDoc &)> &checkpoint)
+        std::shared_ptr<CellMemo> memo)
 {
     BenchDoc doc;
     doc.bench = binary;
@@ -131,20 +132,25 @@ runView(const BenchView &view, const std::string &binary,
         return a.index < b.index;
     };
 
+    const BenchDoc head = doc;
+
     std::mutex mu;
     DriverOptions dopts = opts.driver(binary);
     dopts.memo = std::move(memo);
-    dopts.cellDone = [&](const CellResult &res) -> bool {
+    dopts.cellDone = [&](const CellResult &res) {
         BenchCell cell = makeBenchCell(
             res, res.failed ? std::vector<BenchRow>{} : view.rows(res));
-        // The checkpoint runs under the lock: each write must hold
-        // every cell inserted so far, or a slower writer could replace
-        // a report that already holds a done cell.
+        std::string record;
+        if (dopts.claim.enabled()) {
+            BenchDoc one = head;
+            one.cells.push_back(cell);
+            record = benchDocToJson(one).dump();
+        }
         std::lock_guard<std::mutex> lk(mu);
         doc.cells.insert(std::upper_bound(doc.cells.begin(),
                                           doc.cells.end(), cell, byIndex),
                          std::move(cell));
-        return !checkpoint || checkpoint(doc);
+        return record;
     };
     runCells(grid, dopts);
 
@@ -154,16 +160,24 @@ runView(const BenchView &view, const std::string &binary,
 
 } // namespace
 
+std::string
+claimSessionDir(const std::string &session)
+{
+    const char *cache = std::getenv("TSTREAM_TRACE_CACHE");
+    if (!cache || !*cache)
+        return {};
+    return std::string(cache) + "/claims/" + session;
+}
+
 DriverOptions
 BenchOptions::driver(const std::string &binary) const
 {
     DriverOptions d;
     d.jobs = jobs;
     d.claim.session = claimSession;
-    if (const char *cache = std::getenv("TSTREAM_TRACE_CACHE");
-        !claimSession.empty() && cache && *cache)
-        d.claim.dir =
-            std::string(cache) + "/claims/" + claimSession + "/" + binary;
+    if (const std::string dir = claimSessionDir(claimSession);
+        !claimSession.empty() && !dir.empty())
+        d.claim.dir = dir + "/" + binary;
     d.claim.ttlMs = claimTtlMs;
     return d;
 }
@@ -205,7 +219,7 @@ parseRunArgs(int argc, const char *const *argv, BenchOptions &opts)
         } else if (arg == "--slowest") {
             err = parseInt(arg, v, opts.slowest, 0);
         } else if (arg == "--fleet") {
-            opts.fleetFile = v;
+            err = parseInt(arg, v, opts.fleet, 1, 64);
         } else if (arg == "--fleet-kill-after") {
             err = parseInt(arg, v, opts.fleetKillAfter, 1);
         } else if (arg == "--policy") {
@@ -244,23 +258,25 @@ parseRunArgs(int argc, const char *const *argv, BenchOptions &opts)
     if (!opts.workloadFile.empty() && !opts.phasesSpec.empty())
         return "--workload and --phases are mutually exclusive (a config "
                "file already carries its schedule)";
-    if (!opts.claimSession.empty() || !opts.fleetFile.empty()) {
+    if (!opts.claimSession.empty() || opts.fleet > 0) {
         const std::string flag =
-            opts.fleetFile.empty() ? "--claim-session" : "--fleet";
+            opts.fleet == 0 ? "--claim-session" : "--fleet";
         const char *cache = std::getenv("TSTREAM_TRACE_CACHE");
         if (!cache || !*cache)
             return flag + " needs TSTREAM_TRACE_CACHE set (the claim "
                           "directory lives in the shared cache)";
     }
-    if (!opts.fleetFile.empty() && !opts.claimSession.empty())
+    if (opts.fleet > 0 && !opts.claimSession.empty())
         return "--fleet generates its own claim session; drop "
                "--claim-session";
-    if (!opts.fleetFile.empty() && opts.out.empty())
+    if (opts.fleet > 0 && opts.out.empty())
         return "--fleet needs -o PATH (the merged report)";
-    if (!opts.claimSession.empty() && opts.out.empty())
-        return "--claim-session needs -o PATH (a cell is done only once "
-               "its rows are written there)";
-    if (opts.fleetKillAfter > 0 && opts.fleetFile.empty())
+    if (!opts.claimSession.empty() && !opts.out.empty())
+        return "--claim-session writes no report (each cell's record "
+               "goes into its done marker); drop -o and build the report "
+               "with `tstream-bench merge --session " +
+               opts.claimSession + " -o PATH`";
+    if (opts.fleetKillAfter > 0 && opts.fleet == 0)
         return "--fleet-kill-after needs --fleet";
     if (std::string err = validateExt(opts, depthGiven); !err.empty())
         return err;
@@ -336,30 +352,29 @@ runBench(const BenchOptions &opts)
         }
     }
 
+    if (!opts.claimSession.empty())
+        for (const ViewEntry *entry : opts.views) {
+            const std::string dir = opts.driver(entry->binary).claim.dir;
+            std::error_code ec;
+            std::filesystem::create_directories(dir, ec);
+            if (ec) {
+                std::fprintf(stderr,
+                             "tstream-bench: cannot create claim "
+                             "directory %s: %s\n",
+                             dir.c_str(), ec.message().c_str());
+                return 1;
+            }
+        }
+
     auto memo = std::make_shared<CellMemo>(grids);
     if (!opts.telemetryOut.empty())
         telemetry::enable(""); // each view writes its own files below
 
     std::vector<BenchDoc> docs;
-    // A claiming worker checkpoints the report after every cell, and
-    // the cell's done marker goes up only once that write succeeded:
-    // the survivors, and a later run of the same session, skip done
-    // cells, so a worker killed later must already have reported them.
-    std::function<bool(const BenchDoc &)> checkpoint;
-    bool uncommitted = false;
-    if (!opts.claimSession.empty())
-        checkpoint = [&](const BenchDoc &current) {
-            std::vector<BenchDoc> flat = docs;
-            flat.push_back(current);
-            const bool ok = writeDocs(flat, opts.out);
-            uncommitted |= !ok;
-            return ok;
-        };
     for (std::size_t i = 0; i < views.size(); ++i) {
         const std::string binary = opts.views[i]->binary;
         logf(LogLevel::Info, "[tstream-bench] %s", binary.c_str());
-        docs.push_back(
-            runView(views[i], binary, opts, grids[i], memo, checkpoint));
+        docs.push_back(runView(views[i], binary, opts, grids[i], memo));
         memo->finishView(i);
         if (!opts.telemetryOut.empty()) {
             if (!telemetry::writeArtifacts(
@@ -367,23 +382,78 @@ runBench(const BenchOptions &opts)
                 logWarn("telemetry: " + err);
             telemetry::reset();
         }
-        if (uncommitted)
-            break; // no later view's cell could be committed either
     }
     if (!opts.out.empty() && !writeDocs(docs, opts.out))
         return 1;
-    if (uncommitted) {
-        std::fprintf(stderr, "tstream-bench: a checkpoint of %s failed; "
-                             "re-run the claim session to finish it\n",
-                     opts.out.c_str());
-        return 1;
-    }
 
     printSlowestCells(docs, opts.slowest);
     if (!opts.out.empty())
         logf(LogLevel::Info, "[tstream-bench] wrote %s (%zu benches)",
              opts.out.c_str(), docs.size());
     return 0;
+}
+
+bool
+mergeSession(const std::string &session, std::vector<BenchDoc> &merged,
+             std::string &err)
+{
+    namespace fs = std::filesystem;
+    const std::string root = claimSessionDir(session);
+    if (root.empty()) {
+        err = "merge --session needs TSTREAM_TRACE_CACHE set (claim "
+              "sessions live in the shared cache)";
+        return false;
+    }
+    merged.clear();
+    for (const ViewEntry &view : kViews) {
+        const std::string dir = root + "/" + view.binary;
+        std::error_code ec;
+        if (!fs::is_directory(dir, ec))
+            continue; // the session did not name this view
+        std::vector<BenchDoc> records;
+        for (fs::directory_iterator it(dir, ec), end; !ec && it != end;
+             it.increment(ec)) {
+            if (it->path().extension() != ".done")
+                continue;
+            const std::string path = it->path().string();
+            DoneInfo info;
+            json::Value v;
+            BenchDoc &record = records.emplace_back();
+            if (!ClaimDir::readDone(path, info)) {
+                err = path + ": unreadable done marker (truncated or "
+                             "corrupt)";
+                return false;
+            }
+            if (!json::Value::parse(info.body, v, err) ||
+                !benchDocFromJson(v, record, err)) {
+                err = path + ": record: " + err;
+                return false;
+            }
+            if (record.bench != view.binary || record.cells.size() != 1) {
+                err = path + ": record is not one cell of " + view.binary;
+                return false;
+            }
+        }
+        if (ec) {
+            err = dir + ": " + ec.message();
+            return false;
+        }
+        if (records.empty()) {
+            err = dir + ": no done marker (no worker finished a cell of "
+                        "this view)";
+            return false;
+        }
+        merged.emplace_back();
+        if (!mergeBenchDocs(records, merged.back(), err)) {
+            err = dir + ": " + err;
+            return false;
+        }
+    }
+    if (merged.empty()) {
+        err = "no claim session at " + root;
+        return false;
+    }
+    return true;
 }
 
 } // namespace tstream::bench

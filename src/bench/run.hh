@@ -4,9 +4,13 @@
  * per-view aliases (bench/main.cc). parseRunArgs() is the only parser
  * of the bench flags; runBench() executes the named views in order in
  * this process over one CellMemo, so each distinct cell is simulated
- * and analyzed once per run, and writes one report. The fleet fan-out
- * (`--fleet`) stays in tools/tstream_bench.cc and re-runs this command
- * line in its workers. docs/BENCHMARKING.md is the operator's guide.
+ * and analyzed once per run, and writes one report. A claiming run
+ * (`--claim-session`) writes no report: each cell it finishes is
+ * committed with its record in its done marker, and mergeSession()
+ * builds the session's report from those markers. The fleet fan-out
+ * (`--fleet N`) stays in tools/tstream_bench.cc and re-runs this
+ * command line in its workers. docs/BENCHMARKING.md is the operator's
+ * guide.
  */
 
 #ifndef TSTREAM_BENCH_RUN_HH
@@ -45,14 +49,14 @@ struct BenchOptions
     std::string phasesSpec;
     /** --claim-session ID: drain the grid by dynamic claiming under
      *  `$TSTREAM_TRACE_CACHE/claims/<ID>/<binary>`; a re-run of the
-     *  session runs only the cells not yet done. */
+     *  session runs only the cells not yet done. Excludes -o. */
     std::string claimSession;
     std::int64_t claimTtlMs = 30'000; ///< --claim-ttl MS
     /** --telemetry-out BASE: metrics and Chrome trace per view at
      *  BASE.<binary>.json and BASE.<binary>.trace.json. */
     std::string telemetryOut;
     long slowest = 5; ///< --slowest N cells logged after the run
-    std::string fleetFile;   ///< --fleet HOSTS.txt
+    unsigned fleet = 0;      ///< --fleet N local workers; 0 = no fleet
     long fleetKillAfter = 0; ///< --fleet-kill-after N
     ExtOptions ext;          ///< --policy/--budget-sweep/--replay-depth
     /** The flags a fleet worker repeats verbatim (every flag but -o,
@@ -81,10 +85,28 @@ extern const char *const kRunFlagsHelp;
 /**
  * Run the views of @p opts in order (not --fleet): print each table
  * and write each view's telemetry files, then write the -o report and
- * log the --slowest cells. A claiming worker also rewrites the report
- * after every cell it finishes. Returns the process exit status.
+ * log the --slowest cells. A claiming run first creates every view's
+ * claim directory, so a session's merge can tell a view no worker
+ * reached from one the session never named. Returns the process exit
+ * status.
  */
 int runBench(const BenchOptions &opts);
+
+/** `$TSTREAM_TRACE_CACHE/claims/<session>`, or "" when the cache is
+ *  not set. */
+std::string claimSessionDir(const std::string &session);
+
+/**
+ * Build the report of claim session @p session from its done markers:
+ * each `<binary>/<key>.done` under claimSessionDir() holds one cell's
+ * record, a one-cell bench document. The records of each view are
+ * merged by mergeBenchDocs() (exact cover of the grid), and @p merged
+ * gets one document per view, in kViews order. A view directory with
+ * no done marker, a marker that does not read back whole, and a
+ * record that does not load are errors naming the directory or file.
+ */
+bool mergeSession(const std::string &session,
+                  std::vector<BenchDoc> &merged, std::string &err);
 
 /** Write @p docs to @p path: one bench document, or a combined report
  *  when there are several. Logs and returns false on error. */

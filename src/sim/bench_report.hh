@@ -5,8 +5,9 @@
  * interchange format of the tstream-bench front-end.
  *
  * One *bench document* (schema "tstream-bench/v3") describes one
- * bench binary's run, or one claiming worker's part of it: the
- * budgets, the total grid size, and one entry per executed cell
+ * bench binary's run, or one cell of it (the record a claim session's
+ * done marker carries): the budgets, the total grid size, and one
+ * entry per executed cell
  * carrying the cell
  * id, its configHash() provenance, wall/sim time, and the bench's
  * rows — each row holds both the exact printed table line (`text`)
@@ -15,7 +16,7 @@
  * cell whose execution threw is recorded as a *failure row*:
  * `failed.cause`, with no table rows — the sweep keeps going and the
  * failure travels through merge and check-equal instead of
- * disappearing. Worker documents of the same bench merge into
+ * disappearing. The cell records of a claim session merge into
  * the one-process document (exact cover of the grid is verified; a
  * *failed* cell covers its index, a *missing* cell is still an error —
  * the two are never conflated); equivalence
@@ -94,7 +95,7 @@ struct BenchCell
     std::vector<BenchRow> rows;
 };
 
-/** One bench binary's run, or one claiming worker's part of it. */
+/** One bench binary's run, or one cell's record of it. */
 struct BenchDoc
 {
     std::string bench; ///< binary name, e.g. "fig2_stream_fraction"
@@ -136,9 +137,9 @@ bool readBenchDocs(const std::string &path, std::vector<BenchDoc> &out,
                    std::string &err);
 
 /**
- * Merge worker documents of one bench into the one-process
- * document: headers (bench, quick, budgets, grid size) must agree and
- * the union must cover every grid index exactly. A *failed* cell
+ * Merge documents of one bench (a claim session's cell records) into
+ * the one-process document: headers (bench, quick, budgets, grid
+ * size) must agree and the union must cover every grid index exactly. A *failed* cell
  * covers its index (the failure row is carried into the merged
  * document); a *missing* cell is an error naming the absent indexes
  * (the first 16, then a count) — the two are distinct outcomes and

@@ -286,11 +286,11 @@ claimKeyFor(const Cell &cell)
 /**
  * Dynamic-claiming executor: opts.jobs sweep loops on a WorkPool race
  * (with every other process sharing the claim directory) to claim
- * cells, run each claimed cell once, hand it to opts.cellDone, and
- * only once that has committed the cell publish its done marker. A
+ * cells, run each claimed cell once, and commit it: the record
+ * opts.cellDone returns goes into the cell's done marker. A
  * background thread heartbeats all actively running claims every
  * ttlMs / 3. Returns only the cells this worker executed, in grid
- * order.
+ * order; a claim or commit error stops every loop and exits 1.
  */
 std::vector<CellResult>
 runCellsClaiming(const std::vector<Cell> &grid,
@@ -318,10 +318,11 @@ runCellsClaiming(const std::vector<Cell> &grid,
         std::clamp<std::int64_t>(opts.claim.ttlMs / 4, 50, 500);
 
     std::atomic<long> claimsWon{0};
-    std::atomic<bool> commitFailed{false};
+    std::atomic<bool> halted{false};
 
     std::mutex resMu;
     std::vector<CellResult> results;
+    std::string haltWhy; // the first claim or commit error
 
     // Heartbeat thread: beats every actively running claim so a slow
     // cell is not stolen mid-run. Workers register keys under hbMu.
@@ -344,6 +345,12 @@ runCellsClaiming(const std::vector<Cell> &grid,
         }
     });
 
+    auto halt = [&](const std::string &why) {
+        std::lock_guard<std::mutex> lk(resMu);
+        if (!halted.exchange(true))
+            haltWhy = why;
+    };
+
     auto workerLoop = [&] {
         std::vector<std::size_t> pending(grid.size());
         for (std::size_t i = 0; i < grid.size(); ++i)
@@ -354,7 +361,7 @@ runCellsClaiming(const std::vector<Cell> &grid,
             std::vector<std::size_t> still;
             still.reserve(pending.size());
             for (std::size_t idx : pending) {
-                if (commitFailed.load(std::memory_order_relaxed))
+                if (halted.load(std::memory_order_relaxed))
                     return;
                 const Cell &cell = grid[idx];
                 const std::string key = claimKeyFor(cell);
@@ -373,17 +380,8 @@ runCellsClaiming(const std::vector<Cell> &grid,
                     continue;
                 }
                 if (got == ClaimDir::Outcome::Error) {
-                    // Claim directory unusable: record a failure row
-                    // rather than spinning forever. merge() keeps the
-                    // first copy if several workers hit this.
-                    CellResult fail;
-                    fail.cell = cell;
-                    fail.failed = true;
-                    fail.failureCause = "claim error: " + why;
-                    std::lock_guard<std::mutex> lk(resMu);
-                    results.push_back(std::move(fail));
-                    progress = true;
-                    continue;
+                    halt("cannot claim cell " + cell.id + ": " + why);
+                    return;
                 }
 
                 // Claimed. Fault injection first: die after the N-th
@@ -401,24 +399,25 @@ runCellsClaiming(const std::vector<Cell> &grid,
                     active.push_back(key);
                 }
                 CellResult res = runCellOnce(cell, opts);
-                const bool committed = !opts.cellDone || opts.cellDone(res);
+                const std::string record =
+                    opts.cellDone ? opts.cellDone(res) : std::string();
                 {
                     std::lock_guard<std::mutex> lk(hbMu);
                     active.erase(std::remove(active.begin(),
                                              active.end(), key),
                                  active.end());
                 }
-                if (!committed) {
-                    // Nothing holds the cell's rows: no done marker, so
-                    // this or a later run of the session re-runs it. A
-                    // worker that cannot commit stops claiming.
+                if (!claims.markDone(key,
+                                     res.failed
+                                         ? "failed:" + res.failureCause
+                                         : "ok",
+                                     record, &why)) {
+                    // No done marker, so this or a later run of the
+                    // session re-runs the cell.
                     claims.release(key);
-                    commitFailed.store(true, std::memory_order_relaxed);
+                    halt("cannot commit cell " + cell.id + ": " + why);
                     return;
                 }
-                claims.markDone(key, res.failed
-                                         ? "failed:" + res.failureCause
-                                         : "ok");
                 {
                     std::lock_guard<std::mutex> lk(resMu);
                     results.push_back(std::move(res));
@@ -446,6 +445,8 @@ runCellsClaiming(const std::vector<Cell> &grid,
     }
     hbCv.notify_all();
     beater.join();
+    if (halted)
+        fatal(haltWhy);
 
     std::sort(results.begin(), results.end(),
               [](const CellResult &a, const CellResult &b) {

@@ -11,8 +11,10 @@
  * `$TSTREAM_TRACE_CACHE/claims/<session>/<bench>`; a worker that dies
  * mid-cell leaves a stale claim that another worker reclaims after
  * the heartbeat TTL, and a cell already marked done is skipped, so
- * re-running a session finishes what an earlier run left.
- * `tstream-bench run --fleet` builds on this.
+ * re-running a session finishes what an earlier run left. A cell's
+ * done marker carries its record, so the claim directory is the
+ * session's report (`tstream-bench merge --session`), and
+ * `tstream-bench run --fleet N` builds on this.
  *
  * A cell runs exactly once. It is a deterministic function of its
  * configHash() (the memo, the trace cache and check-equal all rely on
@@ -141,9 +143,8 @@ struct CellResult
     /** Served from TSTREAM_TRACE_CACHE or from the run's CellMemo. */
     bool cacheHit = false;
     /**
-     * The cell threw (or could not be claimed): runs is empty and the
-     * cell becomes a structured failure row in the report instead of
-     * aborting the sweep.
+     * The cell threw: runs is empty and the cell becomes a structured
+     * failure row in the report instead of aborting the sweep.
      */
     bool failed = false;
     std::string failureCause; ///< e.g. "exception: <what>"
@@ -219,12 +220,12 @@ struct DriverOptions
      *  trace cache; successful cells are stored. */
     std::shared_ptr<CellMemo> memo;
     /** Invoked on the worker thread with each cell this process ran,
-     *  as it finishes; returns whether the cell's result was committed
-     *  (written out). Under claiming the done marker goes up only
-     *  after a commit, so a cell recorded here survives its worker; a
-     *  failed commit releases the claim, with no done marker, and the
-     *  worker claims nothing more. */
-    std::function<bool(const CellResult &)> cellDone;
+     *  as it finishes. Under claiming it returns the cell's record,
+     *  and the cell is committed by writing that record into its done
+     *  marker: a done cell's rows survive its worker. A worker whose
+     *  commit fails releases the claim, claims nothing more and exits
+     *  1. Without claiming the result is ignored. */
+    std::function<std::string(const CellResult &)> cellDone;
 };
 
 /**
@@ -235,10 +236,12 @@ struct DriverOptions
  * reclaimed after the heartbeat TTL, so cooperating workers always
  * drain the whole grid between them). Results are returned in grid order
  * regardless of completion order; under claiming only the cells this
- * worker executed are returned (merge the per-worker reports to get
- * the full grid). Cells are served from the trace cache when
- * TSTREAM_TRACE_CACHE is set and the cell was recorded before (by any
- * worker or bench).
+ * worker executed are returned (the session's done markers hold the
+ * full grid). A worker that cannot claim (the claim directory is
+ * unusable) or cannot commit a cell stops claiming, lets its running
+ * cells finish and exits 1 with the reason. Cells are served from the
+ * trace cache when TSTREAM_TRACE_CACHE is set and the cell was
+ * recorded before (by any worker or bench).
  *
  * Fault injection: TSTREAM_CLAIM_DIE_AFTER=N makes the process
  * raise(SIGKILL) immediately after winning its N-th claim, before

@@ -5,6 +5,7 @@
 #include <sys/file.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
@@ -113,32 +114,92 @@ ClaimDir::writeClaimFile(const std::string &tmp, std::int64_t bornMs,
     return ok;
 }
 
+namespace
+{
+
+/** Read the file at @p path whole; false when it cannot be read. */
 bool
-ClaimDir::readClaim(const std::string &path, ClaimInfo &out)
+readWhole(const std::string &path, std::string &out)
 {
     std::FILE *f = std::fopen(path.c_str(), "rb");
     if (!f)
         return false;
-    out = ClaimInfo{};
-    char line[512];
-    bool sawOwner = false, sawBeat = false;
-    while (std::fgets(line, sizeof line, f)) {
-        char *nl = std::strchr(line, '\n');
-        if (nl)
-            *nl = '\0';
-        if (std::strncmp(line, "owner=", 6) == 0) {
-            out.owner = line + 6;
-            sawOwner = true;
-        } else if (std::strncmp(line, "born=", 5) == 0) {
-            out.bornMs = std::strtoll(line + 5, nullptr, 10);
-        } else if (std::strncmp(line, "beat=", 5) == 0) {
-            out.beatMs = std::strtoll(line + 5, nullptr, 10);
-            sawBeat = true;
-        } else if (std::strncmp(line, "pid=", 4) == 0) {
-            out.pid = std::strtol(line + 4, nullptr, 10);
-        }
-    }
+    out.clear();
+    char buf[4096];
+    for (std::size_t n; (n = std::fread(buf, 1, sizeof buf, f)) > 0;)
+        out.append(buf, n);
+    const bool ok = !std::ferror(f);
     std::fclose(f);
+    return ok;
+}
+
+/**
+ * Hand each `key=value` line of @p text to @p field, up to the first
+ * empty line. Returns the offset just past that empty line, or npos
+ * when the text has none.
+ */
+template <typename Field>
+std::size_t
+forEachField(const std::string &text, Field field)
+{
+    for (std::size_t pos = 0; pos < text.size();) {
+        const std::size_t nl = text.find('\n', pos);
+        const std::string line = text.substr(pos, nl - pos);
+        if (line.empty())
+            return nl + 1;
+        const std::size_t eq = line.find('=');
+        if (eq != std::string::npos)
+            field(line.substr(0, eq), line.substr(eq + 1));
+        if (nl == std::string::npos)
+            break;
+        pos = nl + 1;
+    }
+    return std::string::npos;
+}
+
+/** FNV-1a: any one changed byte changes the hash, so the `body=`
+ *  seal catches every bit flip in a record. */
+std::uint64_t
+fnv1a(const std::string &bytes)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : bytes)
+        h = (h ^ c) * 0x100000001b3ull;
+    return h;
+}
+
+std::string
+bodySeal(const std::string &body)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%zu %016llx", body.size(),
+                  static_cast<unsigned long long>(fnv1a(body)));
+    return buf;
+}
+
+} // namespace
+
+bool
+ClaimDir::readClaim(const std::string &path, ClaimInfo &out)
+{
+    std::string text;
+    if (!readWhole(path, text))
+        return false;
+    out = ClaimInfo{};
+    bool sawOwner = false, sawBeat = false;
+    forEachField(text, [&](const std::string &key, const std::string &v) {
+        if (key == "owner") {
+            out.owner = v;
+            sawOwner = true;
+        } else if (key == "born") {
+            out.bornMs = std::strtoll(v.c_str(), nullptr, 10);
+        } else if (key == "beat") {
+            out.beatMs = std::strtoll(v.c_str(), nullptr, 10);
+            sawBeat = true;
+        } else if (key == "pid") {
+            out.pid = std::strtol(v.c_str(), nullptr, 10);
+        }
+    });
     return sawOwner && sawBeat;
 }
 
@@ -304,7 +365,8 @@ ClaimDir::heartbeat(const std::string &key)
 }
 
 bool
-ClaimDir::markDone(const std::string &key, const std::string &status)
+ClaimDir::markDone(const std::string &key, const std::string &status,
+                   const std::string &body, std::string *why)
 {
     const std::string dest = donePath(key);
     DoneInfo prev;
@@ -319,18 +381,31 @@ ClaimDir::markDone(const std::string &key, const std::string &status)
              "finished — cell executed twice",
              key.c_str(), prev.owner.c_str(), owner_.c_str());
     }
+    // A newline in the status would end the header early.
+    std::string oneLine = status;
+    std::replace(oneLine.begin(), oneLine.end(), '\n', ' ');
+    const std::string header = "owner=" + owner_ + "\nstatus=" + oneLine +
+                               "\nat=" + std::to_string(now_()) +
+                               "\nbody=" + bodySeal(body) + "\n\n";
+
     const std::string tmp = tempPath(key);
-    std::FILE *f = std::fopen(tmp.c_str(), "wb");
-    if (!f)
-        return false;
-    std::fprintf(f, "owner=%s\nstatus=%s\nat=%lld\n", owner_.c_str(),
-                 status.c_str(),
-                 static_cast<long long>(now_()));
-    std::fclose(f);
-    if (::rename(tmp.c_str(), dest.c_str()) != 0) {
+    auto fail = [&](const std::string &what) {
+        if (why)
+            *why = what + ": " + std::strerror(errno);
         ::unlink(tmp.c_str());
         return false;
-    }
+    };
+    std::FILE *f = std::fopen(tmp.c_str(), "wb");
+    if (!f)
+        return fail("cannot create " + tmp);
+    const bool written =
+        std::fwrite(header.data(), 1, header.size(), f) == header.size() &&
+        std::fwrite(body.data(), 1, body.size(), f) == body.size() &&
+        std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
+    if (std::fclose(f) != 0 || !written)
+        return fail("cannot write " + tmp);
+    if (::rename(tmp.c_str(), dest.c_str()) != 0)
+        return fail("cannot rename " + tmp + " to " + dest);
     ::unlink(claimPath(key).c_str());
     telemetry::count("claim.done_marks");
     return true;
@@ -339,47 +414,39 @@ ClaimDir::markDone(const std::string &key, const std::string &status)
 bool
 ClaimDir::readDone(const std::string &path, DoneInfo &out)
 {
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
+    std::string text;
+    if (!readWhole(path, text))
         return false;
     out = DoneInfo{};
-    char line[512];
     bool sawStatus = false;
-    while (std::fgets(line, sizeof line, f)) {
-        char *nl = std::strchr(line, '\n');
-        if (nl)
-            *nl = '\0';
-        if (std::strncmp(line, "owner=", 6) == 0) {
-            out.owner = line + 6;
-        } else if (std::strncmp(line, "status=", 7) == 0) {
-            out.status = line + 7;
-            sawStatus = true;
-        } else if (std::strncmp(line, "at=", 3) == 0) {
-            out.atMs = std::strtoll(line + 3, nullptr, 10);
-        }
-    }
-    std::fclose(f);
-    return sawStatus;
+    std::string seal;
+    const std::size_t body =
+        forEachField(text, [&](const std::string &key, const std::string &v) {
+            if (key == "owner") {
+                out.owner = v;
+            } else if (key == "status") {
+                out.status = v;
+                sawStatus = true;
+            } else if (key == "at") {
+                out.atMs = std::strtoll(v.c_str(), nullptr, 10);
+            } else if (key == "body") {
+                seal = v;
+            }
+        });
+    if (body == std::string::npos)
+        return false; // the header never ended: truncated
+    out.body = text.substr(body);
+    return sawStatus && seal == bodySeal(out.body);
 }
 
 bool
 ClaimDir::done(const std::string &key, std::string *status) const
 {
-    std::FILE *f = std::fopen(donePath(key).c_str(), "rb");
-    if (!f)
+    DoneInfo info;
+    if (!readDone(donePath(key), info))
         return false;
-    if (status) {
-        status->clear();
-        char line[512];
-        while (std::fgets(line, sizeof line, f)) {
-            char *nl = std::strchr(line, '\n');
-            if (nl)
-                *nl = '\0';
-            if (std::strncmp(line, "status=", 7) == 0)
-                *status = line + 7;
-        }
-    }
-    std::fclose(f);
+    if (status)
+        *status = info.status;
     return true;
 }
 

@@ -29,10 +29,14 @@
  *    the fresh claim an earlier stealer linked in the stale one's
  *    place. The lock file stays behind; the lock itself is dropped
  *    with its descriptor, even when the stealer dies.
- *  - **Done** = the owner publishes completion by writing
- *    `<key>.done` (temp + rename) carrying an `ok` or
- *    `failed:<cause>` status; other workers drop the unit instead of
- *    waiting on the claim. The marker is published strictly BEFORE
+ *  - **Done** = the owner commits the unit by writing `<key>.done`
+ *    (temp file, fsync, rename) carrying an `ok` or `failed:<cause>`
+ *    status and the unit's *record*: opaque bytes (the experiment
+ *    fabric stores the cell's report rows there, so the claim
+ *    directory is the report). The header line `body=<size> <hash>`
+ *    seals the record: a marker whose record is short or altered
+ *    does not read as done. Other workers drop a done unit instead
+ *    of waiting on the claim. The marker is published strictly BEFORE
  *    the claim file is unlinked, and a claim win re-checks the marker
  *    after linking — a racer that wins the name of a
  *    just-released-as-done unit therefore always observes Done
@@ -90,8 +94,8 @@ struct DoneInfo
 {
     std::string owner;
     std::string status;     ///< "ok" or "failed:<cause>"
-    std::int64_t atMs = 0;  ///< completion time (owner's clock);
-                            ///< 0 in markers from older writers
+    std::int64_t atMs = 0;  ///< completion time (owner's clock)
+    std::string body;       ///< the unit's record, as committed
 };
 
 /** Milliseconds on the system wall clock (the default claim clock). */
@@ -138,13 +142,19 @@ class ClaimDir
     bool heartbeat(const std::string &key);
 
     /**
-     * Publish completion of @p key with @p status ("ok" or
-     * "failed:<cause>") and remove the claim file. Atomic: a reader
-     * either sees no done marker or the full one.
+     * Commit @p key: publish its done marker with @p status ("ok" or
+     * "failed:<cause>") and the record @p body, then remove the claim
+     * file. Atomic: a reader either sees no done marker or the full
+     * one. Every write is checked and the marker is fsynced before it
+     * is renamed into place; false (and @p why, if non-null) means
+     * nothing was committed.
      */
-    bool markDone(const std::string &key, const std::string &status);
+    bool markDone(const std::string &key, const std::string &status,
+                  const std::string &body = {},
+                  std::string *why = nullptr);
 
-    /** True when a done marker exists; @p status receives its body. */
+    /** True when a readable done marker exists; @p status receives
+     *  its status. */
     bool done(const std::string &key,
               std::string *status = nullptr) const;
 
@@ -175,8 +185,8 @@ class ClaimDir
     /** Parse a claim file; false when absent or malformed. */
     static bool readClaim(const std::string &path, ClaimInfo &out);
 
-    /** Parse a done marker; false when absent or malformed. Used by
-     *  `tstream-bench status` to render completions with timestamps. */
+    /** Parse a done marker; false when absent, malformed, or when its
+     *  record does not match the size and hash its header seals. */
     static bool readDone(const std::string &path, DoneInfo &out);
 
   private:

@@ -5,18 +5,24 @@
  * merging with the exact-cover guarantee, the
  * content-equivalence check behind `tstream-bench check-equal`, and a
  * bit-flip/truncation fuzz of the loader over the committed golden
- * reports.
+ * reports and of the session merge over a claim session's done
+ * markers.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstdio>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <random>
 
+#include "bench/run.hh"
 #include "sim/bench_report.hh"
+#include "util/claim_file.hh"
 
 namespace tstream
 {
@@ -602,6 +608,72 @@ TEST(BenchReportFuzz, MutatedGoldenReportsLoadOrFailCleanly)
         }
     }
     std::remove(path.c_str());
+}
+
+/**
+ * Mutants of one committed done marker against the session merge
+ * (bench::mergeSession): a marker cut short or with any bit of its
+ * record flipped reads as not done and is refused with a diagnostic
+ * naming it; a flip in its header may pass only with the report
+ * unchanged.
+ */
+TEST(BenchReportFuzz, MutatedDoneMarkersFailTheSessionMergeCleanly)
+{
+    const std::string cache = testing::TempDir() + "/marker_fuzz_" +
+                              std::to_string(::getpid());
+    std::filesystem::remove_all(cache);
+    ::setenv("TSTREAM_TRACE_CACHE", cache.c_str(), 1);
+
+    std::vector<BenchDoc> docs, got;
+    std::string err;
+    ASSERT_TRUE(readBenchDocs(
+        std::string(TSTREAM_GOLDEN_REPORTS_DIR) + "/eq_base.json", docs,
+        err));
+    BenchDoc base = docs.at(0);
+    base.bench = "fig2_stream_fraction";
+    ClaimDir::Options o;
+    o.dir = bench::claimSessionDir("fuzz") + "/" + base.bench;
+    ClaimDir claims(o);
+    for (const BenchCell &cell : base.cells) {
+        BenchDoc one = base;
+        one.cells = {cell};
+        ASSERT_TRUE(claims.markDone(std::to_string(cell.index), "ok",
+                                    benchDocToJson(one).dump()));
+    }
+
+    const std::string path = o.dir + "/0.done";
+    std::ifstream in(path, std::ios::binary);
+    const std::string marker((std::istreambuf_iterator<char>(in)),
+                             std::istreambuf_iterator<char>());
+    const std::size_t recordAt = marker.find("\n\n") + 2;
+    std::mt19937_64 rng(2008);
+    for (int i = 0; i <= 256; ++i) {
+        std::string m = marker;
+        std::string label = "intact";
+        bool mustFail = i > 0;
+        if (i > 0 && i % 4 == 0) {
+            m.resize(rng() % m.size());
+            label = "truncated to " + std::to_string(m.size());
+        } else if (i > 0) {
+            const std::size_t at = rng() % m.size();
+            m[at] = static_cast<char>(m[at] ^ (1u << rng() % 8));
+            label = "flipped byte " + std::to_string(at);
+            mustFail = at >= recordAt;
+        }
+        std::ofstream(path, std::ios::binary | std::ios::trunc) << m;
+        const bool ok = bench::mergeSession("fuzz", got, err);
+        EXPECT_EQ(claims.done("0"), ok) << label;
+        if (!ok) {
+            EXPECT_NE(i, 0) << err;
+            EXPECT_NE(err.find(path), std::string::npos) << label << err;
+            continue;
+        }
+        EXPECT_FALSE(mustFail) << label;
+        ASSERT_EQ(got.size(), 1u) << label;
+        EXPECT_TRUE(benchDocsEquivalent(base, got[0], err)) << label << err;
+    }
+    ::unsetenv("TSTREAM_TRACE_CACHE");
+    std::filesystem::remove_all(cache);
 }
 
 } // namespace

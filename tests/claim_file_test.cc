@@ -455,7 +455,7 @@ TEST(ClaimDirTest, DoneMarkerCarriesCompletionStamp)
     ClaimDir d(o);
     ASSERT_EQ(d.tryClaim("k"), ClaimDir::Outcome::Claimed);
     now = 130'000;
-    ASSERT_TRUE(d.markDone("k", "ok"));
+    ASSERT_TRUE(d.markDone("k", "ok", "{\"record\": 1}\n"));
 
     DoneInfo info;
     ASSERT_TRUE(ClaimDir::readDone(
@@ -463,6 +463,7 @@ TEST(ClaimDirTest, DoneMarkerCarriesCompletionStamp)
     EXPECT_EQ(info.owner, "worker-a");
     EXPECT_EQ(info.status, "ok");
     EXPECT_EQ(info.atMs, 130'000); // `tstream-bench status` ETA input
+    EXPECT_EQ(info.body, "{\"record\": 1}\n");
 }
 
 } // namespace

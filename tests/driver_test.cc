@@ -368,7 +368,7 @@ TEST_F(ClaimArgsTest, ParsesClaimFlags)
     ::setenv("TSTREAM_TRACE_CACHE", "/tmp/tstream-cache", 1);
     bench::BenchOptions opts;
     ASSERT_EQ(parse({"--claim-session", "sweep1", "--claim-ttl", "5000",
-                     "-o", "part.json", "fig2"},
+                     "fig2"},
                     opts),
               "");
     EXPECT_EQ(opts.claimSession, "sweep1");
@@ -382,10 +382,12 @@ TEST_F(ClaimArgsTest, ParsesClaimFlags)
               "/tmp/tstream-cache/claims/sweep1/bench_under_test");
     EXPECT_EQ(d.claim.ttlMs, 5000);
 
-    // The report is where a claimed cell is committed: without it no
-    // cell could ever be marked done.
-    EXPECT_TRUE(rejects(parse({"--claim-session", "sweep1", "fig2"}, opts),
-                        "--claim-session needs -o PATH"));
+    // A claimed cell is committed in its done marker; the session's
+    // report comes from `merge --session`, never from a worker's -o.
+    EXPECT_TRUE(rejects(parse({"--claim-session", "sweep1", "-o",
+                               "part.json", "fig2"},
+                              opts),
+                        "--claim-session writes no report"));
 }
 
 TEST_F(ClaimArgsTest, ClaimingDisabledByDefault)
@@ -402,21 +404,21 @@ TEST_F(ClaimArgsTest, FleetWorkersRepeatTheSharedFlags)
 {
     ::setenv("TSTREAM_TRACE_CACHE", "/tmp/tstream-cache", 1);
     bench::BenchOptions opts;
-    ASSERT_EQ(parse({"--fleet", "hosts.txt", "--fleet-kill-after", "1",
+    ASSERT_EQ(parse({"--fleet", "3", "--fleet-kill-after", "1",
                      "--quick", "--claim-ttl", "2000", "--telemetry-out",
                      "tele", "--slowest", "0", "-o", "out.json",
                      "--policy", "fixed", "ext"},
                     opts),
               "");
-    EXPECT_EQ(opts.fleetFile, "hosts.txt");
+    EXPECT_EQ(opts.fleet, 3u);
     EXPECT_EQ(opts.fleetKillAfter, 1);
     EXPECT_EQ(opts.workerArgs,
               (std::vector<std::string>{"--quick", "--claim-ttl", "2000",
                                         "--policy", "fixed", "ext"}));
 
-    EXPECT_TRUE(rejects(parse({"--fleet", "hosts.txt", "fig2"}, opts),
+    EXPECT_TRUE(rejects(parse({"--fleet", "3", "fig2"}, opts),
                         "--fleet needs -o PATH"));
-    EXPECT_TRUE(rejects(parse({"--fleet", "hosts.txt", "--claim-session",
+    EXPECT_TRUE(rejects(parse({"--fleet", "3", "--claim-session",
                                "s", "-o", "o.json", "fig2"},
                               opts),
                         "drop --claim-session"));

@@ -5,9 +5,11 @@
  * mid-cell (after winning its first claim, via
  * TSTREAM_CLAIM_DIE_AFTER) leaves a stale claim that a surviving
  * worker reclaims after the TTL so the sweep still completes and
- * matches a plain run; a throwing cell hook runs once and the
- * cell becomes a structured failure row that survives makeBenchCell();
- * a malformed TSTREAM_CLAIM_DIE_AFTER stops a worker with a diagnostic.
+ * matches a plain run; a throwing cell hook runs once and the cell
+ * becomes a structured failure row that survives makeBenchCell(); an
+ * unusable claim directory, a failed commit and a
+ * malformed TSTREAM_CLAIM_DIE_AFTER each stop a worker with exit 1
+ * and a diagnostic, leaving no done marker behind.
  */
 
 #include <gtest/gtest.h>
@@ -18,12 +20,14 @@
 #include <csignal>
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <set>
 #include <stdexcept>
 #include <string>
 
 #include "sim/bench_report.hh"
 #include "sim/driver.hh"
+#include "util/claim_file.hh"
 
 namespace tstream
 {
@@ -135,6 +139,49 @@ TEST_F(FleetFaultTest, KilledWorkerCellIsReclaimedAndSweepCompletes)
         EXPECT_EQ(got[i].instructions, expect[i].instructions);
     }
     EXPECT_EQ(covered.size(), grid.size());
+}
+
+TEST_F(FleetFaultTest, UnusableClaimDirStopsTheWorker)
+{
+    auto grid = standardGrid({WorkloadKind::Oltp}, tinyBudgets());
+    grid.resize(1);
+    // A regular file where the claim directory should be.
+    const std::string file = freshClaimDir("unusable");
+    std::ofstream(file) << "not a directory\n";
+
+    EXPECT_EXIT((void)runCells(grid, claimingOptions(file + "/claims",
+                                                     30'000, "w")),
+                ::testing::ExitedWithCode(1),
+                "cannot claim cell DB2-OLTP/multi-chip: .*Not a "
+                "directory");
+    std::filesystem::remove(file);
+}
+
+TEST_F(FleetFaultTest, FailedCommitReleasesTheClaimAndStops)
+{
+    namespace fs = std::filesystem;
+    const auto grid = standardGrid({WorkloadKind::Oltp}, tinyBudgets());
+    const std::string dir = freshClaimDir("nocommit");
+
+    // A directory in the claimed cell's marker place: its commit fails.
+    DriverOptions opts = claimingOptions(dir, 30'000, "w");
+    opts.cellDone = [&](const CellResult &) {
+        for (const auto &e : fs::directory_iterator(dir))
+            if (e.path().extension() == ".claim")
+                fs::create_directory(
+                    fs::path(e.path()).replace_extension(".done"));
+        return std::string("record");
+    };
+    EXPECT_EXIT((void)runCells(grid, opts), ::testing::ExitedWithCode(1),
+                "cannot commit cell DB2-OLTP/multi-chip: cannot rename");
+
+    // No claim is left to go stale and no cell reads as done, so a
+    // re-run of the session runs both cells.
+    for (const auto &e : fs::directory_iterator(dir)) {
+        DoneInfo info;
+        EXPECT_NE(e.path().extension(), ".claim") << e.path();
+        EXPECT_FALSE(ClaimDir::readDone(e.path().string(), info));
+    }
 }
 
 TEST_F(FleetFaultTest, ThrowingCellBecomesFailureRowOnFirstAttempt)

@@ -4,24 +4,25 @@
  *
  * Runs a named list of figure/table views (src/bench/views.hh) in
  * this process, bundles their reports into one combined document,
- * merges claiming-worker outputs back into one-process reports, and
- * checks the invariants the driver promises. Subcommands:
+ * builds a claim session's report from its done markers, and checks
+ * the invariants the driver promises. Subcommands:
  *
  *   run          run views in order (src/bench/run.hh), sharing one
  *                cell memo so each distinct cell is simulated and
  *                analyzed once, and bundle their reports into one
- *                combined JSON document; with --fleet HOSTS.txt, fan one
- *                dynamic-claiming session out to N
- *                workers (local processes or ssh hosts) sharing one
- *                TSTREAM_TRACE_CACHE, collect the per-worker reports
- *                and logs, and merge them (a worker that dies loses
- *                nothing: the cell it was running is reclaimed by the
- *                survivors, and the cells it finished are already in
- *                its report, written before their done markers)
- *   merge        merge worker reports; fails unless the inputs
- *                are an exact cover of every bench's grid — a cell
- *                recorded as *failed* covers its index and is carried
- *                into the merged report, a *missing* cell is an error
+ *                combined JSON document; with --fleet N, fan one
+ *                dynamic-claiming session out to N local worker
+ *                processes sharing one TSTREAM_TRACE_CACHE, wait for
+ *                them, and merge the session into -o (a worker that
+ *                dies loses nothing: the cell it was running is
+ *                reclaimed by the survivors, and the cells it
+ *                finished are committed with their records in their
+ *                done markers)
+ *   merge        build the report of a claim session (--session ID)
+ *                from its done markers; fails unless they are an
+ *                exact cover of every bench's grid — a cell recorded
+ *                as *failed* covers its index and is carried into the
+ *                report, a *missing* cell is an error
  *   check-equal  verify two reports are equivalent cell-for-cell
  *                (ignoring wall time and other execution details);
  *                missing cells, failed cells and metric mismatches
@@ -35,9 +36,10 @@
  *   status       read a live claim session's claim/heartbeat/done
  *                files and render per-worker progress: cells held /
  *                done / failed, last-heartbeat age (flagging stale
- *                workers past the TTL), and an ETA from the done
- *                markers' completion timestamps — works mid-run on
- *                another machine sharing TSTREAM_TRACE_CACHE
+ *                workers past the TTL), and, with the grid size read
+ *                from the done markers' records, an ETA from their
+ *                completion timestamps — works mid-run on another
+ *                machine sharing TSTREAM_TRACE_CACHE
  *   print        re-render the tables of a report from its rows
  *   list         show the known bench names
  *
@@ -83,9 +85,8 @@ usage(const char *msg)
         "usage:\n"
         "  tstream-bench run [FLAGS] BENCH...\n"
         "  tstream-bench status [--claim-dir DIR | --session ID\n"
-        "                [--bench BINARY]] [--grid N] [--ttl MS]\n"
-        "                [--now MS]\n"
-        "  tstream-bench merge -o OUT.json IN.json...\n"
+        "                [--bench BINARY]] [--ttl MS] [--now MS]\n"
+        "  tstream-bench merge --session ID -o OUT.json\n"
         "  tstream-bench check-equal [--subset] A.json B.json\n"
         "  tstream-bench check-stdout REPORT.json STDOUT.txt\n"
         "  tstream-bench trend [--max-regress R] [--series NAME]...\n"
@@ -102,15 +103,16 @@ usage(const char *msg)
         "prefetcher extension) in this process, analyzes each distinct\n"
         "cell once for all of them, and bundles their reports into one\n"
         "combined document; every bench_<view> binary is an alias of\n"
-        "`run <view>`. The reports of claiming workers (processes that\n"
-        "share one --claim-session, or successive runs of it) are\n"
-        "reassembled with merge, which fails if any grid cell is\n"
-        "missing (a cell recorded as failed covers its index and is\n"
-        "kept). With --fleet, run launches one\n"
-        "dynamic-claiming worker per hosts line against a shared\n"
-        "TSTREAM_TRACE_CACHE, writes OUT.workerK.json/.log per worker,\n"
-        "tolerates dead workers (their cells are reclaimed by the\n"
-        "survivors after --claim-ttl), and merges the parts.\n"
+        "`run <view>`. Claiming workers (processes that share one\n"
+        "--claim-session, or successive runs of it) commit each cell's\n"
+        "record in its done marker; merge --session builds the report\n"
+        "from those markers and fails if any grid cell is missing (a\n"
+        "cell recorded as failed covers its index and is kept). With\n"
+        "--fleet N, run launches N dynamic-claiming local workers\n"
+        "against a shared TSTREAM_TRACE_CACHE, logs each to\n"
+        "OUT.workerK.log, tolerates dead workers (their cells are\n"
+        "reclaimed by the survivors after --claim-ttl), and merges the\n"
+        "session into OUT.\n"
         "check-equal ignores wall time, cache hits and jobs, so a\n"
         "merged claim session or fleet run must check-equal the\n"
         "one-process run; missing cells, failed cells\n"
@@ -130,9 +132,9 @@ usage(const char *msg)
         "--session ID (plus --bench BINARY), or any directory via\n"
         "--claim-dir — and prints per-worker held/done/failed counts\n"
         "with last-heartbeat ages (stale when older than --ttl MS,\n"
-        "default 30000) and, given the grid size via --grid N, an ETA\n"
-        "from the done markers' completion stamps; --now MS pins the\n"
-        "clock (tests). Recipes: docs/BENCHMARKING.md and\n"
+        "default 30000) and, with the grid size its done markers'\n"
+        "records carry, an ETA from their completion stamps; --now MS\n"
+        "pins the clock (tests). Recipes: docs/BENCHMARKING.md and\n"
         "docs/OBSERVABILITY.md.\n");
     return 2;
 }
@@ -151,51 +153,6 @@ shellQuote(const std::string &s)
     return out;
 }
 
-// ---- report documents -------------------------------------------------------
-
-/** Merge worker documents bench by bench, in first-seen bench
- *  order (mergeBenchDocs checks each bench's exact cover). */
-bool
-mergeByBench(std::vector<BenchDoc> docs, std::vector<BenchDoc> &merged,
-             std::string &err)
-{
-    std::vector<std::vector<BenchDoc>> groups;
-    for (BenchDoc &doc : docs) {
-        auto g = std::find_if(groups.begin(), groups.end(),
-                              [&](const std::vector<BenchDoc> &grp) {
-                                  return grp.front().bench == doc.bench;
-                              });
-        if (g == groups.end())
-            g = groups.emplace(groups.end());
-        g->push_back(std::move(doc));
-    }
-    for (const std::vector<BenchDoc> &group : groups) {
-        merged.emplace_back();
-        if (!mergeBenchDocs(group, merged.back(), err))
-            return false;
-    }
-    return true;
-}
-
-std::size_t
-cellCount(const std::vector<BenchDoc> &docs)
-{
-    std::size_t n = 0;
-    for (const BenchDoc &doc : docs)
-        n += doc.cells.size();
-    return n;
-}
-
-std::size_t
-failedCells(const std::vector<BenchDoc> &docs)
-{
-    std::size_t n = 0;
-    for (const BenchDoc &doc : docs)
-        for (const BenchCell &c : doc.cells)
-            n += c.failed ? 1 : 0;
-    return n;
-}
-
 // ---- run ------------------------------------------------------------------
 
 int runFleet(const bench::BenchOptions &opts, const char *argv0);
@@ -211,216 +168,101 @@ cmdRun(int argc, char **argv, const char *argv0)
         usage(nullptr);
         return 0;
     }
-    return opts.fleetFile.empty() ? bench::runBench(opts)
-                                  : runFleet(opts, argv0);
+    return opts.fleet == 0 ? bench::runBench(opts) : runFleet(opts, argv0);
 }
 
-// ---- fleet ------------------------------------------------------------------
-
-/** Absolute path of this binary (for ssh workers on a shared
- *  filesystem); falls back to argv0 unresolved. */
-std::string
-selfPath(const char *argv0)
-{
-    char buf[4096];
-    if (::realpath(argv0, buf))
-        return buf;
-    return argv0;
-}
+// ---- fleet and merge -------------------------------------------------------
 
 /**
- * Fan one dynamic-claiming session out to the hosts of
- * opts.fleetFile: one worker per line (`local` / `localhost` = a
- * local process, anything else = `ssh HOST` assuming this binary and
- * TSTREAM_TRACE_CACHE resolve identically there),
- * each a recursive `tstream-bench run --claim-session` writing
- * OUT.workerK.json with stdout+stderr in OUT.workerK.log. Dead
- * workers are tolerated — their claims go stale and the survivors
- * reclaim the cells — and merge's exact-cover gate is what verifies
- * nothing was lost.
+ * Write the report of claim session @p session (bench::mergeSession)
+ * to @p out, log its @p slowest cells, and summarize it: cell counts
+ * and each failed cell. Returns the process exit status.
  */
 int
-runFleet(const bench::BenchOptions &opts, const char *argv0)
+writeSession(const std::string &session, const std::string &out,
+             long slowest)
 {
-    std::ifstream in(opts.fleetFile);
-    if (!in) {
-        std::fprintf(stderr, "tstream-bench: cannot open fleet hosts "
-                             "file %s\n",
-                     opts.fleetFile.c_str());
-        return 2;
-    }
-    std::vector<std::string> hosts;
-    std::string line;
-    while (std::getline(in, line)) {
-        const std::size_t a = line.find_first_not_of(" \t\r");
-        if (a == std::string::npos || line[a] == '#')
-            continue;
-        const std::size_t b = line.find_last_not_of(" \t\r");
-        hosts.push_back(line.substr(a, b - a + 1));
-    }
-    if (hosts.empty()) {
-        std::fprintf(stderr, "tstream-bench: %s names no hosts\n",
-                     opts.fleetFile.c_str());
-        return 2;
-    }
-
-    const std::string cache = std::getenv("TSTREAM_TRACE_CACHE");
-    const std::string session = "fleet-" +
-                                std::to_string(::getpid()) + "-" +
-                                std::to_string(wallClockMs());
-    const std::string self = shellQuote(selfPath(argv0));
-
-    std::string inner = "run --claim-session " + shellQuote(session);
-    for (const std::string &arg : opts.workerArgs)
-        inner += " " + shellQuote(arg);
-
-    logf(LogLevel::Info,
-         "[tstream-bench] fleet: %zu worker(s), session %s",
-         hosts.size(), session.c_str());
-
-    std::vector<int> rcs(hosts.size(), -1);
-    std::vector<std::string> parts(hosts.size()), logs(hosts.size());
-    std::vector<std::thread> threads;
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-        parts[i] = opts.out + ".worker" + std::to_string(i) + ".json";
-        logs[i] = opts.out + ".worker" + std::to_string(i) + ".log";
-        std::remove(parts[i].c_str());
-
-        std::string envs;
-        if (i == 0 && opts.fleetKillAfter > 0)
-            envs += " TSTREAM_CLAIM_DIE_AFTER=" +
-                    std::to_string(opts.fleetKillAfter);
-
-        // Each worker gets its own telemetry base so the per-process
-        // metric/trace files never collide on the shared filesystem.
-        std::string workerFlags;
-        if (!opts.telemetryOut.empty())
-            workerFlags = " --telemetry-out " +
-                          shellQuote(opts.telemetryOut + ".worker" +
-                                     std::to_string(i));
-        const std::string worker = self + " " + inner + workerFlags +
-                                   " -o " + shellQuote(parts[i]);
-        std::string full;
-        if (hosts[i] == "local" || hosts[i] == "localhost") {
-            full = envs.empty() ? worker : "env" + envs + " " + worker;
-        } else {
-            // The remote shell does not inherit our environment;
-            // forward the shared cache (and fault injection) there.
-            full = "ssh " + shellQuote(hosts[i]) + " " +
-                   shellQuote("env TSTREAM_TRACE_CACHE=" +
-                              shellQuote(cache) + envs + " " + worker);
-        }
-        full += " > " + shellQuote(logs[i]) + " 2>&1";
-
-        logf(LogLevel::Info, "[tstream-bench] worker %zu (%s): %s", i,
-             hosts[i].c_str(), full.c_str());
-        threads.emplace_back(
-            [i, full, &rcs] { rcs[i] = std::system(full.c_str()); });
-    }
-    for (std::thread &t : threads)
-        t.join();
-
-    std::vector<BenchDoc> docs;
-    std::size_t dead = 0;
-    for (std::size_t i = 0; i < hosts.size(); ++i) {
-        if (rcs[i] != 0) {
-            ++dead;
-            logf(LogLevel::Warn,
-                 "[tstream-bench] worker %zu (%s) exited with status "
-                 "%d (log: %s) — its cells were reclaimed if the "
-                 "merge below covers the grid",
-                 i, hosts[i].c_str(), rcs[i], logs[i].c_str());
-        }
-        std::FILE *f = std::fopen(parts[i].c_str(), "rb");
-        if (!f) {
-            logf(LogLevel::Warn,
-                 "[tstream-bench] worker %zu left no report (%s)", i,
-                 parts[i].c_str());
-            continue;
-        }
-        std::fclose(f);
-        std::string err;
-        if (!readBenchDocs(parts[i], docs, err))
-            logf(LogLevel::Warn,
-                 "[tstream-bench] worker %zu report unreadable: %s", i,
-                 err.c_str());
-    }
-    if (docs.empty()) {
-        std::fprintf(stderr,
-                     "tstream-bench: no fleet worker produced a "
-                     "report; see the worker logs\n");
-        return 1;
-    }
-
     std::vector<BenchDoc> merged;
     std::string err;
-    if (!mergeByBench(std::move(docs), merged, err)) {
-        std::fprintf(stderr, "tstream-bench: fleet merge: %s\n",
-                     err.c_str());
-        return 1;
-    }
-    if (!writeDocs(merged, opts.out))
-        return 1;
-
-    printSlowestCells(merged, opts.slowest);
-    logf(LogLevel::Info,
-         "[tstream-bench] fleet wrote %s: %zu benches, %zu cells "
-         "(%zu failed), %zu/%zu workers survived, full cover",
-         opts.out.c_str(), merged.size(), cellCount(merged),
-         failedCells(merged), hosts.size() - dead, hosts.size());
-    return 0;
-}
-
-// ---- merge ------------------------------------------------------------------
-
-int
-cmdMerge(int argc, char **argv)
-{
-    std::string out;
-    std::vector<std::string> inputs;
-    for (int i = 0; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        if ((arg == "-o" || arg == "--output") && i + 1 < argc)
-            out = argv[++i];
-        else if (!arg.empty() && arg[0] == '-')
-            return usage(
-                ("unknown merge option: " + std::string(arg)).c_str());
-        else
-            inputs.emplace_back(arg);
-    }
-    if (out.empty() || inputs.empty())
-        return usage("merge needs -o OUT.json and input reports");
-
-    std::vector<BenchDoc> docs;
-    std::string err;
-    for (const std::string &path : inputs)
-        if (!readBenchDocs(path, docs, err)) {
-            std::fprintf(stderr, "tstream-bench: %s\n", err.c_str());
-            return 1;
-        }
-
-    std::vector<BenchDoc> merged;
-    if (!mergeByBench(std::move(docs), merged, err)) {
+    if (!bench::mergeSession(session, merged, err)) {
         std::fprintf(stderr, "tstream-bench: %s\n", err.c_str());
         return 1;
     }
     if (!writeDocs(merged, out))
         return 1;
+    printSlowestCells(merged, slowest);
+    std::size_t cells = 0, nFailed = 0;
+    std::string failed;
+    for (const BenchDoc &doc : merged)
+        for (const BenchCell &c : doc.cells) {
+            ++cells;
+            if (!c.failed)
+                continue;
+            ++nFailed;
+            failed += "[tstream-bench]   failed: " + doc.bench + "/" +
+                      c.id + " (cause=" + c.failureCause + ")\n";
+        }
     std::fprintf(stderr,
-                 "[tstream-bench] merged %zu input file(s) into %s "
-                 "(%zu benches, %zu cells, %zu failed, full cover)\n",
-                 inputs.size(), out.c_str(), merged.size(),
-                 cellCount(merged), failedCells(merged));
-    if (failedCells(merged) > 0)
-        for (const BenchDoc &doc : merged)
-            for (const BenchCell &c : doc.cells)
-                if (c.failed)
-                    std::fprintf(stderr,
-                                 "[tstream-bench]   failed: %s/%s "
-                                 "(cause=%s)\n",
-                                 doc.bench.c_str(), c.id.c_str(),
-                                 c.failureCause.c_str());
+                 "[tstream-bench] merged session %s into %s (%zu "
+                 "benches, %zu cells, %zu failed, full cover)\n%s",
+                 session.c_str(), out.c_str(), merged.size(), cells,
+                 nFailed, failed.c_str());
     return 0;
+}
+
+/**
+ * Fan one dynamic-claiming session out to opts.fleet local worker
+ * processes, each a recursive `tstream-bench run --claim-session`
+ * with stdout+stderr in OUT.workerK.log, wait for them, and write the
+ * session's report (mergeSession) to -o. Dead workers are tolerated —
+ * their claims go stale and the survivors reclaim the cells — and the
+ * merge's exact-cover gate is what verifies nothing was lost.
+ */
+int
+runFleet(const bench::BenchOptions &opts, const char *argv0)
+{
+    const std::string session = "fleet-" +
+                                std::to_string(::getpid()) + "-" +
+                                std::to_string(wallClockMs());
+    std::string worker =
+        shellQuote(argv0) + " run --claim-session " + shellQuote(session);
+    for (const std::string &arg : opts.workerArgs)
+        worker += " " + shellQuote(arg);
+
+    logf(LogLevel::Info,
+         "[tstream-bench] fleet: %u worker(s), session %s", opts.fleet,
+         session.c_str());
+
+    std::vector<int> rcs(opts.fleet, -1);
+    std::vector<std::thread> threads;
+    for (unsigned i = 0; i < opts.fleet; ++i) {
+        const std::string tag = ".worker" + std::to_string(i);
+        std::string cmd = worker;
+        // Each worker gets its own telemetry base so the per-process
+        // metric/trace files never collide.
+        if (!opts.telemetryOut.empty())
+            cmd += " --telemetry-out " + shellQuote(opts.telemetryOut + tag);
+        if (i == 0 && opts.fleetKillAfter > 0)
+            cmd = "env TSTREAM_CLAIM_DIE_AFTER=" +
+                  std::to_string(opts.fleetKillAfter) + " " + cmd;
+        cmd += " > " + shellQuote(opts.out + tag + ".log") + " 2>&1";
+
+        logf(LogLevel::Info, "[tstream-bench] worker %u: %s", i,
+             cmd.c_str());
+        threads.emplace_back(
+            [i, cmd, &rcs] { rcs[i] = std::system(cmd.c_str()); });
+    }
+    for (std::thread &t : threads)
+        t.join();
+
+    for (unsigned i = 0; i < opts.fleet; ++i)
+        if (rcs[i] != 0)
+            logf(LogLevel::Warn,
+                 "[tstream-bench] worker %u exited with status %d (log: "
+                 "%s.worker%u.log) — its cells were reclaimed if the "
+                 "merge below covers the grid",
+                 i, rcs[i], opts.out.c_str(), i);
+    return writeSession(session, opts.out, opts.slowest);
 }
 
 /** The value of flag argv[i], advancing @p i; a missing value is a
@@ -433,6 +275,25 @@ flagValue(int argc, char **argv, int &i)
         std::exit(2);
     }
     return argv[++i];
+}
+
+int
+cmdMerge(int argc, char **argv)
+{
+    std::string out, session;
+    for (int i = 0; i < argc; ++i) {
+        const std::string_view arg = argv[i];
+        if (arg == "-o" || arg == "--output")
+            out = flagValue(argc, argv, i);
+        else if (arg == "--session")
+            session = flagValue(argc, argv, i);
+        else
+            return usage(
+                ("unknown merge argument: " + std::string(arg)).c_str());
+    }
+    if (out.empty() || session.empty())
+        return usage("merge needs --session ID and -o OUT.json");
+    return writeSession(session, out, 0);
 }
 
 std::string
@@ -558,7 +419,6 @@ cmdStatus(int argc, char **argv)
 {
     namespace fs = std::filesystem;
     std::string claimDir, session, bench;
-    long grid = 0;
     long long ttlMs = 30'000;
     long long nowOverride = -1;
     for (int i = 0; i < argc; ++i) {
@@ -571,8 +431,6 @@ cmdStatus(int argc, char **argv)
             session = value();
         } else if (arg == "--bench") {
             bench = value();
-        } else if (arg == "--grid") {
-            err = parseInt(arg, value(), grid, 1);
         } else if (arg == "--ttl") {
             err = parseInt(arg, value(), ttlMs, 1);
         } else if (arg == "--now") {
@@ -650,6 +508,7 @@ cmdStatus(int argc, char **argv)
         std::sort(files.begin(), files.end());
         std::map<std::string, WorkerProgress> workers;
         std::size_t held = 0, doneOk = 0, doneFailed = 0;
+        std::size_t grid = 0; // from the records; 0 = no record yet
         std::vector<std::int64_t> doneAts;
         for (const fs::path &p : files) {
             if (p.extension() == ".claim") {
@@ -666,6 +525,12 @@ cmdStatus(int argc, char **argv)
                 DoneInfo info;
                 if (!ClaimDir::readDone(p.string(), info))
                     continue;
+                json::Value v;
+                BenchDoc record;
+                std::string err;
+                if (grid == 0 && json::Value::parse(info.body, v, err) &&
+                    benchDocFromJson(v, record, err))
+                    grid = record.gridCells;
                 WorkerProgress &w = workers[info.owner];
                 if (info.status.rfind("failed", 0) == 0) {
                     ++w.doneFailed;
@@ -689,11 +554,8 @@ cmdStatus(int argc, char **argv)
         std::printf(", %zu held", held);
         std::size_t remaining = 0;
         if (grid > 0) {
-            remaining = static_cast<std::size_t>(grid) > done
-                            ? static_cast<std::size_t>(grid) - done
-                            : 0;
-            std::printf(", grid %ld -> %zu remaining", grid,
-                        remaining);
+            remaining = grid > done ? grid - done : 0;
+            std::printf(", grid %zu -> %zu remaining", grid, remaining);
         }
         std::printf("\n");
 
