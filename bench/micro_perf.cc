@@ -5,10 +5,10 @@
  * hierarchy simulation (per-block and batched engine runs), stride
  * detection, the full stream-analysis pipeline, and the
  * scenario-subsystem hot paths (KV slab/LRU, broker append/replay).
- * The *Recorded series run SEQUITUR and the stream analysis on the
- * off-chip traces of quick-budget cells, and replay the block accesses
- * those cells' memory models received into a fresh model; each cell
- * is simulated once per process.
+ * The *Recorded series run SEQUITUR, stride labelling and the stream
+ * analysis on the off-chip traces of quick-budget cells, and replay
+ * the block accesses those cells' memory models received into a fresh
+ * model; each cell is simulated once per process.
  * BENCH_baseline.json at the repo root records these series;
  * `tstream-bench trend` gates regressions against it
  * (docs/BENCHMARKING.md).
@@ -23,6 +23,7 @@
 #include "core/stride.hh"
 #include "kernel/kernel.hh"
 #include "kv/kvstore.hh"
+#include "mem/block_table.hh"
 #include "mem/cache.hh"
 #include "mem/multichip.hh"
 #include "mem/singlechip.hh"
@@ -101,20 +102,39 @@ BM_CacheMissFill(benchmark::State &state)
 BENCHMARK(BM_CacheMissFill);
 
 /*
- * The two uniform series draw blocks from 2^28 (2^26) blocks, so
- * nearly every access allocates a fresh 8 KiB BlockTable page: they
- * time page allocation more than the protocol. The *AccessRecorded
- * series below time recorded access streams instead.
+ * The two uniform series draw blocks from a span of 2^22 blocks
+ * (256 MiB, 32x one L2, so nearly every access misses on chip) whose
+ * BlockTable pages are all touched before the timing loop, so they
+ * time the protocol's per-block path and not page allocation (a break
+ * in the series, docs/BENCHMARKING.md). The *AccessRecorded series
+ * below time recorded access streams instead.
  */
+constexpr std::uint64_t kUniformSpanBlocks = std::uint64_t{1} << 22;
+
+/** @p sys with a record in every BlockTable page of the uniform span. */
+template <typename System>
+void
+touchUniformSpan(System &sys)
+{
+    for (std::uint64_t b = 0; b < kUniformSpanBlocks;
+         b += BlockTable<int>::kPageBlocks) {
+        Access a;
+        a.addr = b * kBlockSize;
+        a.size = 64;
+        sys.accessBlock(a);
+    }
+}
+
 void
 BM_MultiChipAccess(benchmark::State &state)
 {
     MultiChipSystem sys;
+    touchUniformSpan(sys);
     sys.setTracing(true);
     Rng rng(7);
     for (auto _ : state) {
         Access a;
-        a.addr = rng.below(1 << 28) * kBlockSize;
+        a.addr = rng.below(kUniformSpanBlocks) * kBlockSize;
         a.size = 64;
         a.cpu = static_cast<CpuId>(rng.below(16));
         a.type = rng.chance(0.3) ? AccessType::Write : AccessType::Read;
@@ -128,11 +148,12 @@ void
 BM_SingleChipAccess(benchmark::State &state)
 {
     SingleChipSystem sys;
+    touchUniformSpan(sys);
     sys.setTracing(true);
     Rng rng(7);
     for (auto _ : state) {
         Access a;
-        a.addr = rng.below(1 << 26) * kBlockSize;
+        a.addr = rng.below(kUniformSpanBlocks) * kBlockSize;
         a.size = 64;
         a.cpu = static_cast<CpuId>(rng.below(4));
         a.type = rng.chance(0.3) ? AccessType::Write : AccessType::Read;
@@ -416,6 +437,38 @@ BENCHMARK_CAPTURE(BM_StreamAnalysisRecorded, DSS_Qry1_multi_chip,
                   &recordedTrace<WorkloadKind::DssQ1>)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK_CAPTURE(BM_StreamAnalysisRecorded, Apache_multi_chip,
+                  &recordedTrace<WorkloadKind::Apache>)
+    ->Unit(benchmark::kMillisecond);
+
+/**
+ * Stride labelling of a recorded trace as analyzeStreams() does it:
+ * one detector fed each CPU's misses in order. The per-CPU order is
+ * built once, outside the timed loop.
+ */
+void
+BM_StrideRecorded(benchmark::State &state, const MissTrace &(*recorded)())
+{
+    const MissTrace &trace = recorded();
+    std::vector<MissRecord> byCpu;
+    byCpu.reserve(trace.misses.size());
+    for (unsigned c = 0; c < std::max(1u, trace.numCpus); ++c)
+        for (const MissRecord &m : trace.misses)
+            if (m.cpu == c)
+                byCpu.push_back(m);
+    for (auto _ : state) {
+        StrideDetector det;
+        std::size_t strided = 0;
+        for (const MissRecord &m : byCpu)
+            strided += det.observe(m.cpu, m.block);
+        benchmark::DoNotOptimize(strided);
+    }
+    state.SetItemsProcessed(state.iterations() *
+                            static_cast<std::int64_t>(byCpu.size()));
+}
+BENCHMARK_CAPTURE(BM_StrideRecorded, DSS_Qry1_multi_chip,
+                  &recordedTrace<WorkloadKind::DssQ1>)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_StrideRecorded, Apache_multi_chip,
                   &recordedTrace<WorkloadKind::Apache>)
     ->Unit(benchmark::kMillisecond);
 

@@ -1,7 +1,6 @@
 #include "core/stream_analysis.hh"
 
 #include <algorithm>
-#include <unordered_map>
 
 #include "core/sequitur.hh"
 #include "core/stride.hh"
@@ -126,6 +125,9 @@ analyzeStreams(const MissTrace &trace)
                          static_cast<std::int64_t>(input.size()));
             g.appendAll(input);
         }
+        // posToMiss is the input's length; free the input before the
+        // grammar copy, while the construction's arena is still live.
+        std::vector<std::uint32_t>().swap(input);
         grammar = g.grammar();
         out.grammarRules = g.ruleCount();
     }
@@ -176,7 +178,7 @@ analyzeStreams(const MissTrace &trace)
             else
                 stack.push_back({grammar.begin(r), grammar.end(r)});
         }
-        panicIf(pos != input.size(),
+        panicIf(pos != posToMiss.size(),
                 "analyzeStreams: derivation length mismatch");
     }
 
@@ -220,12 +222,13 @@ analyzeStreams(const MissTrace &trace)
     // ------------------------------------------------------------------
     {
         telemetry::Span span("analysis.length_dist", "analysis");
-        std::unordered_map<std::uint32_t, std::uint64_t> occCount;
+        std::vector<std::uint32_t> occCount(grammar.numRules(), 0);
         for (const RootOcc &occ : rootOccs)
             occCount[occ.rule]++;
-        for (const auto &[rule, n] : occCount)
-            out.lengthWeighted.emplace_back(ruleLen[rule],
-                                            n * ruleLen[rule]);
+        for (std::uint32_t rule = 0; rule < occCount.size(); ++rule)
+            if (occCount[rule] != 0)
+                out.lengthWeighted.emplace_back(
+                    ruleLen[rule], occCount[rule] * ruleLen[rule]);
     }
 
     // ------------------------------------------------------------------
@@ -240,18 +243,20 @@ analyzeStreams(const MissTrace &trace)
         for (unsigned c = 1; c < ncpu; ++c)
             sectionStart[c] = sectionStart[c - 1] + byCpu[c - 1].size() + 1;
 
-        std::unordered_map<std::uint32_t, RootOcc> lastOcc;
         // Process occurrences in global-time order of their first miss.
-        auto occs = rootOccs;
+        std::vector<RootOcc> occs = std::move(rootOccs);
         std::sort(occs.begin(), occs.end(),
                   [&](const RootOcc &a, const RootOcc &b) {
                       return trace.misses[posToMiss[a.start]].seq <
                              trace.misses[posToMiss[b.start]].seq;
                   });
-        for (const RootOcc &occ : occs) {
-            auto it = lastOcc.find(occ.rule);
-            if (it != lastOcc.end()) {
-                const RootOcc &prev = it->second;
+        // 1 + the index in occs of each rule's previous occurrence
+        // (0: none yet).
+        std::vector<std::uint32_t> lastOcc(grammar.numRules(), 0);
+        for (std::uint32_t i = 0; i < occs.size(); ++i) {
+            const RootOcc &occ = occs[i];
+            if (lastOcc[occ.rule] != 0) {
+                const RootOcc &prev = occs[lastOcc[occ.rule] - 1];
                 const unsigned cpuA = trace.misses[posToMiss[prev.start]].cpu;
                 // Ordinal of the previous occurrence's last miss on A.
                 const std::uint64_t endOrdinal =
@@ -271,7 +276,7 @@ analyzeStreams(const MissTrace &trace)
                                              : 0;
                 out.reuseWeighted.emplace_back(dist, occ.len);
             }
-            lastOcc[occ.rule] = occ;
+            lastOcc[occ.rule] = i + 1;
         }
     }
 

@@ -35,7 +35,7 @@ struct StrideConfig
 };
 
 /**
- * Per-CPU table of (last block, stride, confidence) trackers.
+ * Per-CPU table of (last block, stride, last use) trackers.
  *
  * Feed misses in per-CPU sequence order; observe() returns whether the
  * miss was stride-predicted.
@@ -43,10 +43,7 @@ struct StrideConfig
 class StrideDetector
 {
   public:
-    explicit StrideDetector(const StrideConfig &cfg = {})
-        : cfg_(cfg)
-    {
-    }
+    explicit StrideDetector(const StrideConfig &cfg = {});
 
     /**
      * Observe the next miss of @p cpu to @p blk.
@@ -55,16 +52,23 @@ class StrideDetector
     bool observe(CpuId cpu, BlockId blk);
 
   private:
-    struct Tracker
-    {
-        std::int64_t last = 0;
-        std::int64_t stride = 0;
-        int conf = -1; ///< -1 empty, 0 one delta seen, >=1 predicting
-        std::uint64_t lru = 0;
-    };
+    /** Give CPUs up to @p cpu their (empty) tracker slots. */
+    void grow(CpuId cpu);
 
     StrideConfig cfg_;
-    std::vector<std::vector<Tracker>> tables_; ///< per cpu
+    /*
+     * The trackers as a struct of arrays: CPU c owns slots
+     * [c * trackers, (c + 1) * trackers) of each array, so the
+     * closest-tracker scan reads one contiguous run of last_. Slots
+     * fill in order and are never emptied, so a CPU's live trackers
+     * are its first used_[c] slots. A tracker predicts once it has
+     * seen the same nonzero delta twice: stride_ holds the last delta
+     * (0 until one is seen) and a match on it is the second sighting.
+     */
+    std::vector<std::int64_t> last_;   ///< last block seen
+    std::vector<std::int64_t> stride_; ///< last delta
+    std::vector<std::uint64_t> lru_;   ///< tick of last use
+    std::vector<unsigned> used_;       ///< live trackers per CPU
     std::uint64_t tick_ = 0;
 };
 

@@ -159,8 +159,9 @@ runExperiment(const ExperimentConfig &cfg)
         params.ts = cfg.prefetchLoop.ts;
         params.strideDegree = cfg.prefetchLoop.strideDegree;
         auto policy = makePrefetchPolicy(cfg.prefetchLoop.policy, params);
-        panicIf(!policy, "runExperiment: unknown prefetch policy '" +
-                             cfg.prefetchLoop.policy + "'");
+        if (!policy)
+            panic("runExperiment: unknown prefetch policy '" +
+                  cfg.prefetchLoop.policy + "'");
         loop = std::make_unique<PrefetchLoopEngine>(
             std::move(policy), cfg.prefetchLoop.ts.bufferBlocks);
         loop->attach(eng.memory());

@@ -98,9 +98,9 @@ FunctionRegistry::intern(std::string_view name, Category cat)
 {
     auto it = index_.find(std::string(name));
     if (it != index_.end()) {
-        panicIf(cats_[it->second] != cat,
-                "FunctionRegistry: category mismatch for " +
-                    std::string(name));
+        if (cats_[it->second] != cat)
+            panic("FunctionRegistry: category mismatch for " +
+                  std::string(name));
         return it->second;
     }
     panicIf(names_.size() >= 0xFFFF, "FunctionRegistry: too many functions");

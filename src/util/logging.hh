@@ -56,9 +56,18 @@ fatal(const std::string &msg)
     std::exit(1);
 }
 
-/** panic() when @p cond is false. */
+/**
+ * panic() when @p cond is true.
+ *
+ * The message is a string literal (or another pointer that is already
+ * built), so a check that passes costs one test and branch: nothing is
+ * allocated or formatted. A message composed at run time goes inside
+ * the branch instead, `if (cond) panic("..." + detail);`, so it is
+ * built only on the way to abort. There is deliberately no
+ * std::string overload: it would build its argument before the test.
+ */
 inline void
-panicIf(bool cond, const std::string &msg)
+panicIf(bool cond, const char *msg)
 {
     if (cond)
         panic(msg);

@@ -17,57 +17,9 @@
 #include <thread>
 #include <vector>
 
+#include "counting_new.hh"
 #include "obs/telemetry.hh"
 #include "util/json.hh"
-
-// ---- counting global allocator ---------------------------------------------
-// Every heap allocation in the test binary bumps gAllocs; the
-// disabled-telemetry test asserts the delta across a burst of
-// recording calls is exactly zero.
-
-namespace
-{
-std::atomic<std::size_t> gAllocs{0};
-} // namespace
-
-void *
-operator new(std::size_t size)
-{
-    gAllocs.fetch_add(1, std::memory_order_relaxed);
-    if (void *p = std::malloc(size ? size : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void *
-operator new[](std::size_t size)
-{
-    return ::operator new(size);
-}
-
-void
-operator delete(void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void *p, std::size_t) noexcept
-{
-    std::free(p);
-}
 
 namespace tstream
 {

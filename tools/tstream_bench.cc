@@ -216,7 +216,10 @@ writeSession(const std::string &session, const std::string &out,
  * with stdout+stderr in OUT.workerK.log, wait for them, and write the
  * session's report (mergeSession) to -o. Dead workers are tolerated —
  * their claims go stale and the survivors reclaim the cells — and the
- * merge's exact-cover gate is what verifies nothing was lost.
+ * merge's exact-cover gate is what verifies nothing was lost. Once the
+ * report is written the session directory is removed; when the merge
+ * fails it is kept, and its path printed, so it can be finished and
+ * merged by hand.
  */
 int
 runFleet(const bench::BenchOptions &opts, const char *argv0)
@@ -262,7 +265,24 @@ runFleet(const bench::BenchOptions &opts, const char *argv0)
                  "%s.worker%u.log) — its cells were reclaimed if the "
                  "merge below covers the grid",
                  i, rcs[i], opts.out.c_str(), i);
-    return writeSession(session, opts.out, opts.slowest);
+    const std::string dir = bench::claimSessionDir(session);
+    if (writeSession(session, opts.out, opts.slowest) != 0) {
+        std::fprintf(stderr,
+                     "tstream-bench: fleet session kept in %s; re-run its "
+                     "missing cells with `run --claim-session %s`, then "
+                     "`merge --session %s -o OUT.json`\n",
+                     dir.c_str(), session.c_str(), session.c_str());
+        return 1;
+    }
+    // The report is written, so the auto-named session has no further
+    // use: left behind, every fleet run would add one to `status`.
+    std::error_code ec;
+    std::filesystem::remove_all(dir, ec);
+    if (ec)
+        logf(LogLevel::Warn,
+             "[tstream-bench] cannot remove fleet session %s: %s",
+             dir.c_str(), ec.message().c_str());
+    return 0;
 }
 
 /** The value of flag argv[i], advancing @p i; a missing value is a
