@@ -36,7 +36,8 @@ main()
                 res.offChip.mpki());
 
     // 3. Identify temporal streams with the SEQUITUR analysis.
-    StreamStats streams = analyzeStreams(res.offChip);
+    MissLabels labels;
+    StreamStats streams = analyzeStreams(res.offChip, &labels);
     std::printf("misses in temporal streams: %.1f%%  (median stream "
                 "length %.0f, %llu grammar rules)\n",
                 100.0 * streams.inStreamFraction(),
@@ -45,7 +46,7 @@ main()
 
     // 4. Attribute misses to code modules (paper Tables 3-5 style).
     ModuleProfile prof =
-        profileModules(res.offChip, streams, res.registry);
+        profileModules(res.offChip, labels.rep, res.registry);
     std::printf("\nper-category breakdown:\n%s",
                 renderModuleTable(prof, /*web_rows=*/false,
                                   /*db_rows=*/true)

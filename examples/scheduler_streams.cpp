@@ -78,8 +78,9 @@ main()
     eng.finalizeTraces();
 
     const MissTrace &trace = eng.memory().offChipTrace();
-    StreamStats st = analyzeStreams(trace);
-    ModuleProfile prof = profileModules(trace, st, eng.registry());
+    MissLabels labels;
+    StreamStats st = analyzeStreams(trace, &labels);
+    ModuleProfile prof = profileModules(trace, labels.rep, eng.registry());
 
     std::printf("off-chip misses: %zu\n", trace.misses.size());
     std::printf("kernel scheduler share: %.1f%% of misses, %.1f%% of "

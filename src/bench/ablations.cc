@@ -80,7 +80,8 @@ std::vector<BenchRow>
 detectorRows(const CellResult &res)
 {
     std::vector<BenchRow> rows;
-    for (const RunOutput &r : res.runs()) {
+    for (std::size_t i = 0; i < res.runs().size(); ++i) {
+        const RunOutput &r = res.runs()[i];
         if (r.kind == TraceKind::IntraChip)
             continue;
         BenchRow row = runRow(r, "coverage");
@@ -91,7 +92,7 @@ detectorRows(const CellResult &res)
         };
         for (unsigned w : {2u, 4u, 8u, 16u}) {
             const double cov =
-                100.0 * fixedWindowCoverage(r.trace, w);
+                100.0 * fixedWindowCoverage(res.trace(i), w);
             row.text += strprintf(" %6.1f%%", cov);
             row.metrics.emplace_back(strprintf("window_%u_pct", w),
                                      cov);
@@ -172,7 +173,7 @@ l2SweepRows(const CellResult &res)
 
     const std::uint64_t *cls = r.classMisses.data();
     const double tot = std::max<double>(
-        1.0, static_cast<double>(r.trace.misses.size()));
+        1.0, static_cast<double>(r.misses));
 
     BenchRow row;
     row.table = "l2_sweep";
@@ -182,11 +183,11 @@ l2SweepRows(const CellResult &res)
     row.text = strprintf("%-10s %3lluMB %9.2f %7.1f%% %7.1f%%",
                          std::string(workloadName(r.workload)).c_str(),
                          static_cast<unsigned long long>(mb),
-                         r.trace.mpki(), 100.0 * cls[3] / tot,
+                         r.mpki(), 100.0 * cls[3] / tot,
                          100.0 * cls[1] / tot);
     row.metrics = {
         {"l2_mb", static_cast<double>(mb)},
-        {"mpki", r.trace.mpki()},
+        {"mpki", r.mpki()},
         {"replacement_pct", 100.0 * cls[3] / tot},
         {"coherence_pct", 100.0 * cls[1] / tot},
     };
@@ -231,7 +232,7 @@ ablationAView(const BenchOptions &)
                                   WorkloadKind::KvStore},
                                  opts, err);
             },
-            detectorRows, detectorPrint};
+            detectorRows, detectorPrint, /*walksMisses=*/true};
 }
 
 BenchView

@@ -68,7 +68,7 @@ fig1Rows(const CellResult &res)
         // right panel keeps its Off-chip bar.
         const bool intra = r.kind == TraceKind::IntraChip;
         FigureColumns cols =
-            missClassColumns(r.classMisses, r.trace.instructions, intra);
+            missClassColumns(r.classMisses, r.instructions, intra);
         if (!intra) {
             rows.push_back(figureRow(r, "offchip", std::move(cols)));
             continue;

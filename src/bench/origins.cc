@@ -84,7 +84,7 @@ originsRows(const CellResult &res, OriginsRows which)
             "%s / %s  (%zu misses)",
             std::string(workloadName(r.workload)).c_str(),
             std::string(traceKindName(r.kind)).c_str(),
-            r.trace.misses.size());
+            static_cast<std::size_t>(r.misses));
         block.text += "\n" + renderModuleTable(r.modules, which.web,
                                                which.db, which.scenario);
         while (!block.text.empty() && block.text.back() == '\n')

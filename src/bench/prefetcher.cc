@@ -54,7 +54,9 @@ std::vector<BenchRow>
 buildRows(const CellResult &res, const ExtOptions &ext)
 {
     std::vector<BenchRow> rows;
-    for (const RunOutput &r : res.runs()) {
+    for (std::size_t i = 0; i < res.runs().size(); ++i) {
+        const RunOutput &r = res.runs()[i];
+        const MissTrace &trace = res.trace(i);
         // The classic depth-sweep table, routed through the policy
         // registry.
         BenchRow row = runRow(r, "prefetcher");
@@ -67,7 +69,7 @@ buildRows(const CellResult &res, const ExtOptions &ext)
         for (unsigned d : {1u, 4u, 8u, 16u, 32u}) {
             std::uint64_t storage = 0;
             const TsPrefetcherStats st = scorePolicy(
-                r.trace, "fixed", d, TsPrefetcherConfig{}.historyEntries,
+                trace, "fixed", d, TsPrefetcherConfig{}.historyEntries,
                 storage);
             row.text += strprintf(" %6.1f%%", 100.0 * st.coverage());
             row.metrics.emplace_back(
@@ -79,7 +81,7 @@ buildRows(const CellResult &res, const ExtOptions &ext)
         // The paper's Section 4.3 synergy: add a stride engine.
         std::uint64_t storage = 0;
         const TsPrefetcherStats hs = scorePolicy(
-            r.trace, "hybrid", 8, TsPrefetcherConfig{}.historyEntries,
+            trace, "hybrid", 8, TsPrefetcherConfig{}.historyEntries,
             storage);
         row.text += strprintf(" %6.1f%% %7.1f%%", 100.0 * acc8,
                               100.0 * hs.coverage());
@@ -92,7 +94,7 @@ buildRows(const CellResult &res, const ExtOptions &ext)
         for (const std::string &name : ext.policies) {
             std::uint64_t bytes = 0;
             const TsPrefetcherStats st = scorePolicy(
-                r.trace, name, ext.replayDepth,
+                trace, name, ext.replayDepth,
                 TsPrefetcherConfig{}.historyEntries, bytes);
             BenchRow pr = runRow(r, "prefetcher_policy");
             pr.policy = name;
@@ -122,7 +124,7 @@ buildRows(const CellResult &res, const ExtOptions &ext)
                 for (const std::uint32_t entries : kBudgetPoints) {
                     std::uint64_t bytes = 0;
                     const TsPrefetcherStats st =
-                        scorePolicy(r.trace, name, ext.replayDepth,
+                        scorePolicy(trace, name, ext.replayDepth,
                                     entries, bytes);
                     BenchRow br = runRow(r, "prefetcher_budget");
                     br.policy = name;
@@ -207,7 +209,8 @@ extView(const BenchOptions &opts)
             },
             [ext = opts.ext](const std::vector<BenchCell> &cells) {
                 extPrint(cells, ext);
-            }};
+            },
+            /*walksMisses=*/true};
 }
 
 } // namespace tstream::bench

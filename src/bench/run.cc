@@ -109,6 +109,23 @@ validateExt(const BenchOptions &opts, bool depthGiven)
     return {};
 }
 
+/** The process's peak resident set size (VmHWM in /proc/self/status)
+ *  in KiB; 0 where it cannot be read. */
+std::int64_t
+peakRssKib()
+{
+    std::FILE *f = std::fopen("/proc/self/status", "r");
+    if (!f)
+        return 0;
+    char line[256];
+    long kib = 0;
+    while (std::fgets(line, sizeof line, f))
+        if (std::sscanf(line, "VmHWM: %ld kB", &kib) == 1)
+            break;
+    std::fclose(f);
+    return kib;
+}
+
 /**
  * Run @p view over @p grid and print its table. The cells are executed
  * on the driver pool; under --claim-session the claim protocol decides
@@ -341,11 +358,12 @@ runBench(const BenchOptions &opts)
     // any work starts, and the memo needs every grid to know when no
     // later view needs a cell.
     std::vector<BenchView> views;
-    std::vector<std::vector<Cell>> grids;
+    std::vector<PlannedView> plan;
     std::string err;
     for (const ViewEntry *entry : opts.views) {
         views.push_back(entry->make(opts));
-        grids.push_back(views.back().grid(opts, err));
+        plan.push_back({views.back().grid(opts, err),
+                        views.back().walksMisses});
         if (!err.empty()) {
             std::fprintf(stderr, "%s: %s\n", entry->binary, err.c_str());
             return 2;
@@ -366,7 +384,7 @@ runBench(const BenchOptions &opts)
             }
         }
 
-    auto memo = std::make_shared<CellMemo>(grids);
+    auto memo = std::make_shared<CellMemo>(plan);
     if (!opts.telemetryOut.empty())
         telemetry::enable(""); // each view writes its own files below
 
@@ -374,8 +392,11 @@ runBench(const BenchOptions &opts)
     for (std::size_t i = 0; i < views.size(); ++i) {
         const std::string binary = opts.views[i]->binary;
         logf(LogLevel::Info, "[tstream-bench] %s", binary.c_str());
-        docs.push_back(runView(views[i], binary, opts, grids[i], memo));
+        docs.push_back(
+            runView(views[i], binary, opts, plan[i].grid, memo));
         memo->finishView(i);
+        if (telemetry::enabled())
+            telemetry::gaugeSet("proc.vm_hwm_kib", peakRssKib());
         if (!opts.telemetryOut.empty()) {
             if (!telemetry::writeArtifacts(
                     opts.telemetryOut + "." + binary + ".json", err))

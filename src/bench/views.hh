@@ -37,6 +37,10 @@ struct BenchView
     std::function<std::vector<BenchRow>(const CellResult &)> rows;
     /** Print the finished table to stdout from the report cells. */
     std::function<void(const std::vector<BenchCell> &)> print;
+    /** The rows walk each run's misses (CellResult::trace), so the
+     *  memo keeps this view's traces; the other views read only the
+     *  cell summaries. */
+    bool walksMisses = false;
 };
 
 BenchView fig1View(const BenchOptions &opts);

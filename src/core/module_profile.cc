@@ -9,11 +9,11 @@ namespace tstream
 {
 
 ModuleProfile
-profileModules(const MissTrace &trace, const StreamStats &stats,
+profileModules(const MissTrace &trace, const std::vector<RepLabel> &labels,
                const FunctionRegistry &reg)
 {
-    panicIf(stats.labels.size() != trace.misses.size(),
-            "profileModules: stats do not match trace");
+    panicIf(labels.size() != trace.misses.size(),
+            "profileModules: labels do not match trace");
     telemetry::Span span("analysis.modules", "analysis");
     ModuleProfile p;
     p.total = trace.misses.size();
@@ -21,7 +21,7 @@ profileModules(const MissTrace &trace, const StreamStats &stats,
         const auto cat =
             static_cast<std::size_t>(reg.category(trace.misses[i].fn));
         p.misses[cat]++;
-        if (stats.labels[i] != RepLabel::NonRepetitive)
+        if (labels[i] != RepLabel::NonRepetitive)
             p.inStream[cat]++;
     }
     return p;

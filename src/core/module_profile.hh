@@ -74,10 +74,10 @@ struct ModuleProfile
 
 /**
  * Attribute each miss of @p trace to its category via @p reg and fold
- * in the per-miss stream labels from @p stats.
+ * in the per-miss stream labels @p labels (MissLabels::rep).
  */
 ModuleProfile profileModules(const MissTrace &trace,
-                             const StreamStats &stats,
+                             const std::vector<RepLabel> &labels,
                              const FunctionRegistry &reg);
 
 /**

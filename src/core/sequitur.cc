@@ -46,7 +46,8 @@ Sequitur::DigramTable::findOrPut(std::uint64_t k, SymIdx sym)
         if (slots_[i].key == k)
             return slots_[i].sym;
     slots_[i] = Slot{k, sym};
-    ++size_;
+    if (++size_ > peak_)
+        peak_ = size_;
     return kNoSym;
 }
 
@@ -60,7 +61,8 @@ Sequitur::DigramTable::put(std::uint64_t k, SymIdx sym)
         i = (i + 1) & mask_;
     if (slots_[i].key == kEmptyKey) {
         slots_[i].key = k;
-        ++size_;
+        if (++size_ > peak_)
+            peak_ = size_;
     }
     slots_[i].sym = sym;
 }

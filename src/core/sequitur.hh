@@ -86,6 +86,15 @@ class Sequitur
     /** Number of live rules, including the root. */
     std::size_t ruleCount() const { return liveRules_; }
 
+    /** Slots of the digram index (its size, not its load). */
+    std::size_t digramSlots() const { return index_.slots(); }
+
+    /** The most digrams the index has held at once. */
+    std::size_t peakDigrams() const { return index_.peak(); }
+
+    /** Symbols the arena holds, live or free: its high-water mark. */
+    std::size_t arenaSymbols() const { return symbols_.size(); }
+
     /** Root rule id (always 0). */
     static constexpr std::uint32_t kRootRule = 0;
 
@@ -220,6 +229,9 @@ class Sequitur
         /** Remove @p k only if it currently maps to @p ifSym. */
         void erase(std::uint64_t k, SymIdx ifSym);
 
+        std::size_t slots() const { return slots_.size(); }
+        std::size_t peak() const { return peak_; }
+
       private:
         static constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
 
@@ -243,6 +255,7 @@ class Sequitur
         std::size_t mask_ = 0;
         unsigned shift_ = 0;
         std::size_t size_ = 0;
+        std::size_t peak_ = 0; ///< most entries held at once
     };
 
     bool isGuard(SymIdx s) const { return symbols_[s].val >= kGuardTag; }

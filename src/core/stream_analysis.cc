@@ -45,12 +45,14 @@ struct RootOcc
 } // namespace
 
 StreamStats
-analyzeStreams(const MissTrace &trace)
+analyzeStreams(const MissTrace &trace, MissLabels *labels)
 {
     StreamStats out;
     out.totalMisses = trace.misses.size();
-    out.labels.assign(trace.misses.size(), RepLabel::NonRepetitive);
-    out.strided.assign(trace.misses.size(), false);
+    MissLabels local;
+    MissLabels &per = labels ? *labels : local;
+    per.rep.assign(trace.misses.size(), RepLabel::NonRepetitive);
+    per.strided.assign(trace.misses.size(), false);
     if (trace.misses.empty())
         return out;
 
@@ -81,7 +83,7 @@ analyzeStreams(const MissTrace &trace)
         StrideDetector det;
         for (const auto &idx : byCpu)
             for (std::uint32_t mi : idx)
-                out.strided[mi] =
+                per.strided[mi] =
                     det.observe(trace.misses[mi].cpu, trace.misses[mi].block);
     }
 
@@ -130,6 +132,12 @@ analyzeStreams(const MissTrace &trace)
         std::vector<std::uint32_t>().swap(input);
         grammar = g.grammar();
         out.grammarRules = g.ruleCount();
+        telemetry::observe("analysis.sequitur_table_slots",
+                           static_cast<double>(g.digramSlots()));
+        telemetry::observe("analysis.sequitur_peak_digrams",
+                           static_cast<double>(g.peakDigrams()));
+        telemetry::observe("analysis.sequitur_arena_symbols",
+                           static_cast<double>(g.arenaSymbols()));
     }
     const std::vector<std::uint64_t> ruleLen = grammar.ruleLengths();
     telemetry::observe("analysis.grammar_rules",
@@ -194,18 +202,18 @@ analyzeStreams(const MissTrace &trace)
             const std::uint32_t mi = posToMiss[p];
             panicIf(mi == UINT32_MAX,
                     "analyzeStreams: rule covers a sentinel");
-            out.labels[mi] = lbl;
+            per.rep[mi] = lbl;
         }
     }
 
-    for (std::size_t i = 0; i < out.labels.size(); ++i) {
-        switch (out.labels[i]) {
+    for (std::size_t i = 0; i < per.rep.size(); ++i) {
+        switch (per.rep[i]) {
           case RepLabel::NonRepetitive: ++out.nonRepetitive; break;
           case RepLabel::NewStream: ++out.newStream; break;
           case RepLabel::RecurringStream: ++out.recurringStream; break;
         }
-        const bool rep = out.labels[i] != RepLabel::NonRepetitive;
-        const bool str = out.strided[i];
+        const bool rep = per.rep[i] != RepLabel::NonRepetitive;
+        const bool str = per.strided[i];
         if (rep && str)
             ++out.stridedRepetitive;
         else if (rep)

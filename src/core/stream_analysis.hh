@@ -51,7 +51,22 @@ enum class RepLabel : std::uint8_t
     RecurringStream,
 };
 
-/** Result of the temporal-stream analysis over one miss trace. */
+/**
+ * The per-miss results of the analysis, aligned with the input trace:
+ * each miss's repetition label and stride flag. Module attribution
+ * (Tables 3-5) folds them per category; no view reads them, so the
+ * driver frees them once a run's analysis is done.
+ */
+struct MissLabels
+{
+    std::vector<RepLabel> rep;
+    std::vector<bool> strided;
+};
+
+/**
+ * Result of the temporal-stream analysis over one miss trace: counts
+ * and per-stream histograms, no per-miss data.
+ */
 struct StreamStats
 {
     std::uint64_t totalMisses = 0;
@@ -66,10 +81,6 @@ struct StreamStats
     std::uint64_t stridedNonRepetitive = 0;
     std::uint64_t nonStridedRepetitive = 0;
     std::uint64_t nonStridedNonRepetitive = 0;
-
-    /// Per-miss labels aligned with the input trace (for Tables 3-5).
-    std::vector<RepLabel> labels;
-    std::vector<bool> strided;
 
     /// (stream length, total misses contributed at that length),
     /// aggregated per rule (Figure 4 left).
@@ -99,8 +110,12 @@ struct StreamStats
     double medianStreamLength() const { return lengthPercentile(50.0); }
 };
 
-/** Run the full temporal-stream analysis over @p trace. */
-StreamStats analyzeStreams(const MissTrace &trace);
+/**
+ * Run the full temporal-stream analysis over @p trace; the per-miss
+ * labels go to @p labels when it is given.
+ */
+StreamStats analyzeStreams(const MissTrace &trace,
+                           MissLabels *labels = nullptr);
 
 } // namespace tstream
 

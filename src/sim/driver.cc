@@ -68,38 +68,117 @@ CellResult::runs() const
     return analysis ? analysis->runs : kNone;
 }
 
-CellMemo::CellMemo(const std::vector<std::vector<Cell>> &grids)
+const MissTrace &
+CellResult::trace(std::size_t run) const
 {
-    for (std::size_t v = 0; v < grids.size(); ++v)
-        for (const Cell &c : grids[v])
-            lastView_[configHash(c.cfg)] = v;
+    if (!traces || run >= traces->size())
+        panic("CellResult::trace: cell " + cell.id +
+              " kept no trace (no view in the plan walks its misses)");
+    return (*traces)[run];
+}
+
+std::uint64_t
+CellAnalysis::footprintBytes() const
+{
+    std::uint64_t n = sizeof(CellAnalysis);
+    for (const RunOutput &r : runs)
+        n += sizeof(RunOutput) + (r.streams.lengthWeighted.capacity() +
+                                  r.streams.reuseWeighted.capacity()) *
+                                     sizeof(r.streams.lengthWeighted[0]);
+    return n;
+}
+
+std::uint64_t
+footprintBytes(const CellTraces &traces)
+{
+    std::uint64_t n = 0;
+    for (const MissTrace &t : traces)
+        n += sizeof(MissTrace) + t.misses.capacity() * sizeof(MissRecord);
+    return n;
+}
+
+CellMemo::CellMemo(const std::vector<PlannedView> &views)
+{
+    for (std::size_t v = 0; v < views.size(); ++v)
+        for (const Cell &c : views[v].grid) {
+            const std::uint64_t key = configHash(c.cfg);
+            lastView_[key] = v;
+            if (views[v].walksMisses)
+                lastWalk_[key] = v;
+        }
+}
+
+bool
+CellMemo::walkAhead(std::uint64_t key) const
+{
+    const auto it = lastWalk_.find(key);
+    return it != lastWalk_.end() && it->second >= finished_;
+}
+
+bool
+CellMemo::keepsTraces(const ExperimentConfig &cfg) const
+{
+    std::lock_guard<std::mutex> lk(mu_);
+    return walkAhead(configHash(cfg));
 }
 
 std::shared_ptr<const CellAnalysis>
-CellMemo::find(const ExperimentConfig &cfg) const
+CellMemo::find(const ExperimentConfig &cfg,
+               std::shared_ptr<const CellTraces> &traces) const
 {
     std::lock_guard<std::mutex> lk(mu_);
     const auto it = cells_.find(configHash(cfg));
-    return it == cells_.end() ? nullptr : it->second;
+    if (it == cells_.end())
+        return nullptr;
+    traces = it->second.traces;
+    return it->second.analysis;
 }
 
 void
 CellMemo::store(const ExperimentConfig &cfg,
-                std::shared_ptr<const CellAnalysis> analysis)
+                std::shared_ptr<const CellAnalysis> analysis,
+                std::shared_ptr<const CellTraces> traces)
 {
     const std::uint64_t key = configHash(cfg);
+    Entry e;
+    e.summaryBytes = analysis->footprintBytes();
+    e.analysis = std::move(analysis);
     std::lock_guard<std::mutex> lk(mu_);
-    if (lastView_.count(key))
-        cells_[key] = std::move(analysis);
+    if (!lastView_.count(key))
+        return;
+    if (traces && walkAhead(key)) {
+        e.traceBytes = footprintBytes(*traces);
+        e.traces = std::move(traces);
+    }
+    Entry &slot = cells_[key];
+    bytes_ -= slot.summaryBytes + slot.traceBytes;
+    slot = std::move(e);
+    bytes_ += slot.summaryBytes + slot.traceBytes;
+    telemetry::gaugeSet("driver.memo_bytes",
+                        static_cast<std::int64_t>(bytes_));
 }
 
 void
 CellMemo::finishView(std::size_t view)
 {
     std::lock_guard<std::mutex> lk(mu_);
-    for (auto it = cells_.begin(); it != cells_.end();)
-        it = lastView_.at(it->first) <= view ? cells_.erase(it)
-                                             : std::next(it);
+    finished_ = std::max(finished_, view + 1);
+    for (auto it = cells_.begin(); it != cells_.end();) {
+        Entry &e = it->second;
+        if (lastView_.at(it->first) <= view) {
+            bytes_ -= e.summaryBytes + e.traceBytes;
+            it = cells_.erase(it);
+            continue;
+        }
+        if (e.traces && !walkAhead(it->first)) {
+            bytes_ -= e.traceBytes;
+            e.traceBytes = 0;
+            e.traces.reset();
+        }
+        ++it;
+    }
+    telemetry::gaugeSet("driver.memo_bytes",
+                        static_cast<std::int64_t>(bytes_));
 }
 
 std::size_t
@@ -125,7 +204,7 @@ onChipMisses(MissTrace intra)
 
 RunOutput
 analyzeRun(TraceKind kind, MissTrace trace,
-           const FunctionRegistry *registry)
+           const FunctionRegistry *registry, MissTrace *keep)
 {
     telemetry::Span span("analyze", "analysis");
     if (span.active())
@@ -135,11 +214,17 @@ analyzeRun(TraceKind kind, MissTrace trace,
     for (const MissRecord &m : trace.misses)
         if (m.cls < kNumMissClasses)
             r.classMisses[m.cls]++;
-    r.trace = kind == TraceKind::IntraChip ? onChipMisses(std::move(trace))
-                                           : std::move(trace);
-    r.streams = analyzeStreams(r.trace);
+    if (kind == TraceKind::IntraChip)
+        trace = onChipMisses(std::move(trace));
+    r.instructions = trace.instructions;
+    r.misses = trace.misses.size();
+    r.numCpus = trace.numCpus;
+    MissLabels labels;
+    r.streams = analyzeStreams(trace, &labels);
     if (registry)
-        r.modules = profileModules(r.trace, r.streams, *registry);
+        r.modules = profileModules(trace, labels.rep, *registry);
+    if (keep)
+        *keep = std::move(trace);
     return r;
 }
 
@@ -165,7 +250,7 @@ runCell(const Cell &cell, const DriverOptions &opts)
     };
 
     if (opts.memo) {
-        if (auto hit = opts.memo->find(cell.cfg)) {
+        if (auto hit = opts.memo->find(cell.cfg, out.traces)) {
             out.analysis = std::move(hit);
             out.instructions = out.analysis->instructions;
             out.cacheHit = true;
@@ -193,10 +278,17 @@ runCell(const Cell &cell, const DriverOptions &opts)
         telemetry::count("mem.trace_regrowths", res.traceRegrowths);
         traceCacheStore(cell.cfg, res);
     }
+    // The plan decides whether this cell's traces outlive analysis.
+    std::shared_ptr<CellTraces> traces;
+    if (opts.memo && opts.memo->keepsTraces(cell.cfg))
+        traces = std::make_shared<CellTraces>();
     auto analysis = std::make_shared<CellAnalysis>();
     analysis->instructions = out.instructions = res.instructions;
     auto analyze = [&](TraceKind kind, MissTrace &&trace) {
-        RunOutput r = analyzeRun(kind, std::move(trace), &res.registry);
+        MissTrace *keep =
+            traces ? &traces->emplace_back() : nullptr;
+        RunOutput r =
+            analyzeRun(kind, std::move(trace), &res.registry, keep);
         r.workload = cell.cfg.workload;
         return r;
     };
@@ -211,7 +303,10 @@ runCell(const Cell &cell, const DriverOptions &opts)
         analysis->runs.push_back(
             analyze(TraceKind::SingleChip, std::move(res.offChip)));
         analysis->runs.push_back(std::move(intra));
+        if (traces) // aligned with runs: {single, intra}
+            std::swap((*traces)[0], (*traces)[1]);
     }
+    out.traces = std::move(traces);
     out.analysis = std::move(analysis);
     return finish();
 }
@@ -258,7 +353,7 @@ runCellOnce(const Cell &cell, const DriverOptions &opts)
     }
     if (!out.failed) {
         if (opts.memo)
-            opts.memo->store(cell.cfg, out.analysis);
+            opts.memo->store(cell.cfg, out.analysis, out.traces);
         return out;
     }
 

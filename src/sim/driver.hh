@@ -31,11 +31,21 @@
  * analyzed by analyzeRun(), the step `tstream-trace analyze` also
  * runs on a recorded trace: SEQUITUR, stride and module attribution
  * always run, and the intra-chip trace is always restricted to
- * on-chip hits. A
- * CellMemo shares those analyses between the figure/table views of
- * one `tstream-bench run` (src/bench/run.hh), so each distinct cell
- * is analyzed once per run; docs/BENCHMARKING.md is the operator's
- * guide.
+ * on-chip hits. A CellMemo shares those analyses between the views
+ * of one `tstream-bench run` (src/bench/run.hh), so each distinct
+ * cell is analyzed once per run; docs/BENCHMARKING.md is the
+ * operator's guide.
+ *
+ * What outlives a cell's analysis is split in two. Its summary
+ * (CellAnalysis: one RunOutput per analyzed trace, with the trace's
+ * scalars, class counts, stream statistics and module profile) is all
+ * a figure or table view reads; the memo holds it until the last view
+ * that needs the cell. Its analyzed traces (CellTraces) are held only
+ * when a view that walks misses (the stream-detector ablation, the
+ * prefetcher extension) is still ahead in the run's plan: runCell()
+ * then keeps them for CellResult::trace(), and the memo drops them
+ * after the last such view. Otherwise analyzeRun() frees each trace,
+ * and always frees the per-miss labels, before it returns.
  */
 
 #ifndef TSTREAM_SIM_DRIVER_HH
@@ -96,18 +106,35 @@ struct Cell
 std::vector<Cell> standardGrid(const std::vector<WorkloadKind> &workloads,
                                const BenchBudgets &budgets);
 
-/** One analyzed trace out of a cell. */
+/**
+ * The summary of one analyzed trace out of a cell: everything the
+ * figure and table views read. A flat value with no per-miss data and
+ * no pointer into the trace: the trace's scalars, its class counts,
+ * the stream statistics and the module profile.
+ */
 struct RunOutput
 {
     WorkloadKind workload = WorkloadKind::Oltp;
     TraceKind kind = TraceKind::MultiChip;
-    /** The analyzed trace; for IntraChip, the on-chip hits only. */
-    MissTrace trace;
+    std::uint64_t instructions = 0; ///< the trace's instruction count
+    /** Analyzed misses; for IntraChip, the on-chip hits only. */
+    std::uint64_t misses = 0;
+    unsigned numCpus = 0;
     /** Misses per class, counted before the intra-chip filter (so
      *  the IntraChip run still counts its Off-chip class). */
     std::array<std::uint64_t, kNumMissClasses> classMisses{};
     StreamStats streams;
     ModuleProfile modules;
+
+    /** Analyzed misses per 1000 instructions (MissTrace::mpki()). */
+    double
+    mpki() const
+    {
+        return instructions == 0
+                   ? 0.0
+                   : 1000.0 * static_cast<double>(misses) /
+                         static_cast<double>(instructions);
+    }
 };
 
 /** The misses of intra-chip trace @p intra satisfied on chip (the
@@ -119,18 +146,30 @@ MissTrace onChipMisses(MissTrace intra);
  * analyze`: count the misses of @p trace per class, restrict an
  * IntraChip trace to its on-chip hits, then run the stream analysis
  * and the module attribution (skipped when @p registry is null). The
- * caller sets the result's workload.
+ * per-miss labels are freed on return, and so is the analyzed trace,
+ * unless @p keep is given: it then receives the analyzed trace, for a
+ * view that walks its misses. The caller sets the result's workload.
  */
 RunOutput analyzeRun(TraceKind kind, MissTrace trace,
-                     const FunctionRegistry *registry);
+                     const FunctionRegistry *registry,
+                     MissTrace *keep = nullptr);
 
-/** Everything a view reads of one cell; shared, never copied. */
+/** Everything a summary view reads of one cell; shared, never copied. */
 struct CellAnalysis
 {
     std::uint64_t instructions = 0; ///< simulated instructions
     /** MultiChip cell: {multi}. SingleChip cell: {single, intra}. */
     std::vector<RunOutput> runs;
+
+    /** Bytes of the summaries, their histograms included. */
+    std::uint64_t footprintBytes() const;
 };
+
+/** The analyzed traces of one cell, aligned with CellAnalysis::runs. */
+using CellTraces = std::vector<MissTrace>;
+
+/** Bytes of the miss records @p traces hold. */
+std::uint64_t footprintBytes(const CellTraces &traces);
 
 /** One executed cell: its analysis and run diagnostics. */
 struct CellResult
@@ -138,6 +177,9 @@ struct CellResult
     Cell cell;
     /** Null when the cell failed. */
     std::shared_ptr<const CellAnalysis> analysis;
+    /** The analyzed traces; null unless the run's plan has a view that
+     *  walks this cell's misses (CellMemo::keepsTraces). */
+    std::shared_ptr<const CellTraces> traces;
     double wallSeconds = 0.0;          ///< execute + analyze wall time
     std::uint64_t instructions = 0;    ///< simulated instructions
     /** Served from TSTREAM_TRACE_CACHE or from the run's CellMemo. */
@@ -151,36 +193,76 @@ struct CellResult
 
     /** The analyzed runs; empty when the cell failed. */
     const std::vector<RunOutput> &runs() const;
+
+    /** The analyzed trace of runs()[@p run]; panics when the plan kept
+     *  no traces for this cell. */
+    const MissTrace &trace(std::size_t run) const;
+};
+
+/** One view of a run, as the memo plans it. */
+struct PlannedView
+{
+    std::vector<Cell> grid;
+    /** The view reads its cells' analyzed traces (CellResult::trace),
+     *  not only their summaries. */
+    bool walksMisses = false;
 };
 
 /**
  * The analyses of one multi-view run, keyed by configHash(): a cell
  * that several views share is simulated and analyzed by the first of
- * them and handed to the rest without copying. The memo knows the
- * grids of all views up front and drops each entry after the last
- * view that needs it. Failed cells are never stored. Thread-safe.
+ * them and handed to the rest without copying. The memo is the run's
+ * plan: it knows every view's grid up front, keeps a cell's summary
+ * until the last view that needs the cell, and keeps its analyzed
+ * traces only while a view that walks misses still needs them; every
+ * other trace is freed by analyzeRun(). Failed cells are never stored.
+ * The `driver.memo_bytes` gauge follows the bytes held. Thread-safe.
  */
 class CellMemo
 {
   public:
-    /** Plan a run of views over @p grids, in execution order. */
-    explicit CellMemo(const std::vector<std::vector<Cell>> &grids);
+    /** Plan a run of @p views, in execution order. */
+    explicit CellMemo(const std::vector<PlannedView> &views);
 
+    /** Whether a view not yet finished walks the misses of @p cfg: the
+     *  driver then keeps the cell's analyzed traces. */
+    bool keepsTraces(const ExperimentConfig &cfg) const;
+
+    /** The stored summary of @p cfg (null when absent); @p traces
+     *  gets its kept traces (null when none are kept). */
     std::shared_ptr<const CellAnalysis>
-    find(const ExperimentConfig &cfg) const;
-    /** Keep @p analysis if a planned view needs @p cfg. */
+    find(const ExperimentConfig &cfg,
+         std::shared_ptr<const CellTraces> &traces) const;
+    /** Keep @p analysis if a planned view needs @p cfg, and @p traces
+     *  (may be null) if a view that walks misses still does. */
     void store(const ExperimentConfig &cfg,
-               std::shared_ptr<const CellAnalysis> analysis);
+               std::shared_ptr<const CellAnalysis> analysis,
+               std::shared_ptr<const CellTraces> traces);
     /** View @p view is done: drop what no later view needs. */
     void finishView(std::size_t view);
+    /** Stored summaries. */
     std::size_t size() const;
 
   private:
+    /** A view not yet finished walks the misses of cell @p key;
+     *  callers hold mu_. */
+    bool walkAhead(std::uint64_t key) const;
+
+    struct Entry
+    {
+        std::shared_ptr<const CellAnalysis> analysis;
+        std::shared_ptr<const CellTraces> traces;
+        std::uint64_t summaryBytes = 0;
+        std::uint64_t traceBytes = 0;
+    };
+
     mutable std::mutex mu_;
     std::unordered_map<std::uint64_t, std::size_t> lastView_;
-    std::unordered_map<std::uint64_t,
-                       std::shared_ptr<const CellAnalysis>>
-        cells_;
+    /** The last view that walks each cell's misses. */
+    std::unordered_map<std::uint64_t, std::size_t> lastWalk_;
+    std::unordered_map<std::uint64_t, Entry> cells_;
+    std::size_t finished_ = 0; ///< views finished so far
+    std::uint64_t bytes_ = 0;  ///< the driver.memo_bytes gauge
 };
 
 /** Dynamic work claiming across cooperating worker processes. */

@@ -41,6 +41,15 @@ tinyBudgets()
     return b;
 }
 
+/** A memo whose plan is one view over @p grid that walks its misses,
+ *  so the driver keeps every cell's analyzed traces. */
+std::shared_ptr<CellMemo>
+walkingPlan(const std::vector<Cell> &grid)
+{
+    return std::make_shared<CellMemo>(
+        std::vector<PlannedView>{{grid, /*walksMisses=*/true}});
+}
+
 /** Smaller still, for tests that only need a few misses per run. */
 BenchBudgets
 smallBudgets()
@@ -458,6 +467,7 @@ TEST_F(DriverRunTest, ExecutesCellsInGridOrder)
     const auto grid = standardGrid(kTwoWorkloads, tinyBudgets());
     DriverOptions opts;
     opts.jobs = 2;
+    opts.memo = walkingPlan(grid);
     const auto results = runCells(grid, opts);
     ASSERT_EQ(results.size(), grid.size());
     for (std::size_t i = 0; i < results.size(); ++i) {
@@ -475,9 +485,11 @@ TEST_F(DriverRunTest, ExecutesCellsInGridOrder)
         if (single) {
             EXPECT_EQ(results[i].runs()[1].kind, TraceKind::IntraChip);
         }
-        for (const RunOutput &r : results[i].runs()) {
-            EXPECT_FALSE(r.trace.misses.empty());
-            EXPECT_GT(r.streams.totalMisses, 0u);
+        for (std::size_t r = 0; r < results[i].runs().size(); ++r) {
+            const MissTrace &trace = results[i].trace(r);
+            EXPECT_FALSE(trace.misses.empty());
+            EXPECT_EQ(results[i].runs()[r].misses, trace.misses.size());
+            EXPECT_GT(results[i].runs()[r].streams.totalMisses, 0u);
         }
     }
 }
@@ -488,9 +500,12 @@ TEST_F(DriverRunTest, IntraClassCountsPrecedeTheOnChipFilter)
     grid.erase(grid.begin()); // single-chip cell only
     DriverOptions opts;
     opts.jobs = 1;
+    opts.memo = walkingPlan(grid);
     const auto results = runCells(grid, opts);
     ASSERT_EQ(results.size(), 1u);
     const std::vector<RunOutput> &runs = results[0].runs();
+    const MissTrace &offTrace = results[0].trace(0);
+    const MissTrace &intraTrace = results[0].trace(1);
     ASSERT_EQ(runs.size(), 2u);
     auto sum = [](const RunOutput &r) {
         std::uint64_t n = 0;
@@ -499,11 +514,13 @@ TEST_F(DriverRunTest, IntraClassCountsPrecedeTheOnChipFilter)
         return n;
     };
     // Every run is analyzed.
-    for (const RunOutput &r : runs) {
-        EXPECT_EQ(r.streams.totalMisses, r.trace.misses.size());
-        EXPECT_EQ(r.modules.total, r.trace.misses.size());
+    for (std::size_t i = 0; i < runs.size(); ++i) {
+        const std::uint64_t n = results[0].trace(i).misses.size();
+        EXPECT_EQ(runs[i].misses, n);
+        EXPECT_EQ(runs[i].streams.totalMisses, n);
+        EXPECT_EQ(runs[i].modules.total, n);
     }
-    EXPECT_EQ(sum(runs[0]), runs[0].trace.misses.size());
+    EXPECT_EQ(sum(runs[0]), offTrace.misses.size());
 
     // The intra trace holds on-chip hits only; its Off-chip class is
     // counted before the filter.
@@ -511,8 +528,8 @@ TEST_F(DriverRunTest, IntraClassCountsPrecedeTheOnChipFilter)
     const std::uint64_t offChip =
         intra.classMisses[static_cast<std::size_t>(IntraClass::OffChip)];
     EXPECT_GT(offChip, 0u);
-    EXPECT_EQ(sum(intra), intra.trace.misses.size() + offChip);
-    for (const MissRecord &m : intra.trace.misses)
+    EXPECT_EQ(sum(intra), intraTrace.misses.size() + offChip);
+    for (const MissRecord &m : intraTrace.misses)
         EXPECT_NE(static_cast<IntraClass>(m.cls), IntraClass::OffChip);
 }
 
@@ -530,11 +547,15 @@ TEST_F(DriverRunTest, TraceCacheCreatesMissingDirectoryAndHits)
     DriverOptions opts;
     opts.jobs = 1;
 
+    // Each run has its own plan, so the second is served by the
+    // trace cache, not by the first run's memo.
+    opts.memo = walkingPlan(grid);
     const auto first = runCells(grid, opts);
     ASSERT_EQ(first.size(), 2u);
     EXPECT_FALSE(first[0].cacheHit);
     EXPECT_FALSE(first[1].cacheHit);
 
+    opts.memo = walkingPlan(grid);
     const auto second = runCells(grid, opts);
     ::unsetenv("TSTREAM_TRACE_CACHE");
     ASSERT_EQ(second.size(), 2u);
@@ -546,8 +567,8 @@ TEST_F(DriverRunTest, TraceCacheCreatesMissingDirectoryAndHits)
         ASSERT_EQ(second[c].runs().size(), first[c].runs().size());
         EXPECT_EQ(second[c].instructions, first[c].instructions);
         for (std::size_t r = 0; r < first[c].runs().size(); ++r) {
-            const MissTrace &a = first[c].runs()[r].trace;
-            const MissTrace &b = second[c].runs()[r].trace;
+            const MissTrace &a = first[c].trace(r);
+            const MissTrace &b = second[c].trace(r);
             ASSERT_EQ(a.misses.size(), b.misses.size());
             for (std::size_t i = 0; i < a.misses.size(); ++i) {
                 EXPECT_EQ(a.misses[i].block, b.misses[i].block);
@@ -651,8 +672,8 @@ TEST_F(CellMemoTest, OverlappingViewsSimulateEachCellOnce)
                                 smallBudgets());
     const auto b = standardGrid(
         {WorkloadKind::KvStore, WorkloadKind::Broker}, smallBudgets());
-    auto memo = std::make_shared<CellMemo>(
-        std::vector<std::vector<Cell>>{a, b});
+    auto memo =
+        std::make_shared<CellMemo>(std::vector<PlannedView>{{a}, {b}});
     DriverOptions opts;
     opts.jobs = 2;
     opts.memo = memo;
@@ -686,7 +707,7 @@ TEST_F(CellMemoTest, FailedCellIsNotStoredAndRunsAgain)
 {
     const auto grid = standardGrid({WorkloadKind::Oltp}, smallBudgets());
     auto memo = std::make_shared<CellMemo>(
-        std::vector<std::vector<Cell>>{grid, grid});
+        std::vector<PlannedView>{{grid}, {grid}});
 
     DriverOptions failing;
     failing.jobs = 1;
@@ -713,6 +734,117 @@ TEST_F(CellMemoTest, FailedCellIsNotStoredAndRunsAgain)
     EXPECT_EQ(telemetry::counterValue("driver.cache_miss_cells"), 2u);
     memo->finishView(1);
     EXPECT_EQ(memo->size(), 0u);
+}
+
+std::int64_t
+memoGauge()
+{
+    return telemetry::gaugeValue("driver.memo_bytes");
+}
+
+/** Cells of @p grid whose traces @p memo holds. */
+std::size_t
+tracesHeld(const CellMemo &memo, const std::vector<Cell> &grid)
+{
+    std::size_t n = 0;
+    for (const Cell &c : grid) {
+        std::shared_ptr<const CellTraces> traces;
+        memo.find(c.cfg, traces);
+        n += traces != nullptr;
+    }
+    return n;
+}
+
+TEST_F(CellMemoTest, SummaryOnlyPlanStoresNoPerMissBytes)
+{
+    // Two summary views over one grid, as in `run paper`: the memo
+    // keeps each cell's summary for the second view and no trace.
+    const auto grid = standardGrid({WorkloadKind::Oltp}, smallBudgets());
+    auto memo = std::make_shared<CellMemo>(
+        std::vector<PlannedView>{{grid}, {grid}});
+    DriverOptions opts;
+    opts.jobs = 1;
+    opts.memo = memo;
+    const auto results = runCells(grid, opts);
+    ASSERT_EQ(results.size(), grid.size());
+
+    std::uint64_t summaries = 0;
+    for (const CellResult &r : results) {
+        ASSERT_FALSE(r.failed);
+        EXPECT_FALSE(memo->keepsTraces(r.cell.cfg));
+        EXPECT_EQ(r.traces, nullptr);
+        summaries += r.analysis->footprintBytes();
+    }
+    EXPECT_EQ(memo->size(), grid.size());
+    EXPECT_EQ(tracesHeld(*memo, grid), 0u);
+    EXPECT_EQ(memoGauge(), static_cast<std::int64_t>(summaries));
+
+    memo->finishView(0);
+    const auto second = runCells(grid, opts);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        EXPECT_TRUE(second[i].cacheHit);
+        EXPECT_EQ(second[i].analysis, results[i].analysis);
+        EXPECT_EQ(second[i].traces, nullptr);
+    }
+    memo->finishView(1);
+    EXPECT_EQ(memo->size(), 0u);
+    EXPECT_EQ(memoGauge(), 0);
+}
+
+TEST_F(CellMemoTest, TraceLivesUntilTheLastViewThatWalksIt)
+{
+    // A summary view, a view that walks the misses, then a summary
+    // view again, all over one grid.
+    const auto grid = standardGrid({WorkloadKind::Oltp}, smallBudgets());
+    auto memo = std::make_shared<CellMemo>(std::vector<PlannedView>{
+        {grid}, {grid, /*walksMisses=*/true}, {grid}});
+    DriverOptions opts;
+    opts.jobs = 1;
+    opts.memo = memo;
+
+    // The first view's cells keep their traces: the walking view is
+    // still ahead.
+    const auto first = runCells(grid, opts);
+    memo->finishView(0);
+    EXPECT_EQ(tracesHeld(*memo, grid), grid.size());
+    std::uint64_t summaries = 0, traces = 0;
+    for (const CellResult &r : first) {
+        ASSERT_FALSE(r.failed);
+        ASSERT_NE(r.traces, nullptr);
+        ASSERT_EQ(r.traces->size(), r.runs().size());
+        for (std::size_t i = 0; i < r.runs().size(); ++i) {
+            EXPECT_EQ(r.trace(i).misses.size(), r.runs()[i].misses);
+            EXPECT_EQ(r.trace(i).instructions, r.runs()[i].instructions);
+        }
+        summaries += r.analysis->footprintBytes();
+        traces += footprintBytes(*r.traces);
+    }
+    EXPECT_GT(traces, 0u);
+    EXPECT_EQ(memoGauge(), static_cast<std::int64_t>(summaries + traces));
+
+    // The walking view gets the summaries and the traces from the memo.
+    const auto walked = runCells(grid, opts);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        EXPECT_TRUE(walked[i].cacheHit);
+        EXPECT_EQ(walked[i].analysis, first[i].analysis);
+        EXPECT_EQ(walked[i].traces, first[i].traces);
+    }
+    memo->finishView(1);
+    EXPECT_EQ(tracesHeld(*memo, grid), 0u);
+    EXPECT_EQ(memo->size(), grid.size()); // the summaries stay
+    EXPECT_EQ(memoGauge(), static_cast<std::int64_t>(summaries));
+    for (const Cell &c : grid)
+        EXPECT_FALSE(memo->keepsTraces(c.cfg));
+
+    const auto last = runCells(grid, opts);
+    for (std::size_t i = 0; i < grid.size(); ++i) {
+        EXPECT_TRUE(last[i].cacheHit);
+        EXPECT_EQ(last[i].analysis, first[i].analysis);
+        EXPECT_EQ(last[i].traces, nullptr);
+    }
+    memo->finishView(2);
+    EXPECT_EQ(memo->size(), 0u);
+    EXPECT_EQ(memoGauge(), 0);
 }
 
 } // namespace

@@ -83,12 +83,18 @@ TEST_F(FleetFaultTest, SingleClaimingWorkerEqualsPlainRun)
     const auto grid = standardGrid({WorkloadKind::Oltp}, tinyBudgets());
     ASSERT_EQ(grid.size(), 2u);
 
+    // Each run plans a view that walks the misses, so both keep their
+    // analyzed traces for the comparison below.
+    const std::vector<PlannedView> plan = {{grid, /*walksMisses=*/true}};
     DriverOptions plain;
     plain.jobs = 1;
+    plain.memo = std::make_shared<CellMemo>(plan);
     const auto expect = runCells(grid, plain);
 
-    const auto got = runCells(
-        grid, claimingOptions(freshClaimDir("solo"), 30'000, "solo"));
+    DriverOptions claiming =
+        claimingOptions(freshClaimDir("solo"), 30'000, "solo");
+    claiming.memo = std::make_shared<CellMemo>(plan);
+    const auto got = runCells(grid, claiming);
     ASSERT_EQ(got.size(), expect.size());
     for (std::size_t i = 0; i < got.size(); ++i) {
         EXPECT_EQ(got[i].cell.index, expect[i].cell.index);
@@ -97,8 +103,8 @@ TEST_F(FleetFaultTest, SingleClaimingWorkerEqualsPlainRun)
         EXPECT_EQ(got[i].instructions, expect[i].instructions);
         ASSERT_EQ(got[i].runs().size(), expect[i].runs().size());
         for (std::size_t r = 0; r < got[i].runs().size(); ++r)
-            EXPECT_EQ(got[i].runs()[r].trace.misses.size(),
-                      expect[i].runs()[r].trace.misses.size());
+            EXPECT_EQ(got[i].trace(r).misses.size(),
+                      expect[i].trace(r).misses.size());
     }
 }
 

@@ -390,17 +390,19 @@ naiveRelabel(const MissTrace &t, const StreamInput &in, const Sequitur &g)
     return out;
 }
 
-/** "" if @p a (analyzeStreams) agrees with @p naive, else the first
+/** "" if analyzeStreams(@p t) agrees with @p naive, else the first
  *  difference. */
 inline std::string
-compareWithAnalysis(const NaiveStats &naive, const StreamStats &a)
+compareWithAnalysis(const NaiveStats &naive, const MissTrace &t)
 {
-    if (a.labels.size() != naive.labels.size())
+    MissLabels labels;
+    const StreamStats a = analyzeStreams(t, &labels);
+    if (labels.rep.size() != naive.labels.size())
         return "label count differs";
-    for (std::size_t i = 0; i < a.labels.size(); ++i)
-        if (a.labels[i] != naive.labels[i])
+    for (std::size_t i = 0; i < labels.rep.size(); ++i)
+        if (labels.rep[i] != naive.labels[i])
             return "label of miss " + std::to_string(i) + " is " +
-                   std::to_string(static_cast<int>(a.labels[i])) +
+                   std::to_string(static_cast<int>(labels.rep[i])) +
                    ", naive relabel says " +
                    std::to_string(static_cast<int>(naive.labels[i]));
     std::uint64_t counts[3] = {0, 0, 0};

@@ -82,13 +82,11 @@ TEST(ModuleProfile, PercentagesAndOverall)
         reg.intern("disp_getwork", Category::KernelScheduler);
 
     MissTrace trace = tinyTrace({copy, copy, copy, sched});
-    StreamStats stats;
-    stats.totalMisses = 4;
-    stats.labels = {RepLabel::NewStream, RepLabel::RecurringStream,
-                    RepLabel::NonRepetitive, RepLabel::RecurringStream};
-    stats.strided.assign(4, false);
+    const std::vector<RepLabel> labels = {
+        RepLabel::NewStream, RepLabel::RecurringStream,
+        RepLabel::NonRepetitive, RepLabel::RecurringStream};
 
-    ModuleProfile p = profileModules(trace, stats, reg);
+    ModuleProfile p = profileModules(trace, labels, reg);
     EXPECT_DOUBLE_EQ(p.pctMisses(Category::BulkMemoryCopies), 75.0);
     EXPECT_DOUBLE_EQ(p.pctInStreams(Category::BulkMemoryCopies), 50.0);
     EXPECT_DOUBLE_EQ(p.pctMisses(Category::KernelScheduler), 25.0);
@@ -117,8 +115,7 @@ TEST(ModuleProfile, EmptyTraceIsAllZero)
 {
     FunctionRegistry reg;
     MissTrace trace;
-    StreamStats stats;
-    ModuleProfile p = profileModules(trace, stats, reg);
+    ModuleProfile p = profileModules(trace, {}, reg);
     EXPECT_EQ(p.total, 0u);
     EXPECT_DOUBLE_EQ(p.overallPctInStreams(), 0.0);
 }

@@ -276,8 +276,9 @@ TEST(ScenarioShape, ScenarioCategoriesAttributed)
     {
         auto res = runExperiment(tinyConfig(WorkloadKind::KvStore,
                                             SystemContext::MultiChip));
-        auto streams = analyzeStreams(res.offChip);
-        auto prof = profileModules(res.offChip, streams, res.registry);
+        MissLabels labels;
+        analyzeStreams(res.offChip, &labels);
+        auto prof = profileModules(res.offChip, labels.rep, res.registry);
         EXPECT_GT(prof.pctMisses(Category::KvHashIndex) +
                       prof.pctMisses(Category::KvSlabLru),
                   1.0);
@@ -286,8 +287,9 @@ TEST(ScenarioShape, ScenarioCategoriesAttributed)
     {
         auto res = runExperiment(tinyConfig(WorkloadKind::Broker,
                                             SystemContext::MultiChip));
-        auto streams = analyzeStreams(res.offChip);
-        auto prof = profileModules(res.offChip, streams, res.registry);
+        MissLabels labels;
+        analyzeStreams(res.offChip, &labels);
+        auto prof = profileModules(res.offChip, labels.rep, res.registry);
         EXPECT_GT(prof.pctMisses(Category::MqTopicLog) +
                       prof.pctMisses(Category::MqCursorIndex),
                   1.0);

@@ -95,13 +95,16 @@ TEST(StreamAnalysis, RepeatedSequenceSplitsNewAndRecurring)
 TEST(StreamAnalysis, LabelsAlignWithTraceOrder)
 {
     std::vector<BlockId> blocks = {1, 2, 3, 900, 1, 2, 3, 901};
-    StreamStats s = analyzeStreams(traceOf(blocks));
-    ASSERT_EQ(s.labels.size(), 8u);
+    MissLabels labels;
+    StreamStats s = analyzeStreams(traceOf(blocks), &labels);
+    EXPECT_EQ(s.totalMisses, 8u);
+    ASSERT_EQ(labels.rep.size(), 8u);
+    ASSERT_EQ(labels.strided.size(), 8u);
     // The two [1 2 3] occurrences are the stream.
-    EXPECT_EQ(s.labels[0], RepLabel::NewStream);
-    EXPECT_EQ(s.labels[4], RepLabel::RecurringStream);
-    EXPECT_EQ(s.labels[3], RepLabel::NonRepetitive);
-    EXPECT_EQ(s.labels[7], RepLabel::NonRepetitive);
+    EXPECT_EQ(labels.rep[0], RepLabel::NewStream);
+    EXPECT_EQ(labels.rep[4], RepLabel::RecurringStream);
+    EXPECT_EQ(labels.rep[3], RepLabel::NonRepetitive);
+    EXPECT_EQ(labels.rep[7], RepLabel::NonRepetitive);
 }
 
 TEST(StreamAnalysis, CrossCpuRecurrenceIsFound)
@@ -133,12 +136,13 @@ TEST(StreamAnalysis, PerCpuProjectionIgnoresInterleavingNoise)
             seq.push_back({1, 400000 + fresh++}); // unique
         }
     }
-    StreamStats s = analyzeStreams(traceOf(seq, 2));
+    MissLabels labels;
+    analyzeStreams(traceOf(seq, 2), &labels);
     // All 30 cpu-0 misses are stream misses.
     std::uint64_t cpu0InStream = 0;
     for (std::size_t i = 0; i < seq.size(); ++i)
         if (seq[i].first == 0 &&
-            s.labels[i] != RepLabel::NonRepetitive)
+            labels.rep[i] != RepLabel::NonRepetitive)
             ++cpu0InStream;
     EXPECT_GE(cpu0InStream, 28u);
 }

@@ -113,7 +113,9 @@ TEST(Stride, LabelTraceMatchesManualFeed)
     std::uint64_t seq = 0;
     for (auto b : blocks)
         t.misses.push_back(MissRecord{seq++, b, 0, 0, 0});
-    const std::vector<bool> flags = analyzeStreams(t).strided;
+    MissLabels labels;
+    analyzeStreams(t, &labels);
+    const std::vector<bool> &flags = labels.strided;
     ASSERT_EQ(flags.size(), blocks.size());
     EXPECT_FALSE(flags[0]);
     EXPECT_FALSE(flags[1]);

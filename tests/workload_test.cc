@@ -144,8 +144,9 @@ TEST(WorkloadShape, ModuleAttributionCoversTrace)
     auto cfg = ExperimentConfig::quick(WorkloadKind::Oltp,
                                        SystemContext::MultiChip);
     auto res = runExperiment(cfg);
-    auto streams = analyzeStreams(res.offChip);
-    auto prof = profileModules(res.offChip, streams, res.registry);
+    MissLabels labels;
+    analyzeStreams(res.offChip, &labels);
+    auto prof = profileModules(res.offChip, labels.rep, res.registry);
     EXPECT_EQ(prof.total, res.offChip.misses.size());
     std::uint64_t sum = 0;
     for (auto v : prof.misses)
@@ -162,8 +163,9 @@ TEST(WorkloadShape, WebTouchesItsCategories)
     auto cfg = ExperimentConfig::quick(WorkloadKind::Apache,
                                        SystemContext::MultiChip);
     auto res = runExperiment(cfg);
-    auto streams = analyzeStreams(res.offChip);
-    auto prof = profileModules(res.offChip, streams, res.registry);
+    MissLabels labels;
+    analyzeStreams(res.offChip, &labels);
+    auto prof = profileModules(res.offChip, labels.rep, res.registry);
     EXPECT_GT(prof.pctMisses(Category::BulkMemoryCopies), 0.5);
     EXPECT_GT(prof.pctMisses(Category::KernelScheduler), 0.0);
     // The web server's own code is a small fraction (paper: ~3%).

@@ -811,7 +811,7 @@ cmdAnalyze(const std::string &path,
                         "misses");
         std::printf(
             " %s\n\n",
-            missClassColumns(r.classMisses, r.trace.instructions, intra)
+            missClassColumns(r.classMisses, r.instructions, intra)
                 .text.c_str());
     }
 
