@@ -1,5 +1,7 @@
 #include "gen/workload_config.hh"
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -36,13 +38,16 @@ dropComment(std::vector<std::string> &tok)
         }
 }
 
+/** A finite number spelling the whole token (an embedded NUL byte
+ *  or "nan" is rejected: NaN passes every range check and never
+ *  compares equal after a round trip). */
 bool
 parseDouble(const std::string &text, double &out)
 {
     const char *s = text.c_str();
     char *end = nullptr;
     out = std::strtod(s, &end);
-    return end && *end == '\0' && end != s;
+    return end == s + text.size() && end != s && std::isfinite(out);
 }
 
 bool
@@ -52,8 +57,9 @@ parseCount(const std::string &text, std::uint64_t &out)
         return false;
     const char *s = text.c_str();
     char *end = nullptr;
+    errno = 0;
     out = std::strtoull(s, &end, 10);
-    return end && *end == '\0' && end != s;
+    return end == s + text.size() && end != s && errno != ERANGE;
 }
 
 /** Shortest decimal form of @p v that strtod()s back to exactly v. */

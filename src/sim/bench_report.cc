@@ -283,8 +283,6 @@ queryDocToJson(const QueryDoc &doc)
     json::Value v = json::Value::object();
     v["schema"] = json::Value(kQueryDocSchema);
     v["source"] = json::Value(doc.source);
-    if (!doc.member.empty())
-        v["member"] = json::Value(doc.member);
     v["kind"] = json::Value(traceContentKindName(doc.kind));
     v["config_hash"] = json::Value(hashToHex(doc.configHash));
 

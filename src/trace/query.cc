@@ -2,28 +2,15 @@
 
 #include <algorithm>
 #include <cinttypes>
-#include <cstdio>
-#include <cstring>
-#include <iterator>
 
 #include "core/figure_columns.hh"
-#include "trace/byte_io.hh"
 #include "util/strprintf.hh"
 
 namespace tstream
 {
 
-using namespace byte_io;
-
 namespace
 {
-
-constexpr char kArchiveMagic[4] = {'T', 'S', 'A', 'R'};
-constexpr std::uint32_t kArchiveVersion = 1;
-constexpr std::size_t kArchiveHeaderBytes = 24;
-/** Fixed part of a catalog entry (before the name bytes). */
-constexpr std::size_t kCatalogEntryFixedBytes = 7 * 8 + 2 * 4 + 2;
-constexpr std::uint32_t kMaxArchiveMembers = 65535;
 
 std::size_t
 numClassesFor(TraceContentKind kind)
@@ -464,244 +451,6 @@ runQuery(TraceReader &reader, const QuerySpec &spec)
         }
     }
     return Result(std::move(out));
-}
-
-// ---------------------------------------------------------------------------
-// Merged archives
-// ---------------------------------------------------------------------------
-
-namespace
-{
-
-std::vector<unsigned char>
-buildArchiveHeader(std::uint32_t memberCount,
-                   std::uint64_t catalogOffset)
-{
-    std::vector<unsigned char> h(kArchiveMagic, kArchiveMagic + 4);
-    putU32(h, kArchiveVersion);
-    putU32(h, memberCount);
-    putU32(h, 0); // flags, reserved
-    putU64(h, catalogOffset);
-    return h;
-}
-
-} // namespace
-
-bool
-TraceArchive::isArchive(const std::string &path)
-{
-    FilePtr f(std::fopen(path.c_str(), "rb"), &std::fclose);
-    if (!f)
-        return false;
-    unsigned char magic[4];
-    return std::fread(magic, 1, 4, f.get()) == 4 &&
-           std::memcmp(magic, kArchiveMagic, 4) == 0;
-}
-
-TraceResult<TraceArchive>
-TraceArchive::open(const std::string &path)
-{
-    using Result = TraceResult<TraceArchive>;
-
-    FilePtr f(std::fopen(path.c_str(), "rb"), &std::fclose);
-    if (!f)
-        return Result::failure("cannot open " + path);
-    std::fseek(f.get(), 0, SEEK_END);
-    const long end = std::ftell(f.get());
-    const std::uint64_t size =
-        end < 0 ? 0 : static_cast<std::uint64_t>(end);
-
-    unsigned char head[kArchiveHeaderBytes];
-    if (size < kArchiveHeaderBytes ||
-        std::fseek(f.get(), 0, SEEK_SET) != 0 ||
-        std::fread(head, 1, sizeof(head), f.get()) != sizeof(head))
-        return Result::failure(path + ": truncated archive header");
-    if (std::memcmp(head, kArchiveMagic, 4) != 0)
-        return Result::failure(path +
-                               ": bad magic (not a tstream archive)");
-    const std::uint32_t version = getU32(head + 4);
-    if (version != kArchiveVersion)
-        return Result::failure(path + ": unsupported archive version " +
-                               std::to_string(version));
-    const std::uint32_t memberCount = getU32(head + 8);
-    const std::uint64_t catalogOffset = getU64(head + 16);
-    if (memberCount > kMaxArchiveMembers)
-        return Result::failure(path + ": implausible member count");
-    if (catalogOffset < kArchiveHeaderBytes || catalogOffset > size)
-        return Result::failure(path + ": catalog offset out of range");
-
-    TraceArchive ar;
-    ar.path_ = path;
-    if (std::fseek(f.get(),
-                   static_cast<long>(catalogOffset), SEEK_SET) != 0)
-        return Result::failure(path + ": unreadable catalog");
-    std::uint64_t remaining = size - catalogOffset;
-    for (std::uint32_t i = 0; i < memberCount; ++i) {
-        unsigned char fixed[kCatalogEntryFixedBytes];
-        if (remaining < sizeof(fixed) ||
-            std::fread(fixed, 1, sizeof(fixed), f.get()) !=
-                sizeof(fixed))
-            return Result::failure(path + ": truncated catalog");
-        remaining -= sizeof(fixed);
-
-        ArchiveMember m;
-        m.offset = getU64(fixed);
-        m.bytes = getU64(fixed + 8);
-        m.configHash = getU64(fixed + 16);
-        m.records = getU64(fixed + 24);
-        m.instructions = getU64(fixed + 32);
-        m.seqFirst = getU64(fixed + 40);
-        m.seqLast = getU64(fixed + 48);
-        m.kind = static_cast<TraceContentKind>(getU32(fixed + 56));
-        m.numCpus = getU32(fixed + 60);
-        const std::uint16_t nameLen = getU16(fixed + 64);
-        if (nameLen == 0 || nameLen > 255)
-            return Result::failure(path +
-                                   ": bad member name length");
-        if (remaining < nameLen)
-            return Result::failure(path + ": truncated catalog");
-        m.name.resize(nameLen);
-        if (std::fread(&m.name[0], 1, nameLen, f.get()) != nameLen)
-            return Result::failure(path + ": truncated catalog");
-        remaining -= nameLen;
-
-        if (m.offset < kArchiveHeaderBytes ||
-            m.offset > catalogOffset ||
-            m.bytes > catalogOffset - m.offset)
-            return Result::failure(path + ": member '" + m.name +
-                                   "' extends outside the member "
-                                   "region");
-        if (ar.find(m.name) != nullptr)
-            return Result::failure(path + ": duplicate member '" +
-                                   m.name + "'");
-        ar.members_.push_back(std::move(m));
-    }
-    if (remaining != 0)
-        return Result::failure(path +
-                               ": trailing bytes after catalog");
-    return Result(std::move(ar));
-}
-
-const ArchiveMember *
-TraceArchive::find(std::string_view name) const
-{
-    for (const ArchiveMember &m : members_)
-        if (m.name == name)
-            return &m;
-    return nullptr;
-}
-
-TraceResult<TraceReader>
-TraceArchive::openMember(const ArchiveMember &m,
-                         const TraceOpenOptions &opts) const
-{
-    return TraceReader::openSlice(path_, m.offset, m.bytes, opts);
-}
-
-TraceResult<std::uint64_t>
-mergeArchive(const std::vector<ArchiveInput> &inputs,
-             const std::string &outPath)
-{
-    using Result = TraceResult<std::uint64_t>;
-
-    if (inputs.empty())
-        return Result::failure("merge-archive needs at least one "
-                               "member");
-    if (inputs.size() > kMaxArchiveMembers)
-        return Result::failure("too many members");
-    for (std::size_t i = 0; i < inputs.size(); ++i) {
-        if (inputs[i].name.empty() || inputs[i].name.size() > 255)
-            return Result::failure("member name must be 1..255 bytes");
-        for (std::size_t j = 0; j < i; ++j)
-            if (inputs[j].name == inputs[i].name)
-                return Result::failure("duplicate member name '" +
-                                       inputs[i].name + "'");
-    }
-
-    FilePtr out(std::fopen(outPath.c_str(), "wb"), &std::fclose);
-    if (!out)
-        return Result::failure("cannot write " + outPath);
-
-    // Placeholder header; catalog offset patched once it is known
-    // (same crash-consistency pattern as the v2 trace writer).
-    auto header = buildArchiveHeader(
-        static_cast<std::uint32_t>(inputs.size()), 0);
-    if (std::fwrite(header.data(), 1, header.size(), out.get()) !=
-        header.size())
-        return Result::failure("cannot write " + outPath);
-
-    std::uint64_t pos = kArchiveHeaderBytes;
-    std::vector<ArchiveMember> members;
-    for (const ArchiveInput &in : inputs) {
-        // Validate the member and lift its header + seq extents into
-        // the catalog entry.
-        auto reader = TraceReader::open(in.path);
-        if (!reader)
-            return Result::failure(in.name + ": " + reader.error());
-        const TraceMeta &meta = reader->meta();
-
-        ArchiveMember m;
-        m.name = in.name;
-        m.offset = pos;
-        m.configHash = meta.configHash;
-        m.records = meta.recordCount;
-        m.instructions = meta.instructions;
-        m.kind = meta.kind;
-        m.numCpus = meta.numCpus;
-        if (!meta.chunks.empty()) {
-            m.seqFirst = meta.chunks.front().firstSeq;
-            auto last =
-                reader->readChunk(meta.chunks.size() - 1);
-            if (!last)
-                return Result::failure(in.name + ": " + last.error());
-            if (!last->empty())
-                m.seqLast = last->back().seq;
-        }
-
-        FilePtr src(std::fopen(in.path.c_str(), "rb"), &std::fclose);
-        if (!src)
-            return Result::failure("cannot reopen " + in.path);
-        unsigned char buf[1 << 16];
-        std::size_t n;
-        while ((n = std::fread(buf, 1, sizeof(buf), src.get())) > 0) {
-            if (std::fwrite(buf, 1, n, out.get()) != n)
-                return Result::failure("cannot write " + outPath);
-            m.bytes += n;
-        }
-        if (std::ferror(src.get()))
-            return Result::failure("cannot read " + in.path);
-        pos += m.bytes;
-        members.push_back(std::move(m));
-    }
-
-    const std::uint64_t catalogOffset = pos;
-    std::vector<unsigned char> catalog;
-    for (const ArchiveMember &m : members) {
-        putU64(catalog, m.offset);
-        putU64(catalog, m.bytes);
-        putU64(catalog, m.configHash);
-        putU64(catalog, m.records);
-        putU64(catalog, m.instructions);
-        putU64(catalog, m.seqFirst);
-        putU64(catalog, m.seqLast);
-        putU32(catalog, static_cast<std::uint32_t>(m.kind));
-        putU32(catalog, m.numCpus);
-        putU16(catalog, static_cast<std::uint16_t>(m.name.size()));
-        catalog.insert(catalog.end(), m.name.data(),
-                       m.name.data() + m.name.size());
-    }
-    if (std::fwrite(catalog.data(), 1, catalog.size(), out.get()) !=
-        catalog.size())
-        return Result::failure("cannot write " + outPath);
-
-    header = buildArchiveHeader(
-        static_cast<std::uint32_t>(members.size()), catalogOffset);
-    if (std::fseek(out.get(), 0, SEEK_SET) != 0 ||
-        std::fwrite(header.data(), 1, header.size(), out.get()) !=
-            header.size() ||
-        std::fflush(out.get()) != 0)
-        return Result::failure("cannot write " + outPath);
-    return Result(static_cast<std::uint64_t>(members.size()));
 }
 
 } // namespace tstream

@@ -1,7 +1,7 @@
 /**
  * @file
- * Temporal queries over saved miss traces, and cross-cell merged
- * archives — the trace store's "queryable temporal database" face
+ * Temporal queries over saved miss traces — the trace store's
+ * "queryable temporal database" face
  * (ROADMAP; modeled on the language-integrated temporal-query and
  * temporal-DB range/window operators in PAPERS.md).
  *
@@ -14,16 +14,9 @@
  * overlapping chunks — TraceReader::chunksDecoded() exposes exactly
  * how many, and tests/trace_query_test.cc proves the result
  * bit-identical to a naive decode-everything scan on randomized
- * filter/window combinations.
- *
- * A TraceArchive packs several cell traces into one file behind a
- * top-level catalog (member name, content kind, configHash, record /
- * instruction counts, seq extents) so a whole sweep travels as one
- * artifact; members open by catalog entry via TraceReader::openSlice
- * and query like any standalone trace. Byte-level layout:
- * docs/TRACE_FORMAT.md. Everything here follows trace_io.hh's error
- * contract: malformed input fails with a diagnostic TraceResult,
- * never a crash.
+ * filter/window combinations. Everything here follows trace_io.hh's
+ * error contract: malformed input fails with a diagnostic
+ * TraceResult, never a crash.
  */
 
 #ifndef TSTREAM_TRACE_QUERY_HH
@@ -146,77 +139,6 @@ TraceResult<QueryOutput> runQuery(TraceReader &reader,
                                   const QuerySpec &spec);
 
 // ---------------------------------------------------------------------------
-// Merged archives
-// ---------------------------------------------------------------------------
-
-/** One catalog entry of a merged archive. */
-struct ArchiveMember
-{
-    std::string name;              ///< cell id, unique in the archive
-    std::uint64_t offset = 0;      ///< member's first byte in the file
-    std::uint64_t bytes = 0;       ///< member length (a whole trace)
-    std::uint64_t configHash = 0;  ///< from the member's header
-    std::uint64_t records = 0;
-    std::uint64_t instructions = 0;
-    std::uint64_t seqFirst = 0;    ///< seq of the first record (0 if none)
-    std::uint64_t seqLast = 0;     ///< seq of the last record (0 if none)
-    TraceContentKind kind = TraceContentKind::Unknown;
-    std::uint32_t numCpus = 0;
-};
-
-/**
- * A cross-cell merged archive: member traces stored byte-for-byte
- * behind a top-level catalog, so one file carries a whole sweep and
- * any member opens without touching the others.
- */
-class TraceArchive
-{
-  public:
-    /** Cheap magic probe: true when @p path starts with "TSAR". */
-    static bool isArchive(const std::string &path);
-
-    /** Open @p path and parse the catalog (no member is touched). */
-    static TraceResult<TraceArchive> open(const std::string &path);
-
-    const std::string &path() const { return path_; }
-    const std::vector<ArchiveMember> &members() const
-    {
-        return members_;
-    }
-
-    /** Catalog entry named @p name, or nullptr. */
-    const ArchiveMember *find(std::string_view name) const;
-
-    /** Open member @p m as a trace (TraceReader::openSlice). */
-    TraceResult<TraceReader>
-    openMember(const ArchiveMember &m,
-               const TraceOpenOptions &opts = {}) const;
-
-  private:
-    TraceArchive() = default;
-
-    std::string path_;
-    std::vector<ArchiveMember> members_;
-};
-
-/** One input to mergeArchive(): the member name plus its trace file. */
-struct ArchiveInput
-{
-    std::string name;
-    std::string path;
-};
-
-/**
- * Pack @p inputs into a merged archive at @p outPath. Every input must
- * open as a valid trace (its header fields and seq extents are lifted
- * into the catalog); names must be unique and non-empty. On success
- * returns the member count.
- */
-TraceResult<std::uint64_t>
-mergeArchive(const std::vector<ArchiveInput> &inputs,
-             const std::string &outPath);
-
-// ---------------------------------------------------------------------------
 // Query document (JSON emission lives in sim/bench_report)
 // ---------------------------------------------------------------------------
 
@@ -227,8 +149,7 @@ mergeArchive(const std::vector<ArchiveInput> &inputs,
  */
 struct QueryDoc
 {
-    std::string source; ///< trace or archive path as given
-    std::string member; ///< archive member name; "" for a plain trace
+    std::string source; ///< trace path as given
     TraceContentKind kind = TraceContentKind::Unknown;
     std::uint64_t configHash = 0;
     QuerySpec spec;

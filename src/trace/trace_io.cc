@@ -12,22 +12,13 @@
 #include <unistd.h>
 #endif
 
-#include "trace/byte_io.hh"
-
 namespace tstream
 {
-
-using namespace byte_io;
 
 namespace
 {
 
 constexpr char kMagic[4] = {'T', 'S', 'T', 'R'};
-
-// ---- v1 (legacy) constants -------------------------------------------------
-
-constexpr std::size_t kV1HeaderBytes = 28;
-constexpr std::size_t kV1RecordBytes = 8 + 8 + 1 + 1 + 2;
 
 // ---- v2 constants ----------------------------------------------------------
 
@@ -82,15 +73,61 @@ maxRawBytes(std::uint64_t storedBytes)
     return 255 * storedBytes + 64;
 }
 
-/** Records per synthetic chunk when presenting a v1 file. */
-constexpr std::uint64_t kV1ChunkRecords = 1 << 20;
-
 /**
  * Writer-side ceiling on records per chunk: keeps even a worst-case
  * encoded chunk (25 B/record) far below the u32 chunk-size fields,
  * so oversized --chunk-records requests cannot wrap them.
  */
 constexpr std::uint32_t kMaxChunkRecords = 1 << 24;
+
+// ---- little-endian scalars ---------------------------------------------------
+
+using FilePtr = std::unique_ptr<std::FILE, int (*)(std::FILE *)>;
+
+void
+putU16(std::vector<unsigned char> &out, std::uint16_t v)
+{
+    out.push_back(static_cast<unsigned char>(v & 0xFF));
+    out.push_back(static_cast<unsigned char>(v >> 8));
+}
+
+void
+putU32(std::vector<unsigned char> &out, std::uint32_t v)
+{
+    for (int i = 0; i < 4; ++i)
+        out.push_back(static_cast<unsigned char>(v >> (8 * i)));
+}
+
+void
+putU64(std::vector<unsigned char> &out, std::uint64_t v)
+{
+    for (int i = 0; i < 8; ++i)
+        out.push_back(static_cast<unsigned char>(v >> (8 * i)));
+}
+
+std::uint16_t
+getU16(const unsigned char *p)
+{
+    return static_cast<std::uint16_t>(p[0] | (p[1] << 8));
+}
+
+std::uint32_t
+getU32(const unsigned char *p)
+{
+    std::uint32_t v = 0;
+    for (int i = 3; i >= 0; --i)
+        v = (v << 8) | p[i];
+    return v;
+}
+
+std::uint64_t
+getU64(const unsigned char *p)
+{
+    std::uint64_t v = 0;
+    for (int i = 7; i >= 0; --i)
+        v = (v << 8) | p[i];
+    return v;
+}
 
 // ---- varint / zigzag --------------------------------------------------------
 
@@ -243,9 +280,43 @@ buildV2Header(const MissTrace &trace, const TraceWriteOptions &opts,
     return h;
 }
 
+} // namespace
+
+std::string_view
+traceContentKindName(TraceContentKind k)
+{
+    switch (k) {
+      case TraceContentKind::Unknown: return "unknown";
+      case TraceContentKind::OffChip: return "off-chip";
+      case TraceContentKind::IntraChip: return "intra-chip";
+      case TraceContentKind::IntraChipOnChip:
+        return "intra-chip (on-chip-satisfied)";
+    }
+    return "?";
+}
+
 bool
-saveTraceV2(const MissTrace &trace, const std::string &path,
-            const TraceWriteOptions &opts)
+isIntraChipKind(TraceContentKind k)
+{
+    return k == TraceContentKind::IntraChip ||
+           k == TraceContentKind::IntraChipOnChip;
+}
+
+std::string_view
+missClassNameFor(TraceContentKind kind, std::uint8_t cls)
+{
+    if (isIntraChipKind(kind))
+        return cls < kNumIntraClasses
+                   ? intraClassName(static_cast<IntraClass>(cls))
+                   : "<invalid>";
+    return cls < kNumMissClasses
+               ? missClassName(static_cast<MissClass>(cls))
+               : "<invalid>";
+}
+
+bool
+saveTrace(const MissTrace &trace, const std::string &path,
+          const TraceWriteOptions &opts)
 {
     const Codec *codec =
         codecById(static_cast<std::uint32_t>(opts.codec));
@@ -336,60 +407,6 @@ saveTraceV2(const MissTrace &trace, const std::string &path,
     return std::fflush(f.get()) == 0;
 }
 
-} // namespace
-
-std::string_view
-traceContentKindName(TraceContentKind k)
-{
-    switch (k) {
-      case TraceContentKind::Unknown: return "unknown";
-      case TraceContentKind::OffChip: return "off-chip";
-      case TraceContentKind::IntraChip: return "intra-chip";
-      case TraceContentKind::IntraChipOnChip:
-        return "intra-chip (on-chip-satisfied)";
-    }
-    return "?";
-}
-
-bool
-isIntraChipKind(TraceContentKind k)
-{
-    return k == TraceContentKind::IntraChip ||
-           k == TraceContentKind::IntraChipOnChip;
-}
-
-std::string_view
-missClassNameFor(TraceContentKind kind, std::uint8_t cls)
-{
-    if (isIntraChipKind(kind))
-        return cls < kNumIntraClasses
-                   ? intraClassName(static_cast<IntraClass>(cls))
-                   : "<invalid>";
-    return cls < kNumMissClasses
-               ? missClassName(static_cast<MissClass>(cls))
-               : "<invalid>";
-}
-
-bool
-saveTrace(const MissTrace &trace, const std::string &path,
-          const TraceWriteOptions &opts)
-{
-    return saveTraceV2(trace, path, opts);
-}
-
-TraceResult<TraceReader>
-TraceReader::open(const std::string &path, const TraceOpenOptions &opts)
-{
-    return openImpl(path, 0, std::nullopt, opts);
-}
-
-TraceResult<TraceReader>
-TraceReader::openSlice(const std::string &path, std::uint64_t offset,
-                       std::uint64_t bytes, const TraceOpenOptions &opts)
-{
-    return openImpl(path, offset, bytes, opts);
-}
-
 bool
 TraceReader::readBytes(std::uint64_t off, unsigned char *p,
                        std::size_t n) const
@@ -399,10 +416,10 @@ TraceReader::readBytes(std::uint64_t off, unsigned char *p,
     if (off > size_ || n > size_ - off)
         return false;
     if (map_ != nullptr) {
-        std::memcpy(p, map_ + base_ + off, n);
+        std::memcpy(p, map_ + off, n);
         return true;
     }
-    return readAt(file_.get(), base_ + off, p, n);
+    return readAt(file_.get(), off, p, n);
 }
 
 const unsigned char *
@@ -410,13 +427,11 @@ TraceReader::viewBytes(std::uint64_t off, std::size_t n) const
 {
     if (map_ == nullptr || off > size_ || n > size_ - off)
         return nullptr;
-    return map_ + base_ + off;
+    return map_ + off;
 }
 
 TraceResult<TraceReader>
-TraceReader::openImpl(const std::string &path, std::uint64_t offset,
-                      std::optional<std::uint64_t> bytes,
-                      const TraceOpenOptions &opts)
+TraceReader::open(const std::string &path, const TraceOpenOptions &opts)
 {
     using Result = TraceResult<TraceReader>;
 
@@ -425,21 +440,17 @@ TraceReader::openImpl(const std::string &path, std::uint64_t offset,
     if (!r.file_)
         return Result::failure("cannot open " + path);
     std::FILE *f = r.file_.get();
-    const std::uint64_t fileBytes = fileSize(f);
-    if (offset > fileBytes || (bytes && *bytes > fileBytes - offset))
-        return Result::failure(path + ": slice extends past end of file");
-    r.base_ = offset;
-    r.size_ = bytes ? *bytes : fileBytes - offset;
+    r.size_ = fileSize(f);
     const std::uint64_t size = r.size_;
 
 #ifdef TSTREAM_HAVE_MMAP
-    // Map the whole file (the slice is a view into it); a failed mmap
-    // silently selects the stdio path, which returns identical bytes.
-    if (opts.allowMmap && fileBytes > 0) {
-        void *m = ::mmap(nullptr, static_cast<std::size_t>(fileBytes),
+    // A failed mmap silently selects the stdio path, which returns
+    // identical bytes.
+    if (opts.allowMmap && size > 0) {
+        void *m = ::mmap(nullptr, static_cast<std::size_t>(size),
                          PROT_READ, MAP_PRIVATE, ::fileno(f), 0);
         if (m != MAP_FAILED) {
-            const std::size_t len = static_cast<std::size_t>(fileBytes);
+            const std::size_t len = static_cast<std::size_t>(size);
             r.mapping_ = std::shared_ptr<const void>(
                 m, [len](const void *p) {
                     ::munmap(const_cast<void *>(p), len);
@@ -459,44 +470,6 @@ TraceReader::openImpl(const std::string &path, std::uint64_t offset,
     const std::uint32_t version = getU32(head + 4);
     TraceMeta &m = r.meta_;
     m.version = version;
-
-    if (version == 1) {
-        if (size < kV1HeaderBytes ||
-            !r.readBytes(0, head, kV1HeaderBytes))
-            return Result::failure(path + ": truncated v1 header");
-        m.numCpus = getU32(head + 8);
-        m.instructions = getU64(head + 12);
-        m.recordCount = getU64(head + 20);
-        m.codec = static_cast<std::uint32_t>(CodecId::None);
-        m.chunkRecords = static_cast<std::uint32_t>(std::min<std::uint64_t>(
-            m.recordCount, 0xFFFFFFFFu));
-        for (const TraceField &fld : kV2Fields)
-            m.fields.push_back({fld.id, kEncFixed, fld.widthBits});
-        if (size != kV1HeaderBytes + m.recordCount * kV1RecordBytes)
-            return Result::failure(path + ": v1 size mismatch");
-        // Present the flat v1 payload as bounded synthetic chunks so
-        // the chunk fields never overflow u32 and readers stream v1
-        // files too.
-        for (std::uint64_t start = 0; start < m.recordCount;
-             start += kV1ChunkRecords) {
-            const std::uint64_t n =
-                std::min(kV1ChunkRecords, m.recordCount - start);
-            TraceChunk c;
-            c.offset = kV1HeaderBytes + start * kV1RecordBytes;
-            c.records = static_cast<std::uint32_t>(n);
-            c.storedBytes =
-                static_cast<std::uint32_t>(n * kV1RecordBytes);
-            unsigned char first[8];
-            if (!r.readBytes(c.offset, first, 8))
-                return Result::failure(path + ": unreadable v1 payload");
-            c.firstSeq = getU64(first);
-            if (!m.chunks.empty() && c.firstSeq < m.chunks.back().firstSeq)
-                return Result::failure(
-                    path + ": chunk index firstSeq not non-decreasing");
-            m.chunks.push_back(c);
-        }
-        return Result(std::move(r));
-    }
 
     if (version != 2)
         return Result::failure(path + ": unsupported version " +
@@ -632,67 +605,45 @@ try {
         return Result::failure("chunk index out of range");
     const TraceChunk &c = meta_.chunks[index];
 
-    std::vector<MissRecord> out;
-    if (meta_.version == 1) {
-        std::vector<unsigned char> buf;
-        const unsigned char *p = viewBytes(c.offset, c.storedBytes);
-        if (p == nullptr) {
-            buf.resize(c.storedBytes);
-            if (!readBytes(c.offset, buf.data(), buf.size()))
-                return Result::failure("short read on v1 records");
-            p = buf.data();
-        }
-        out.resize(c.records);
-        for (std::uint32_t i = 0; i < c.records;
-             ++i, p += kV1RecordBytes) {
-            out[i].seq = getU64(p);
-            out[i].block = getU64(p + 8);
-            out[i].cpu = p[16];
-            out[i].cls = p[17];
-            out[i].fn = static_cast<FnId>(getU16(p + 18));
-        }
-    } else {
-        unsigned char chunkHeader[8];
-        if (!readBytes(c.offset, chunkHeader, 8))
-            return Result::failure("short read on chunk header");
-        const std::uint32_t rawBytes = getU32(chunkHeader);
-        const std::uint32_t storedBytes = getU32(chunkHeader + 4);
-        if (storedBytes != c.storedBytes)
-            return Result::failure("chunk/index size disagreement");
-        if (rawBytes < storedBytes ||
-            rawBytes < c.records * kMinEncodedRecordBytes ||
-            rawBytes > c.records * kMaxEncodedRecordBytes + 16 ||
-            rawBytes > maxRawBytes(storedBytes))
-            return Result::failure("implausible chunk payload size");
+    unsigned char chunkHeader[8];
+    if (!readBytes(c.offset, chunkHeader, 8))
+        return Result::failure("short read on chunk header");
+    const std::uint32_t rawBytes = getU32(chunkHeader);
+    const std::uint32_t storedBytes = getU32(chunkHeader + 4);
+    if (storedBytes != c.storedBytes)
+        return Result::failure("chunk/index size disagreement");
+    if (rawBytes < storedBytes ||
+        rawBytes < c.records * kMinEncodedRecordBytes ||
+        rawBytes > c.records * kMaxEncodedRecordBytes + 16 ||
+        rawBytes > maxRawBytes(storedBytes))
+        return Result::failure("implausible chunk payload size");
 
-        // Zero-copy when mapped: the stored payload is used in place;
-        // a raw-stored (incompressible) chunk decodes straight out of
-        // the page cache with no intermediate buffer at all.
-        std::vector<unsigned char> stored;
-        const unsigned char *storedPtr =
-            viewBytes(c.offset + 8, storedBytes);
-        if (storedPtr == nullptr) {
-            stored.resize(storedBytes);
-            if (storedBytes > 0 &&
-                !readBytes(c.offset + 8, stored.data(), storedBytes))
-                return Result::failure("short read on chunk payload");
-            storedPtr = stored.data();
-        }
-
-        std::vector<unsigned char> raw;
-        const unsigned char *payload = storedPtr;
-        if (storedBytes != rawBytes) {
-            const Codec *codec = codecById(meta_.codec);
-            raw.resize(rawBytes);
-            if (!codec->decompress(storedPtr, storedBytes, raw.data(),
-                                   rawBytes))
-                return Result::failure("corrupt compressed chunk");
-            payload = raw.data();
-        }
-
-        if (!decodeChunk(payload, rawBytes, c.records, out))
-            return Result::failure("corrupt chunk encoding");
+    // Zero-copy when mapped: the stored payload is used in place;
+    // a raw-stored (incompressible) chunk decodes straight out of
+    // the page cache with no intermediate buffer at all.
+    std::vector<unsigned char> stored;
+    const unsigned char *storedPtr = viewBytes(c.offset + 8, storedBytes);
+    if (storedPtr == nullptr) {
+        stored.resize(storedBytes);
+        if (storedBytes > 0 &&
+            !readBytes(c.offset + 8, stored.data(), storedBytes))
+            return Result::failure("short read on chunk payload");
+        storedPtr = stored.data();
     }
+
+    std::vector<unsigned char> raw;
+    const unsigned char *payload = storedPtr;
+    if (storedBytes != rawBytes) {
+        const Codec *codec = codecById(meta_.codec);
+        raw.resize(rawBytes);
+        if (!codec->decompress(storedPtr, storedBytes, raw.data(), rawBytes))
+            return Result::failure("corrupt compressed chunk");
+        payload = raw.data();
+    }
+
+    std::vector<MissRecord> out;
+    if (!decodeChunk(payload, rawBytes, c.records, out))
+        return Result::failure("corrupt chunk encoding");
 
     // Index trustworthiness: the decoded records must corroborate the
     // index entry that located them, so that whenever reads succeed,

@@ -7,18 +7,16 @@
  * `tstream-trace` CLI write traces here, and all offline analysis
  * (and the bench trace cache) reads them back.
  *
- * Two on-disk versions exist (byte-level layout, worked hexdump and
- * the compatibility policy are in docs/TRACE_FORMAT.md):
- *
- *  - v1 (legacy, read only): fixed-width header + 20-byte records.
- *    Read support is permanent; tests/data holds a v1 fixture.
- *  - v2 (current): a self-describing header (per-field descriptors,
- *    experiment config hash, content kind, codec id), an optional
- *    function table (FnId -> name/category, so module attribution
- *    works offline), and the records in independent chunks —
- *    delta+varint column encoding, optionally compressed through
- *    trace/codec.hh — located by a chunk index, so large traces can
- *    be streamed chunk-at-a-time without loading whole files.
+ * One on-disk format exists, v2 (byte-level layout, worked hexdump
+ * and the compatibility policy are in docs/TRACE_FORMAT.md): a
+ * self-describing header (per-field descriptors, experiment config
+ * hash, content kind, codec id), an optional function table
+ * (FnId -> name/category, so module attribution works offline), and
+ * the records in independent chunks — delta+varint column encoding,
+ * optionally compressed through trace/codec.hh — located by a chunk
+ * index, so large traces can be streamed chunk-at-a-time without
+ * loading whole files. A file of any other version is rejected with
+ * a diagnostic.
  *
  * Error contract: nothing in this API aborts on malformed input.
  * Opening, reading and decoding return TraceResult<T>; failure
@@ -83,7 +81,7 @@ class TraceResult
 /** What the records of a trace file are (v2 header `kind`). */
 enum class TraceContentKind : std::uint32_t
 {
-    Unknown = 0,         ///< not recorded (all v1 files)
+    Unknown = 0,         ///< not recorded
     OffChip = 1,         ///< off-chip read misses, cls = MissClass
     IntraChip = 2,       ///< all L1 read misses, cls = IntraClass
     IntraChipOnChip = 3, ///< L1 misses satisfied on chip, cls = IntraClass
@@ -187,9 +185,7 @@ struct TraceOpenOptions
  * index on open(), then decodes chunks on demand, so a paper-scale
  * trace can be scanned without materializing it. The backing file is
  * memory-mapped when possible (see TraceOpenOptions) and streamed
- * through stdio otherwise. Understands v1 files as bounded synthetic
- * chunks, and can open a trace embedded inside a larger file (an
- * archive member; trace/query.hh) via openSlice().
+ * through stdio otherwise.
  *
  * open() validates the chunk index (in-bounds chunks, plausible
  * record counts, firstSeq non-decreasing) and readChunk() validates
@@ -205,15 +201,6 @@ class TraceReader
     /** Open @p path and parse all metadata. */
     static TraceResult<TraceReader> open(const std::string &path,
                                          const TraceOpenOptions &opts = {});
-
-    /**
-     * Open the trace stored at [@p offset, @p offset + @p bytes) of
-     * @p path — an archive member (trace/query.hh). All validation
-     * applies relative to the slice.
-     */
-    static TraceResult<TraceReader>
-    openSlice(const std::string &path, std::uint64_t offset,
-              std::uint64_t bytes, const TraceOpenOptions &opts = {});
 
     const TraceMeta &meta() const { return meta_; }
 
@@ -259,25 +246,19 @@ class TraceReader
   private:
     TraceReader() : file_(nullptr, &std::fclose) {}
 
-    /** Read @p n bytes at slice-relative @p off (map or stdio). */
+    /** Read @p n bytes at file offset @p off (map or stdio). */
     bool readBytes(std::uint64_t off, unsigned char *p,
                    std::size_t n) const;
 
-    /** Pointer into the mapping at slice-relative @p off, or nullptr
+    /** Pointer into the mapping at file offset @p off, or nullptr
      *  when not mapped (bounds are pre-checked by callers). */
     const unsigned char *viewBytes(std::uint64_t off,
                                    std::size_t n) const;
 
-    static TraceResult<TraceReader>
-    openImpl(const std::string &path, std::uint64_t offset,
-             std::optional<std::uint64_t> bytes,
-             const TraceOpenOptions &opts);
-
     std::unique_ptr<std::FILE, int (*)(std::FILE *)> file_;
     std::shared_ptr<const void> mapping_; ///< owns the munmap
     const unsigned char *map_ = nullptr;  ///< whole-file mapping
-    std::uint64_t base_ = 0;              ///< slice start in the file
-    std::uint64_t size_ = 0;              ///< slice byte count
+    std::uint64_t size_ = 0;              ///< file byte count
     std::uint64_t chunksDecoded_ = 0;
     TraceMeta meta_;
 };
@@ -291,7 +272,7 @@ bool saveTrace(const MissTrace &trace, const std::string &path,
                const TraceWriteOptions &opts = {});
 
 /**
- * Load a whole trace previously written by saveTrace() (any version).
+ * Load a whole trace previously written by saveTrace().
  * Convenience wrapper over TraceReader; failure carries a diagnostic
  * instead of aborting (see the error contract above).
  */

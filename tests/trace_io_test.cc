@@ -1,8 +1,9 @@
 /**
  * @file
- * Trace serialization tests: v1 fixture reads, v2 round trips,
- * chunking, compression, the embedded function table, and rejection
- * of malformed files through the TraceResult error contract.
+ * Trace serialization tests: v2 round trips, chunking, compression,
+ * the embedded function table, and rejection of malformed files
+ * (any version but 2 included) through the TraceResult error
+ * contract.
  */
 
 #include <gtest/gtest.h>
@@ -113,32 +114,6 @@ TEST(TraceIo, RandomTraceRoundTrip)
     ASSERT_TRUE(back) << back.error();
     expectSameRecords(t, *back);
     std::remove(path.c_str());
-}
-
-/** makeTrace(100) in the legacy v1 format, which is read only: the
- *  file is checked in because nothing writes v1 any more. */
-const std::string kV1Fixture =
-    std::string(TSTREAM_TEST_DATA_DIR) + "/trace_v1_100.tst";
-
-TEST(TraceIo, V1RoundTripEquivalence)
-{
-    const MissTrace t = makeTrace(100);
-    const auto v2 = tmpPath("equiv.v2.tst");
-    ASSERT_TRUE(saveTrace(t, v2));
-
-    const auto fromV1 = loadTrace(kV1Fixture);
-    const auto fromV2 = loadTrace(v2);
-    ASSERT_TRUE(fromV1) << fromV1.error();
-    ASSERT_TRUE(fromV2) << fromV2.error();
-    expectSameRecords(t, *fromV1);
-    expectSameRecords(*fromV1, *fromV2);
-
-    auto reader = TraceReader::open(kV1Fixture);
-    ASSERT_TRUE(reader) << reader.error();
-    EXPECT_EQ(reader->meta().version, 1u);
-    EXPECT_EQ(reader->meta().recordCount, 100u);
-    EXPECT_FALSE(reader->hasFunctions());
-    std::remove(v2.c_str());
 }
 
 TEST(TraceIo, CompressionOnOffEquivalence)
@@ -283,12 +258,17 @@ TEST(TraceIo, BadMagicRejected)
 
 TEST(TraceIo, UnsupportedVersionRejected)
 {
+    // v2 is the only format: the retired v1 must be rejected through
+    // the same diagnostic as a future version, never misread.
     const auto path = tmpPath("version.tst");
-    ASSERT_TRUE(saveTrace(makeTrace(10), path));
-    corruptByte(path, 4, 99);
-    const auto r = loadTrace(path);
-    EXPECT_FALSE(r);
-    EXPECT_NE(r.error().find("unsupported version"), std::string::npos);
+    for (unsigned char version : {1, 3, 99}) {
+        ASSERT_TRUE(saveTrace(makeTrace(10), path));
+        corruptByte(path, 4, version);
+        const auto r = loadTrace(path);
+        EXPECT_FALSE(r) << "version " << int(version);
+        EXPECT_EQ(r.error(), path + ": unsupported version " +
+                                 std::to_string(version));
+    }
     std::remove(path.c_str());
 }
 
@@ -319,18 +299,6 @@ TEST(TraceIo, TruncatedFilesRejected)
         EXPECT_FALSE(r.error().empty());
     }
     std::remove(path.c_str());
-    std::remove(cut.c_str());
-}
-
-TEST(TraceIo, TruncatedV1Rejected)
-{
-    const long full = sizeOf(kV1Fixture);
-    const auto cut = tmpPath("v1cut.tst");
-    for (long bytes : {10L, 27L, full - 7}) {
-        truncateTo(kV1Fixture, cut, bytes);
-        const auto r = loadTrace(cut);
-        EXPECT_FALSE(r) << "prefix of " << bytes << " bytes";
-    }
     std::remove(cut.c_str());
 }
 

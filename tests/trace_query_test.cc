@@ -1,16 +1,15 @@
 /**
  * @file
  * Differential and fuzz tests for the queryable trace store
- * (trace/query.hh + the mmap/slice TraceReader).
+ * (trace/query.hh + the mmap/stdio TraceReader).
  *
  * The core correctness argument is differential: a naive reference
  * scanner (decode *everything*, filter in a loop, no index use) is
  * compared bit-for-bit against the indexed query engine on a fixed-
  * seed randomized suite of filter/window combinations. On top of that
  * sit decode-counter checks (window queries decode only overlapping
- * chunks), mmap-vs-stdio equivalence, archive round trips, and
- * corruption/truncation fuzz enforcing the "diagnostic failure, never
- * a crash" contract.
+ * chunks), mmap-vs-stdio equivalence, and corruption/truncation
+ * fuzz enforcing the "diagnostic failure, never a crash" contract.
  */
 
 #include <gtest/gtest.h>
@@ -34,17 +33,6 @@ std::string
 tmpPath(const char *name)
 {
     return std::string(::testing::TempDir()) + "/" + name;
-}
-
-long
-sizeOf(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    const long s = std::ftell(f);
-    std::fclose(f);
-    return s;
 }
 
 std::vector<unsigned char>
@@ -602,110 +590,6 @@ TEST(TraceQuery, RunQueryRejectsUnknownAggregate)
 }
 
 // ---------------------------------------------------------------------------
-// Archives: round trip, catalog fidelity, member queries.
-// ---------------------------------------------------------------------------
-
-TEST(TraceQuery, ArchiveRoundTripAndMemberQuery)
-{
-    const std::uint16_t fnPool = 32;
-    const FunctionRegistry reg = makeRegistry(fnPool);
-    const MissTrace a = makeTrace(5'000, 51, 16, fnPool);
-    const MissTrace b = makeTrace(700, 52, 4, fnPool);
-    const std::string pa = saveFixture("arch_a.tst", a, &reg, 512);
-    const std::string pb =
-        saveFixture("arch_b.tst", b, nullptr, 256,
-                    TraceContentKind::IntraChipOnChip);
-
-    const std::string ap = tmpPath("round.tsar");
-    auto merged = mergeArchive(
-        {{"oltp/multi-chip", pa}, {"kv/single-chip", pb}}, ap);
-    ASSERT_TRUE(merged) << merged.error();
-    EXPECT_EQ(*merged, 2u);
-
-    EXPECT_TRUE(TraceArchive::isArchive(ap));
-    EXPECT_FALSE(TraceArchive::isArchive(pa));
-
-    auto ar = TraceArchive::open(ap);
-    ASSERT_TRUE(ar) << ar.error();
-    ASSERT_EQ(ar->members().size(), 2u);
-    EXPECT_EQ(ar->find("nope"), nullptr);
-
-    const ArchiveMember *ma = ar->find("oltp/multi-chip");
-    const ArchiveMember *mb = ar->find("kv/single-chip");
-    ASSERT_NE(ma, nullptr);
-    ASSERT_NE(mb, nullptr);
-
-    // Catalog fields are lifted verbatim from the member headers.
-    EXPECT_EQ(ma->records, a.misses.size());
-    EXPECT_EQ(ma->instructions, a.instructions);
-    EXPECT_EQ(ma->numCpus, a.numCpus);
-    EXPECT_EQ(ma->kind, TraceContentKind::OffChip);
-    EXPECT_EQ(ma->configHash, 0xfeedface12345678ull);
-    EXPECT_EQ(ma->seqFirst, a.misses.front().seq);
-    EXPECT_EQ(ma->seqLast, a.misses.back().seq);
-    EXPECT_EQ(mb->kind, TraceContentKind::IntraChipOnChip);
-    EXPECT_EQ(mb->seqLast, b.misses.back().seq);
-    EXPECT_EQ(static_cast<long>(ma->bytes), sizeOf(pa));
-    EXPECT_EQ(static_cast<long>(mb->bytes), sizeOf(pb));
-
-    // A member slice reads byte-identically to the standalone file.
-    auto ra = ar->openMember(*ma);
-    ASSERT_TRUE(ra) << ra.error();
-    auto full = ra->readAll();
-    ASSERT_TRUE(full) << full.error();
-    expectSameRecords(full->misses, a.misses);
-
-    // ... under both byte access paths.
-    TraceOpenOptions io;
-    io.allowMmap = false;
-    auto rb = ar->openMember(*mb, io);
-    ASSERT_TRUE(rb) << rb.error();
-    auto fullB = rb->readAll();
-    ASSERT_TRUE(fullB) << fullB.error();
-    expectSameRecords(fullB->misses, b.misses);
-
-    // Queries against the member equal queries on the original file.
-    QuerySpec spec;
-    spec.seqLo = 2'000;
-    spec.seqHi = 11'000;
-    spec.cls = std::string(missClassName(MissClass::Coherence));
-    auto viaArchive = ar->openMember(*ma);
-    ASSERT_TRUE(viaArchive) << viaArchive.error();
-    auto standalone = TraceReader::open(pa);
-    ASSERT_TRUE(standalone) << standalone.error();
-    auto qa = queryRecords(*viaArchive, spec);
-    auto qs = queryRecords(*standalone, spec);
-    ASSERT_TRUE(qa) << qa.error();
-    ASSERT_TRUE(qs) << qs.error();
-    expectSameRecords(*qa, *qs);
-    // Index acceleration works identically through the slice.
-    EXPECT_EQ(viaArchive->chunksDecoded(),
-              standalone->chunksDecoded());
-    EXPECT_LT(viaArchive->chunksDecoded(),
-              viaArchive->meta().chunks.size());
-}
-
-TEST(TraceQuery, MergeArchiveRejectsBadInputs)
-{
-    const MissTrace t = makeTrace(100, 61, 4, 16);
-    const std::string p = saveFixture("merge_in.tst", t, nullptr, 64);
-    const std::string out = tmpPath("merge_bad.tsar");
-
-    EXPECT_FALSE(static_cast<bool>(mergeArchive({}, out)));
-    EXPECT_FALSE(static_cast<bool>(
-        mergeArchive({{"", p}}, out))); // empty name
-    EXPECT_FALSE(static_cast<bool>(
-        mergeArchive({{"a", p}, {"a", p}}, out))); // duplicate
-    EXPECT_FALSE(static_cast<bool>(mergeArchive(
-        {{"a", tmpPath("enoent.tst")}}, out))); // unreadable member
-
-    // A text file is not a valid member trace.
-    const std::string text = tmpPath("not_a_trace.txt");
-    writeFileBytes(text, {'h', 'e', 'l', 'l', 'o', '\n'});
-    EXPECT_FALSE(static_cast<bool>(mergeArchive({{"a", text}}, out)));
-}
-
-// ---------------------------------------------------------------------------
 // Corruption/truncation fuzz: diagnostic failure, never a crash, and
 // the differential rule — whenever the naive scan succeeds on the
 // mutated file, the indexed engine succeeds with identical rows.
@@ -790,94 +674,6 @@ TEST(TraceQuery, FuzzTruncationsNeverCrash)
         writeFileBytes(mutant, mut);
         fuzzOne(mutant, QuerySpec{});
     }
-}
-
-TEST(TraceQuery, FuzzArchiveCatalogNeverCrashes)
-{
-    const MissTrace a = makeTrace(800, 81, 4, 16);
-    const MissTrace b = makeTrace(600, 82, 4, 16);
-    const std::string pa =
-        saveFixture("afz_a.tst", a, nullptr, 128);
-    const std::string pb =
-        saveFixture("afz_b.tst", b, nullptr, 128);
-    const std::string ap = tmpPath("afz.tsar");
-    auto merged = mergeArchive({{"a", pa}, {"b", pb}}, ap);
-    ASSERT_TRUE(merged) << merged.error();
-    const std::vector<unsigned char> bytes = readFile(ap);
-
-    const std::string mutant = tmpPath("afz_mut.tsar");
-    Rng rng(616161);
-    for (int iter = 0; iter < 120; ++iter) {
-        std::vector<unsigned char> mut = bytes;
-        // Target the archive header and catalog tail most often.
-        std::size_t off;
-        if (iter % 3 != 0)
-            off = rng.below(2) == 0
-                      ? rng.below(24)
-                      : bytes.size() - 1 - rng.below(160);
-        else
-            off = rng.below(bytes.size());
-        mut[off] ^= static_cast<unsigned char>(1u << rng.below(8));
-        writeFileBytes(mutant, mut);
-
-        auto ar = TraceArchive::open(mutant);
-        if (!ar) {
-            EXPECT_FALSE(ar.error().empty());
-            continue;
-        }
-        for (const ArchiveMember &m : ar->members()) {
-            auto r = ar->openMember(m);
-            if (!r)
-                continue; // diagnostic failure is the contract
-            auto all = r->readAll();
-            if (!all)
-                continue;
-            // Readable member: records must satisfy the index
-            // invariants the reader promises (ordered seqs).
-            for (std::size_t i = 1; i < all->misses.size(); ++i)
-                EXPECT_GE(all->misses[i].seq,
-                          all->misses[i - 1].seq);
-        }
-    }
-
-    // Truncations across the whole file, catalog included.
-    for (int i = 0; i < 24; ++i) {
-        const std::size_t cut = rng.below(bytes.size());
-        std::vector<unsigned char> mut(bytes.begin(),
-                                       bytes.begin() +
-                                           static_cast<long>(cut));
-        writeFileBytes(mutant, mut);
-        auto ar = TraceArchive::open(mutant);
-        if (ar)
-            for (const ArchiveMember &m : ar->members()) {
-                auto r = ar->openMember(m);
-                if (r)
-                    (void)r->readAll();
-            }
-    }
-}
-
-TEST(TraceQuery, SliceBoundsAreEnforced)
-{
-    const MissTrace t = makeTrace(500, 91, 4, 16);
-    const std::string p = saveFixture("slice.tst", t, nullptr, 128);
-    const long size = sizeOf(p);
-
-    // Past-the-end slices fail up front with the bounds diagnostic.
-    auto past = TraceReader::openSlice(
-        p, static_cast<std::uint64_t>(size) + 1, 4);
-    EXPECT_FALSE(static_cast<bool>(past));
-    auto overlong = TraceReader::openSlice(
-        p, 8, static_cast<std::uint64_t>(size));
-    EXPECT_FALSE(static_cast<bool>(overlong));
-
-    // A whole-file slice is just the file.
-    auto whole = TraceReader::openSlice(
-        p, 0, static_cast<std::uint64_t>(size));
-    ASSERT_TRUE(whole) << whole.error();
-    auto all = whole->readAll();
-    ASSERT_TRUE(all) << all.error();
-    expectSameRecords(all->misses, t.misses);
 }
 
 } // namespace

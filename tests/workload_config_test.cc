@@ -13,9 +13,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
+#include <vector>
 
 #include "core/stream_analysis.hh"
 #include "gen/workload_config.hh"
@@ -85,6 +89,9 @@ const BadConfig kBadConfigs[] = {
     {"mix trailing garbage",
      "workload kv\nphase kv mix=0.5x dist=uniform\n",
      "line 2: bad number '0.5x' for 'mix'"},
+    {"mix nan",
+     "workload kv\nphase kv mix=nan dist=uniform\n",
+     "line 2: bad number 'nan' for 'mix'"},
     {"duplicate param",
      "workload kv\nphase kv mix=0.5 mix=0.6 dist=uniform\n",
      "line 2: duplicate parameter 'mix'"},
@@ -101,6 +108,9 @@ const BadConfig kBadConfigs[] = {
     {"theta zero",
      "workload kv\nphase kv mix=0.5 dist=zipfian theta=0\n",
      "line 2: theta must be within (0, 2)"},
+    {"theta nan",
+     "workload kv\nphase kv mix=0.5 dist=zipfian theta=NaN\n",
+     "line 2: bad number 'NaN' for 'theta'"},
     {"frac out of range",
      "workload kv\nphase kv mix=0.5 dist=hotspot frac=1 prob=0.9\n",
      "line 2: frac must be within (0, 1)"},
@@ -138,6 +148,11 @@ const BadConfig kBadConfigs[] = {
      "phase kv mix=0.5 dist=uniform duration=1e6\n",
      "line 2: duration wants a positive instruction count, got "
      "'1e6'"},
+    {"duration overflows",
+     "workload phased-mix\n"
+     "phase kv mix=0.5 dist=uniform duration=18446744073709551616\n",
+     "line 2: duration wants a positive instruction count, got "
+     "'18446744073709551616'"},
     {"phase kind mismatch",
      "workload kv\nphase broker mix=0.5 dist=uniform\n",
      "line 2: phase kind 'broker' does not match 'workload kv'"},
@@ -282,6 +297,89 @@ TEST(WorkloadConfigFile, LoadFromFileAndMissingFile)
     EXPECT_NE(err.find(path), std::string::npos);
     EXPECT_NE(err.find("no 'phase' lines"), std::string::npos);
     std::remove(path.c_str());
+}
+
+// ---- loader fuzz ------------------------------------------------------------
+
+/** The committed example configs (examples/workloads), in name order. */
+std::vector<std::filesystem::path>
+exampleConfigs()
+{
+    std::vector<std::filesystem::path> out;
+    for (const auto &e : std::filesystem::directory_iterator(
+             TSTREAM_WORKLOAD_EXAMPLES_DIR))
+        if (e.path().extension() == ".conf")
+            out.push_back(e.path());
+    std::sort(out.begin(), out.end());
+    return out;
+}
+
+/**
+ * Parse @p text into a config holding @p sentinel. A mutant must
+ * either fail with a diagnostic and leave the sentinel untouched, or
+ * load a config that serialize() round-trips to an equal value.
+ */
+void
+checkMutant(const std::string &text, const WorkloadConfig &sentinel,
+            const std::string &label)
+{
+    WorkloadConfig cfg = sentinel;
+    std::string err;
+    if (!cfg.loadFromString(text, err)) {
+        EXPECT_FALSE(err.empty()) << label;
+        EXPECT_EQ(cfg, sentinel) << label;
+        return;
+    }
+    const std::string canon = cfg.serialize();
+    WorkloadConfig back;
+    ASSERT_TRUE(back.loadFromString(canon, err))
+        << label << ": " << err << "\n" << canon;
+    EXPECT_EQ(back, cfg) << label << "\n" << canon;
+}
+
+TEST(WorkloadConfigFuzz, MutatedExampleConfigsFailCleanlyOrRoundTrip)
+{
+    const auto configs = exampleConfigs();
+    ASSERT_GE(configs.size(), 3u);
+    // Distinct from every example, so a half-applied load shows.
+    WorkloadConfig sentinel;
+    std::string err;
+    ASSERT_TRUE(sentinel.loadFromString(kStandardKv, err)) << err;
+    std::mt19937_64 rng(2027);
+    for (const auto &conf : configs) {
+        std::ifstream in(conf, std::ios::binary);
+        const std::string base((std::istreambuf_iterator<char>(in)),
+                               std::istreambuf_iterator<char>());
+        ASSERT_FALSE(base.empty()) << conf;
+        const std::string name = conf.filename().string();
+        checkMutant(base, sentinel, name);
+        // Every single-bit flip and every truncation: the files are
+        // small enough to cover exhaustively.
+        for (std::size_t at = 0; at < base.size(); ++at) {
+            for (unsigned bit = 0; bit < 8; ++bit) {
+                std::string m = base;
+                m[at] = static_cast<char>(m[at] ^ (1u << bit));
+                checkMutant(m, sentinel,
+                            name + " bit " + std::to_string(bit) +
+                                " of byte " + std::to_string(at));
+            }
+            checkMutant(base.substr(0, at), sentinel,
+                        name + " truncated to " + std::to_string(at));
+        }
+        // Then 512 mutants of two to four random flips each.
+        for (int i = 0; i < 512; ++i) {
+            std::string m = base;
+            std::string label = name;
+            for (int flips = 2 + int(rng() % 3); flips > 0; --flips) {
+                const std::size_t at = rng() % m.size();
+                const unsigned bit = rng() % 8;
+                m[at] = static_cast<char>(m[at] ^ (1u << bit));
+                label += " bit " + std::to_string(bit) + " of byte " +
+                         std::to_string(at);
+            }
+            checkMutant(m, sentinel, label);
+        }
+    }
 }
 
 // ---- --phases records -------------------------------------------------------

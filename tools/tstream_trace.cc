@@ -14,17 +14,14 @@
  * over the on-chip hits).
  *
  * Subcommands:
- *   record         run one experiment and save the trace (v2 default)
- *   info           print header, tables and chunk index — or, for a
- *                  merged archive, the member catalog
+ *   record         run one experiment and save the trace
+ *   info           print header, tables and chunk index
  *   dump           print records as text, streamed chunk-at-a-time
  *   analyze        the fig1-fig4 columns (+ module table) offline
  *   query          filtered/windowed temporal queries (trace/query.hh):
  *                  cpu/class/module/category/block/seq-window filters
  *                  with summary/select/counts/streams/lengths
  *                  aggregates, human-readable and --json output
- *   merge-archive  pack several cell traces into one archive behind a
- *                  top-level catalog; `query --member` opens a member
  *
  * `record --quick` uses exactly the bench harness's --quick budgets
  * (2 M warm-up, 4 M measured, 0.15x footprints, seed 42), so the
@@ -68,7 +65,6 @@ usage(const char *msg)
         "  tstream-trace dump FILE [--limit N] [--chunk I]\n"
         "  tstream-trace analyze FILE [--section S]...\n"
         "  tstream-trace query FILE [filters] [--agg LIST] [opts]\n"
-        "  tstream-trace merge-archive -o OUT [NAME=]FILE...\n"
         "\n"
         "record options:\n"
         "  --workload W       apache|zeus|oltp|dss-q1|dss-q2|dss-q17|\n"
@@ -105,7 +101,6 @@ usage(const char *msg)
         "            needs an embedded function table)\n"
         "\n"
         "query filters (AND-ed; all optional):\n"
-        "  --member NAME      archive member to query (archives only)\n"
         "  --cpu N            requesting cpu / node\n"
         "  --class NAME       miss class (\"Compulsory\", ...; intra\n"
         "                     traces take \"Coherence:L2\", ...)\n"
@@ -482,7 +477,7 @@ parseRange(const char *s, std::uint64_t &lo, std::uint64_t &hi)
 int
 cmdQuery(int argc, char **argv)
 {
-    std::string path, member, jsonPath;
+    std::string path, jsonPath;
     QuerySpec spec;
     TraceOpenOptions oopts;
 
@@ -493,11 +488,7 @@ cmdQuery(int argc, char **argv)
         };
         const char *v;
         std::uint64_t n, m;
-        if (arg == "--member") {
-            if (!(v = value()))
-                return usage("missing --member value");
-            member = v;
-        } else if (arg == "--cpu") {
+        if (arg == "--cpu") {
             if (!(v = value()) || !parseU64(v, n) || n > 0xFFFFFFFFu)
                 return usage("bad or missing --cpu value");
             spec.cpu = static_cast<std::uint32_t>(n);
@@ -565,54 +556,13 @@ cmdQuery(int argc, char **argv)
         }
     }
     if (path.empty())
-        return usage("query needs a trace or archive file");
+        return usage("query needs a trace file");
 
-    // Open: a merged archive needs --member; a plain trace takes none.
-    std::optional<TraceReader> reader;
-    if (TraceArchive::isArchive(path)) {
-        auto ar = TraceArchive::open(path);
-        if (!ar) {
-            std::fprintf(stderr, "tstream-trace: %s\n",
-                         ar.error().c_str());
-            return 1;
-        }
-        if (member.empty()) {
-            std::fprintf(stderr,
-                         "tstream-trace: %s is a merged archive; "
-                         "pick a member with --member NAME (`info` "
-                         "lists the catalog)\n",
-                         path.c_str());
-            return 1;
-        }
-        const ArchiveMember *m = ar->find(member);
-        if (!m) {
-            std::fprintf(stderr,
-                         "tstream-trace: %s: no member '%s'\n",
-                         path.c_str(), member.c_str());
-            return 1;
-        }
-        auto r = ar->openMember(*m, oopts);
-        if (!r) {
-            std::fprintf(stderr, "tstream-trace: %s\n",
-                         r.error().c_str());
-            return 1;
-        }
-        reader.emplace(std::move(*r));
-    } else {
-        if (!member.empty()) {
-            std::fprintf(stderr,
-                         "tstream-trace: --member: %s is not a "
-                         "merged archive\n",
-                         path.c_str());
-            return 1;
-        }
-        auto r = TraceReader::open(path, oopts);
-        if (!r) {
-            std::fprintf(stderr, "tstream-trace: %s\n",
-                         r.error().c_str());
-            return 1;
-        }
-        reader.emplace(std::move(*r));
+    auto reader = TraceReader::open(path, oopts);
+    if (!reader) {
+        std::fprintf(stderr, "tstream-trace: %s\n",
+                     reader.error().c_str());
+        return 1;
     }
 
     auto result = runQuery(*reader, spec);
@@ -623,9 +573,8 @@ cmdQuery(int argc, char **argv)
     }
 
     const TraceMeta &meta = reader->meta();
-    std::printf("%s%s%s: %s trace, %" PRIu64 " records, %zu chunks\n",
-                path.c_str(), member.empty() ? "" : "#",
-                member.c_str(),
+    std::printf("%s: %s trace, %" PRIu64 " records, %zu chunks\n",
+                path.c_str(),
                 std::string(traceContentKindName(meta.kind)).c_str(),
                 meta.recordCount, meta.chunks.size());
     std::string table;
@@ -640,7 +589,6 @@ cmdQuery(int argc, char **argv)
     if (!jsonPath.empty()) {
         QueryDoc doc;
         doc.source = path;
-        doc.member = member;
         doc.kind = meta.kind;
         doc.configHash = meta.configHash;
         doc.spec = spec;
@@ -650,98 +598,6 @@ cmdQuery(int argc, char **argv)
             std::fprintf(stderr, "tstream-trace: %s\n", err.c_str());
             return 1;
         }
-    }
-    return 0;
-}
-
-// ---- merge-archive ----------------------------------------------------------
-
-/** Member name for a bare FILE spec: basename minus extension. */
-std::string
-defaultMemberName(std::string_view file)
-{
-    const std::size_t slash = file.find_last_of('/');
-    if (slash != std::string_view::npos)
-        file.remove_prefix(slash + 1);
-    const std::size_t dot = file.find_last_of('.');
-    if (dot != std::string_view::npos && dot > 0)
-        file = file.substr(0, dot);
-    return std::string(file);
-}
-
-int
-cmdMergeArchive(int argc, char **argv)
-{
-    std::string out;
-    std::vector<ArchiveInput> inputs;
-    for (int i = 0; i < argc; ++i) {
-        const std::string_view arg = argv[i];
-        if (arg == "-o" || arg == "--output") {
-            if (i + 1 >= argc)
-                return usage("missing -o value");
-            out = argv[++i];
-        } else if (!arg.empty() && arg[0] == '-') {
-            return usage(("unknown merge-archive option: " +
-                          std::string(arg))
-                             .c_str());
-        } else {
-            // [NAME=]FILE
-            ArchiveInput in;
-            const std::size_t eq = arg.find('=');
-            if (eq != std::string_view::npos && eq > 0) {
-                in.name = std::string(arg.substr(0, eq));
-                in.path = std::string(arg.substr(eq + 1));
-            } else {
-                in.path = std::string(arg);
-                in.name = defaultMemberName(arg);
-            }
-            if (in.path.empty())
-                return usage("empty member file in [NAME=]FILE");
-            inputs.push_back(std::move(in));
-        }
-    }
-    if (out.empty())
-        return usage("merge-archive needs -o OUT");
-    if (inputs.empty())
-        return usage("merge-archive needs at least one member trace");
-
-    auto res = mergeArchive(inputs, out);
-    if (!res) {
-        std::fprintf(stderr, "tstream-trace: %s\n",
-                     res.error().c_str());
-        return 1;
-    }
-    std::printf("wrote %s: %" PRIu64 " members\n", out.c_str(), *res);
-    return 0;
-}
-
-// ---- info (archive) ---------------------------------------------------------
-
-int
-cmdInfoArchive(const std::string &path)
-{
-    auto ar = TraceArchive::open(path);
-    if (!ar) {
-        std::fprintf(stderr, "tstream-trace: %s\n",
-                     ar.error().c_str());
-        return 1;
-    }
-    std::printf("%s: merged archive, %zu members\n", path.c_str(),
-                ar->members().size());
-    std::printf("  %-20s %-12s %4s %10s %12s %-24s %s\n", "member",
-                "kind", "cpus", "records", "instructions",
-                "seq [first,last]", "config");
-    for (const ArchiveMember &m : ar->members()) {
-        char span[64];
-        std::snprintf(span, sizeof(span),
-                      "[%" PRIu64 ",%" PRIu64 "]", m.seqFirst,
-                      m.seqLast);
-        std::printf("  %-20s %-12s %4u %10" PRIu64 " %12" PRIu64
-                    " %-24s %016" PRIx64 "\n",
-                    m.name.c_str(),
-                    std::string(traceContentKindName(m.kind)).c_str(),
-                    m.numCpus, m.records, m.instructions, span,
-                    m.configHash);
     }
     return 0;
 }
@@ -883,15 +739,11 @@ main(int argc, char **argv)
         }
         if (path.empty())
             return usage("info needs a trace file");
-        return TraceArchive::isArchive(path) ? cmdInfoArchive(path)
-                                             : cmdInfo(path);
+        return cmdInfo(path);
     }
 
     if (cmd == "query")
         return cmdQuery(argc - 2, argv + 2);
-
-    if (cmd == "merge-archive")
-        return cmdMergeArchive(argc - 2, argv + 2);
 
     if (cmd == "dump") {
         std::string path;
